@@ -1195,7 +1195,13 @@ def _solve_main(argv: Sequence[str]) -> int:
     if not points:
         print("deployment is empty", file=sys.stderr)
         return 2
-    graph = unit_disk_graph(points)
+    try:
+        graph = unit_disk_graph(points)
+    except ValueError as exc:
+        # Duplicate or non-finite coordinates: an input no deployment
+        # can mean, rejected before any component is chosen.
+        print(f"invalid deployment: {exc}", file=sys.stderr)
+        return 2
     if not is_connected(graph):
         kept, graph = largest_component_udg(points)
         print(

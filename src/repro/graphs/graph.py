@@ -10,6 +10,15 @@ integer ids.
 The structure is deliberately minimal: no attributes, no multi-edges,
 no directed edges.  Everything the CDS algorithms need is neighborhood
 queries, induced subgraphs and iteration in deterministic order.
+
+A graph also memoizes one kernel view of itself: the
+:class:`~repro.graphs.indexed.IndexedGraph` that
+:meth:`IndexedGraph.from_graph` builds (or that a bulk builder such as
+:func:`repro.graphs.udg.unit_disk_graph_vectorized` seeds) is kept in
+the ``_index`` slot, so the connectivity check, the solver's kernel
+build and result validation all share one interning pass.  The
+invalidation contract: every mutator clears the memo, and copies and
+pickles never carry it.
 """
 
 from __future__ import annotations
@@ -29,14 +38,46 @@ class Graph(Generic[N]):
     for a given construction sequence.
     """
 
-    __slots__ = ("_adj",)
+    __slots__ = ("_adj", "_index")
 
     def __init__(self, edges: Iterable[tuple[N, N]] = (), nodes: Iterable[N] = ()):
         self._adj: dict[N, dict[N, None]] = {}
+        # The memoized IndexedGraph view (see the module docstring).
+        self._index = None
         for node in nodes:
             self.add_node(node)
         for u, v in edges:
             self.add_edge(u, v)
+
+    @classmethod
+    def _adopt(cls, adj: dict[N, dict[N, None]], index) -> "Graph[N]":
+        """Wrap a prebuilt adjacency dict and its kernel view without
+        copying either.
+
+        The bulk path for same-package builders: the caller guarantees
+        that ``adj`` is symmetric and loop-free, and that ``index`` is
+        exactly what :meth:`IndexedGraph.from_graph` would build from it.
+        """
+        graph = cls.__new__(cls)
+        graph._adj = adj
+        graph._index = index
+        return graph
+
+    # -- copies and pickles never carry the memoized view -----------------
+
+    def __getstate__(self):
+        # A 1-tuple, never falsy: protocols 0 and 1 drop a falsy state
+        # (an empty graph's ``{}``) and would skip ``__setstate__``.
+        return (self._adj,)
+
+    def __setstate__(self, state) -> None:
+        (self._adj,) = state
+        self._index = None
+
+    def __copy__(self) -> "Graph[N]":
+        # A shallow copy sharing ``_adj`` would let a mutation through
+        # the copy leave the original's memoized view stale.
+        return self.copy()
 
     # -- construction --------------------------------------------------------
 
@@ -44,6 +85,7 @@ class Graph(Generic[N]):
         """Add a node (no-op if already present)."""
         if node not in self._adj:
             self._adj[node] = {}
+            self._index = None
 
     def add_edge(self, u: N, v: N) -> None:
         """Add an undirected edge, creating endpoints as needed.
@@ -57,6 +99,7 @@ class Graph(Generic[N]):
         self.add_node(v)
         self._adj[u][v] = None
         self._adj[v][u] = None
+        self._index = None
 
     def remove_node(self, node: N) -> None:
         """Remove a node and its incident edges.
@@ -67,6 +110,7 @@ class Graph(Generic[N]):
         for neighbor in self._adj[node]:
             del self._adj[neighbor][node]
         del self._adj[node]
+        self._index = None
 
     def remove_edge(self, u: N, v: N) -> None:
         """Remove an edge.
@@ -76,6 +120,7 @@ class Graph(Generic[N]):
         """
         del self._adj[u][v]
         del self._adj[v][u]
+        self._index = None
 
     # -- queries --------------------------------------------------------------
 

@@ -14,12 +14,16 @@ a flat, integer-indexed view instead:
   adjacency insertion order of the source graph so every traversal
   visits neighbors in exactly the order the dict-based code would.
 
-Build the view once per algorithm run (:meth:`IndexedGraph.from_graph`
-is ``O(V + E)``) and hand it to as many phases as want it; because it
-preserves iteration and adjacency order, algorithms on the view are
-bit-identical to their dict-based counterparts, just cheaper per step.
-The view is a snapshot — mutating the source :class:`Graph` afterwards
-does not update it.
+:meth:`IndexedGraph.from_graph` is ``O(V + E)`` once per graph: the
+view is memoized on the source :class:`Graph`, so the connectivity
+check, every solver phase and result validation share one interning
+pass (the vectorized UDG builder even seeds the memo straight from its
+CSR rows).  Because the view preserves iteration and adjacency order,
+algorithms on it are bit-identical to their dict-based counterparts,
+just cheaper per step.  The view is a snapshot — mutating the source
+:class:`Graph` afterwards clears the memo but does not update a view
+already handed out — and it is shared, so callers must treat its
+arrays as read-only.
 """
 
 from __future__ import annotations
@@ -59,7 +63,11 @@ class IndexedGraph(Generic[N]):
 
     @classmethod
     def from_graph(cls, graph: Graph[N]) -> "IndexedGraph[N]":
-        """Intern ``graph`` into a CSR view (``O(V + E)``, built once).
+        """The CSR view of ``graph``, interned once per graph.
+
+        Returns the view memoized on ``graph`` when there is one, and
+        otherwise builds it (``O(V + E)``) and memoizes it; any mutation
+        of ``graph`` clears the memo.
 
         Neighbor ids are resolved through an ``id(object)`` map first:
         builders that reuse node objects (every UDG builder does) then
@@ -68,6 +76,9 @@ class IndexedGraph(Generic[N]):
         adjacency holds equal-but-distinct objects falls back to the
         equality-based map; the resulting view is identical.
         """
+        memo = graph._index  # noqa: SLF001 - same-package memo
+        if memo is not None:
+            return memo
         adj = graph._adj  # noqa: SLF001 - same-package fast path
         nodes = tuple(adj)
         ids = {node: i for i, node in enumerate(nodes)}
@@ -82,7 +93,8 @@ class IndexedGraph(Generic[N]):
             # the whole scan through the equality map.
             get = ids.__getitem__
             indices = list(map(get, chain.from_iterable(rows)))
-        return cls(nodes, ids, indptr, indices)
+        view = graph._index = cls(nodes, ids, indptr, indices)  # noqa: SLF001
+        return view
 
     # -- boundary translation -------------------------------------------------
 

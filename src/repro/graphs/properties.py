@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, TypeVar
 
 from .graph import Graph
+from .indexed import IndexedGraph
 from .traversal import induced_is_connected
 
 N = TypeVar("N", bound=Hashable)
@@ -190,13 +191,42 @@ def is_connected_dominating_set(graph: Graph[N], candidate: Iterable[N]) -> bool
 
     Single-node graphs are special: the paper's convention is that a
     single node dominates itself, and ``G[{v}]`` is (trivially)
-    connected, so ``{v}`` is a CDS of the one-node graph.
+    connected, so ``{v}`` is a CDS of the one-node graph.  A candidate
+    naming a node outside the graph is not a CDS.
+
+    Runs on the graph's memoized kernel view: domination marks the
+    members' CSR rows in a byte mask, and connectivity is a BFS over
+    member ids that only steps onto members.  The dict composition
+    ``is_dominating_set(S) and (|S| == 1 or induced_is_connected(S))``
+    is the test oracle it is held to.
     """
-    chosen = set(candidate)
-    if not chosen:
+    index = IndexedGraph.from_graph(graph)
+    ids = index._ids  # noqa: SLF001 - same-package fast path
+    indptr, indices = index.indptr, index.indices
+    # state: 0 = outside the set, 1 = member not yet reached, 2 = reached.
+    state = bytearray(len(index))
+    members: list[int] = []
+    for node in candidate:
+        i = ids.get(node)
+        if i is None:
+            return False
+        if not state[i]:
+            state[i] = 1
+            members.append(i)
+    if not members:
         return False
-    if not is_dominating_set(graph, chosen):
+    covered = bytearray(len(index))
+    for i in members:
+        covered[i] = 1
+        for j in indices[indptr[i] : indptr[i + 1]]:
+            covered[j] = 1
+    if 0 in covered:
         return False
-    if len(chosen) == 1:
-        return True
-    return induced_is_connected(graph, chosen)
+    state[members[0]] = 2
+    reached = [members[0]]
+    for u in reached:
+        for v in indices[indptr[u] : indptr[u + 1]]:
+            if state[v] == 1:
+                state[v] = 2
+                reached.append(v)
+    return len(reached) == len(members)

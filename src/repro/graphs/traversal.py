@@ -167,11 +167,13 @@ def connected_components(graph: Graph[N]) -> list[list[N]]:
 
 
 def is_connected(graph: Graph[N]) -> bool:
-    """Whether the graph is connected.  The empty graph is not."""
-    if len(graph) == 0:
-        return False
-    first = next(iter(graph))
-    return len(bfs_order(graph, first)) == len(graph)
+    """Whether the graph is connected.  The empty graph is not.
+
+    Runs on the graph's memoized kernel view
+    (:meth:`IndexedGraph.from_graph`), so a solver or validator that
+    runs next reuses the interning this check paid for.
+    """
+    return IndexedGraph.from_graph(graph).is_connected()
 
 
 def induced_is_connected(graph: Graph[N], nodes: Iterable[N]) -> bool:

@@ -1,5 +1,8 @@
 """Unit tests for the unit-disk-graph builders."""
 
+import math
+import warnings
+
 import pytest
 
 from repro.geometry import Point
@@ -8,6 +11,7 @@ from repro.graphs import (
     quasi_unit_disk_graph,
     unit_disk_graph,
     unit_disk_graph_naive,
+    unit_disk_graph_vectorized,
     uniform_points,
 )
 
@@ -81,6 +85,43 @@ class TestUnitDiskGraph:
     def test_zero_radius(self):
         g = unit_disk_graph([Point(0, 0), Point(1, 1)], radius=0.0)
         assert g.edge_count() == 0
+
+
+BUILDERS = (
+    unit_disk_graph,
+    unit_disk_graph_naive,
+    unit_disk_graph_vectorized,
+    quasi_unit_disk_graph,
+)
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("builder", BUILDERS, ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    @pytest.mark.parametrize("axis", ("x", "y"))
+    def test_rejected_by_every_builder(self, builder, bad, axis):
+        pts = [Point(0.0, 0.0), Point(0.5, 0.0), Point(1.0, 0.0)]
+        pts.insert(2, Point(bad, 0.0) if axis == "x" else Point(0.0, bad))
+        with pytest.raises(ValueError, match="non-finite"):
+            builder(pts)
+
+    @pytest.mark.parametrize(
+        "builder", (unit_disk_graph, unit_disk_graph_vectorized),
+        ids=lambda b: b.__name__,
+    )
+    def test_rejected_on_the_bucketed_paths(self, builder):
+        # Above GRID_SMALL_N, where the grid buckets by floor(x) and the
+        # vectorized builder casts floor(x) to int64: a NaN must stop
+        # at the input check, not reach either (no RuntimeWarning).
+        pts = uniform_points(60, 5.0, seed=2) + [Point(math.nan, 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                builder(pts)
+
+    def test_message_names_the_point(self):
+        with pytest.raises(ValueError, match=r"Point\(x=nan, y=0\.0\)"):
+            unit_disk_graph([Point(0.0, 0.0), Point(math.nan, 0.0)])
 
 
 class TestGridSmallNDispatch:

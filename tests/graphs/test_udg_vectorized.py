@@ -5,16 +5,20 @@ emission order from numpy-discovered candidate pairs, so the resulting
 graphs match *including insertion order* — node order, edge order, and
 every per-node adjacency list.  That is the property these tests pin,
 as a hypothesis property over arbitrary point clouds plus seeded
-uniform deployments on both accel paths, with the kdtree fast path
-skip-marked when scipy is absent.
+uniform deployments.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import _optional
-from repro._optional import MissingDependencyError
 from repro.geometry import Point
+from repro.graphs.indexed import IndexedGraph
 from repro.graphs.udg import (
     GRID_SMALL_N,
     GRID_VECTOR_N,
@@ -22,10 +26,11 @@ from repro.graphs.udg import (
     unit_disk_graph_naive,
     unit_disk_graph_vectorized,
 )
-from repro.graphs.generators import uniform_points
-from repro.obs import OBS
-
-HAVE_SCIPY = _optional.optional_module("scipy.spatial") is not None
+from repro.graphs.generators import (
+    clustered_points,
+    corridor_points,
+    uniform_points,
+)
 
 coords = st.floats(min_value=0.0, max_value=9.0, allow_nan=False)
 point_lists = st.lists(
@@ -46,7 +51,7 @@ class TestGridEquivalence:
     @given(point_lists)
     def test_matches_grid_builder_hypothesis(self, pts):
         grid = unit_disk_graph(pts)
-        vector = unit_disk_graph_vectorized(pts, accel="numpy")
+        vector = unit_disk_graph_vectorized(pts)
         assert_same_graph_ordered(grid, vector)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -56,7 +61,7 @@ class TestGridEquivalence:
 
         pts = uniform_points(320, 11.0, random.Random(seed))
         grid = unit_disk_graph(pts, radius=radius)
-        vector = unit_disk_graph_vectorized(pts, radius=radius, accel="numpy")
+        vector = unit_disk_graph_vectorized(pts, radius=radius)
         assert_same_graph_ordered(grid, vector)
 
     def test_exact_boundary_distances(self):
@@ -65,7 +70,7 @@ class TestGridEquivalence:
         pts = [Point(float(x), float(y)) for x in range(9) for y in range(7)]
         assert len(pts) > GRID_SMALL_N
         grid = unit_disk_graph(pts)
-        vector = unit_disk_graph_vectorized(pts, accel="numpy")
+        vector = unit_disk_graph_vectorized(pts)
         assert_same_graph_ordered(grid, vector)
         assert grid.edge_count() == 9 * 6 + 8 * 7  # rook moves only
 
@@ -74,10 +79,31 @@ class TestGridEquivalence:
 
         pts = uniform_points(120, 6.0, random.Random(3))
         naive = unit_disk_graph_naive(pts)
-        vector = unit_disk_graph_vectorized(pts, accel="numpy")
+        vector = unit_disk_graph_vectorized(pts)
         assert {frozenset(e) for e in naive.edges()} == {
             frozenset(e) for e in vector.edges()
         }
+
+    def test_counters_match_the_grid_builder(self):
+        # pairs_tested is the grid scan's candidate economy, computed
+        # from bucket sizes, so the two builders report equal counts.
+        from repro.obs import OBS
+
+        pts = uniform_points(200, 8.0, 9)
+        counts = {}
+        for name, builder in (
+            ("grid", unit_disk_graph),
+            ("vector", unit_disk_graph_vectorized),
+        ):
+            with OBS.capture() as reg:
+                builder(pts)
+                counts[name] = dict(reg.counters())
+        assert counts["grid"]["udg.grid.pairs_tested"] > 0
+        for counter in ("pairs_tested", "edges_emitted"):
+            assert (
+                counts["vector"][f"udg.vector.{counter}"]
+                == counts["grid"][f"udg.grid.{counter}"]
+            )
 
     def test_default_builder_dispatches_at_vector_n(self, monkeypatch):
         # Above GRID_VECTOR_N, unit_disk_graph IS the vectorized path.
@@ -93,56 +119,11 @@ class TestGridEquivalence:
         assert GRID_VECTOR_N == 20000  # the committed threshold
 
 
-@pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
-class TestKDTreePath:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_kdtree_matches_numpy_path(self, seed):
-        import random
-
-        pts = uniform_points(280, 10.0, random.Random(50 + seed))
-        a = unit_disk_graph_vectorized(pts, accel="numpy")
-        b = unit_disk_graph_vectorized(pts, accel="kdtree")
-        assert_same_graph_ordered(a, b)
-
-    def test_counters_identical_across_paths(self):
-        import random
-
-        pts = uniform_points(200, 8.0, random.Random(9))
-        with OBS.capture() as reg:
-            unit_disk_graph_vectorized(pts, accel="numpy")
-            numpy_counters = dict(reg.counters())
-        with OBS.capture() as reg:
-            unit_disk_graph_vectorized(pts, accel="kdtree")
-            kdtree_counters = dict(reg.counters())
-        assert numpy_counters == kdtree_counters
-        assert numpy_counters.get("udg.vector.pairs_tested", 0) > 0
-        assert numpy_counters.get("udg.vector.edges_emitted", 0) > 0
-
-
 class TestValidationAndGating:
-    def test_unknown_accel_rejected(self):
-        with pytest.raises(ValueError, match="unknown accel"):
-            unit_disk_graph_vectorized([Point(0, 0)], accel="gpu")
-
     def test_duplicate_points_rejected(self):
         pts = [Point(1.0, 2.0), Point(1.0, 2.0)]
         with pytest.raises(ValueError, match="duplicate"):
             unit_disk_graph_vectorized(pts)
-
-    def test_kdtree_without_scipy_raises_missing_dependency(self, monkeypatch):
-        monkeypatch.setitem(_optional._CACHE, "scipy.spatial", None)
-        pts = [Point(float(i), 0.0) for i in range(GRID_SMALL_N + 1)]
-        with pytest.raises(MissingDependencyError, match="scipy"):
-            unit_disk_graph_vectorized(pts, accel="kdtree")
-
-    def test_auto_without_scipy_degrades_to_numpy(self, monkeypatch):
-        monkeypatch.setitem(_optional._CACHE, "scipy.spatial", None)
-        import random
-
-        pts = uniform_points(150, 7.0, random.Random(4))
-        grid = unit_disk_graph(pts)
-        vector = unit_disk_graph_vectorized(pts, accel="auto")
-        assert_same_graph_ordered(grid, vector)
 
     def test_empty_and_single(self):
         assert len(unit_disk_graph_vectorized([])) == 0
@@ -155,3 +136,77 @@ class TestValidationAndGating:
         g = unit_disk_graph_vectorized(pts, radius=0.0)
         assert g.edge_count() == 0
         assert list(g.nodes()) == pts
+
+
+#: Deployments at a fixed density of about two points per unit area,
+#: so every size has the same per-node degree profile.
+DEPLOYMENTS = {
+    "uniform": lambda n: uniform_points(n, (n / 2.0) ** 0.5, 5),
+    "clustered": lambda n: clustered_points(
+        n, (n / 2.0) ** 0.5, max(1, n // 20), spread=1.5, seed=5
+    ),
+    "corridor": lambda n: corridor_points(n, n / 6.0, 3.0, seed=5),
+}
+
+
+def same_view(a, b):
+    """Two kernel views intern the same nodes to the same CSR arrays."""
+    assert a.nodes == b.nodes
+    assert list(a._ids.items()) == list(b._ids.items())
+    assert a.indptr == b.indptr
+    assert a.indices == b.indices
+
+
+class TestSeededView:
+    """The builder's CSR rows seed the graph's memoized kernel view."""
+
+    @pytest.mark.parametrize("n", (GRID_SMALL_N, 500, 3000, GRID_VECTOR_N))
+    @pytest.mark.parametrize("shape", sorted(DEPLOYMENTS))
+    def test_seeded_view_equals_a_fresh_one(self, shape, n):
+        pts = DEPLOYMENTS[shape](n)
+        graph = unit_disk_graph_vectorized(pts)
+        seeded = graph._index
+        assert seeded is not None
+        assert IndexedGraph.from_graph(graph) is seeded
+        # Neighbor ids are the n shared ints of the view, not one fresh
+        # int object per adjacency entry.
+        assert len({id(i) for i in seeded.indices}) <= n
+        graph._index = None
+        fresh = IndexedGraph.from_graph(graph)
+        assert fresh is not seeded
+        same_view(seeded, fresh)
+        if n < GRID_VECTOR_N:  # below it, unit_disk_graph is the grid
+            assert_same_graph_ordered(unit_disk_graph(pts), graph)
+
+
+def test_solve_path_never_imports_scipy():
+    # The builder is numpy-only: building a 2*10^4-node UDG (the
+    # vectorized dispatch) and solving it with both paper algorithms
+    # must leave scipy unimported.
+    code = textwrap.dedent(
+        """
+        import sys
+        from repro.cds import greedy_connector_cds, waf_cds
+        from repro.graphs.generators import uniform_points
+        from repro.graphs.traversal import is_connected
+        from repro.graphs.udg import unit_disk_graph
+
+        # A connected deployment at the udg100000 fixture density.
+        graph = unit_disk_graph(uniform_points(20000, 62.6, 1))
+        assert is_connected(graph)
+        assert greedy_connector_cds(graph).is_valid(graph)
+        assert waf_cds(graph).is_valid(graph)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

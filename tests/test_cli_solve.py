@@ -54,6 +54,21 @@ class TestSolve:
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/deploy.csv"]) == 2
 
+    def test_non_finite_coordinate_is_an_input_error(self, tmp_path, capsys):
+        # Not silently dropped into a "largest component" of the rest.
+        path = tmp_path / "nan.csv"
+        path.write_text("x,y\n0,0\n0.5,0\nnan,0\n1.0,0\n")
+        assert main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "non-finite coordinates" in captured.err
+        assert "largest component" not in captured.out
+
+    def test_duplicate_points_are_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("x,y\n0,0\n0.5,0\n0.5,0\n")
+        assert main(["solve", str(path)]) == 2
+        assert "duplicate points" in capsys.readouterr().err
+
     def test_empty_deployment(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("x,y\n")

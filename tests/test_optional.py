@@ -71,9 +71,9 @@ class TestRequireModule:
             lambda name: (_ for _ in ()).throw(ImportError(name)),
         )
         with pytest.raises(MissingDependencyError, match=r"repro\[dev\]"):
-            require_module("scipy.spatial", feature="the cKDTree UDG fast path")
-        with pytest.raises(MissingDependencyError, match="cKDTree UDG fast path"):
-            require_module("scipy.spatial", feature="the cKDTree UDG fast path")
+            require_module("scipy.spatial", feature="the example fast path")
+        with pytest.raises(MissingDependencyError, match="example fast path"):
+            require_module("scipy.spatial", feature="the example fast path")
 
     def test_is_an_import_error(self):
         # Callers may catch plain ImportError.
