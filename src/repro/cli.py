@@ -632,24 +632,26 @@ def _experiments_main(argv: Sequence[str]) -> int:
                     checkpoint=args.checkpoint,
                     resume=args.resume,
                 )
+            results = []
+            for outcome in report.outcomes:
+                if not outcome.ok:
+                    continue
+                payload = outcome.result
+                results.append(ExperimentResult.from_json_obj(payload["result"]))
+                if session.wanted and payload.get("state"):
+                    # A resumed ledger's state may predate the current
+                    # span form; merge_state refuses it (ValueError).
+                    OBS.merge_state(payload["state"])
         except (KeyError, ValueError) as exc:
             print(exc, file=sys.stderr)
             return 2
         session.stop_hooks()
-        results = []
-        for outcome in report.outcomes:
-            if not outcome.ok:
-                continue
-            payload = outcome.result
-            results.append(ExperimentResult.from_json_obj(payload["result"]))
-            if session.wanted and payload.get("state"):
-                OBS.merge_state(payload["state"])
         cell_failures = report.failures
         if not report.ok:
             print(report.render_failures(), file=sys.stderr)
     elif jobs > 1:
         # Workers capture their own registries; the parent merges them
-        # (counters sum; timers merge total/count/max) so the report,
+        # (counters sum; span histograms merge bucket-exactly) so the report,
         # the RunRecord and the event log cover every experiment.
         # Per-span *nesting* under workers comes from the merged event
         # log (--events-out), not from the merged timers — a merged
@@ -670,6 +672,10 @@ def _experiments_main(argv: Sequence[str]) -> int:
             print(exc, file=sys.stderr)
             return 2
         if session.wanted:
+            # A single experiment ran in-process, where its worker's
+            # capture already filled OBS: merge into an empty registry
+            # so that state is not counted twice.
+            OBS.reset()
             results = []
             worker_logs = []
             for result, state, events in outcomes:

@@ -374,7 +374,7 @@ def run_experiments_parallel(
     :data:`repro.obs.OBS` registry is captured around the run and
     exported, which is how ``--trace``/``--stats-out`` work under
     ``--jobs N`` — the CLI merges the states into its own registry
-    (counters sum; timers merge total/count/max).  ``collect_events``
+    (counters sum; span histograms merge bucket-exactly).  ``collect_events``
     additionally records each worker's ``repro.obs/event/v1`` log;
     per-span *nesting* across workers is reconstructed from the merged
     event log, not from the merged timers (a merged timer has no

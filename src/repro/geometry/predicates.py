@@ -112,8 +112,11 @@ def is_convex_polygon(vertices: Sequence[Point], tol: float = EPS) -> bool:
 def convex_hull(points: Sequence[Point]) -> list[Point]:
     """Convex hull in counterclockwise order (Andrew's monotone chain).
 
-    Collinear points on the hull boundary are discarded.  For fewer than
-    three distinct points the distinct points are returned sorted.
+    Collinear points on the hull boundary are discarded.  Collinearity
+    is relative to the edge lengths (a turn of at most ``EPS`` radians,
+    roughly), so a short hull edge is never mistaken for a straight
+    one.  For fewer than three distinct points the distinct points are
+    returned sorted.
     """
     pts = sorted(set(points))
     if len(pts) <= 2:
@@ -122,7 +125,10 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
     def half_hull(seq: list[Point]) -> list[Point]:
         hull: list[Point] = []
         for p in seq:
-            while len(hull) >= 2 and orientation(hull[-2], hull[-1], p) <= EPS:
+            while len(hull) >= 2:
+                a, b = hull[-2], hull[-1]
+                if orientation(a, b, p) > EPS * a.distance_to(b) * a.distance_to(p):
+                    break
                 hull.pop()
             hull.append(p)
         return hull

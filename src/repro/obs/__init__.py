@@ -2,8 +2,9 @@
 
 A zero-dependency observability layer for the whole library:
 
-* :class:`Counter` / :class:`Timer` / :class:`Span` primitives held in
-  a process-local :class:`Registry` (the shared default is :data:`OBS`);
+* :class:`Counter` / :class:`Span` primitives and
+  :class:`~repro.obs.metrics.Histogram` span timers held in a
+  process-local :class:`Registry` (the shared default is :data:`OBS`);
 * the :func:`traced` decorator and :func:`trace` context manager, both
   near-zero overhead while the registry is disabled (the default);
 * :class:`RunRecord` — a versioned, schema-checked JSON/CSV snapshot of
@@ -16,7 +17,7 @@ experiment harness all report here; ``python -m repro ... --trace`` /
 the front ends.  See ``docs/observability.md``.
 """
 
-from .core import OBS, Counter, Registry, Span, SpanHook, Timer, trace, traced
+from .core import OBS, Counter, Registry, Span, SpanHook, trace, traced
 from .record import (
     RUN_RECORD_SCHEMA,
     SCHEMA_ID,
@@ -41,6 +42,7 @@ _LAZY = {
     "replay": "events",
     "validate_events": "events",
     "write_events": "events",
+    "parse_jsonl": "jsonl",
     "Histogram": "metrics",
     "LAYOUT_ID": "metrics",
     "record_percentile": "metrics",
@@ -85,7 +87,6 @@ __all__ = [
     "Registry",
     "Span",
     "SpanHook",
-    "Timer",
     "trace",
     "traced",
     "RUN_RECORD_SCHEMA",

@@ -1,4 +1,4 @@
-"""Counters, timers and the process-local registry.
+"""Counters, span timers and the process-local registry.
 
 The instrumentation layer every hot path reports into.  Design rules:
 
@@ -29,9 +29,10 @@ import functools
 from time import perf_counter
 from typing import Callable, Iterator, TypeVar
 
+from .metrics import Histogram
+
 __all__ = [
     "Counter",
-    "Timer",
     "Span",
     "SpanHook",
     "Registry",
@@ -59,42 +60,9 @@ class Counter:
         return f"Counter({self.name!r}, {self.value!r})"
 
 
-class Timer:
-    """A named accumulator of elapsed wall-clock seconds.
-
-    ``total`` sums every recorded span, ``count`` is how many spans were
-    recorded, ``last`` is the most recent span's duration and ``max``
-    the longest one — enough to derive a mean without storing each
-    sample, and enough to merge per-worker timers losslessly
-    (total/count/max all combine associatively).
-    """
-
-    __slots__ = ("name", "total", "count", "last", "max")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.total = 0.0
-        self.count = 0
-        self.last = 0.0
-        self.max = 0.0
-
-    def record(self, seconds: float) -> None:
-        self.total += seconds
-        self.count += 1
-        self.last = seconds
-        if seconds > self.max:
-            self.max = seconds
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Timer({self.name!r}, total={self.total:.6f}, count={self.count})"
-
-
 class Span:
-    """Context manager recording one timed interval into a :class:`Timer`.
+    """Context manager observing one timed interval, in seconds, into a
+    span :class:`~repro.obs.metrics.Histogram`.
 
     Created by :meth:`Registry.time`; a shared no-op instance is handed
     out when the registry is disabled so the ``with`` statement costs
@@ -103,7 +71,7 @@ class Span:
 
     __slots__ = ("_timer", "_t0")
 
-    def __init__(self, timer: Timer | None):
+    def __init__(self, timer: Histogram | None):
         self._timer = timer
         self._t0 = 0.0
 
@@ -114,7 +82,7 @@ class Span:
 
     def __exit__(self, *exc) -> None:
         if self._timer is not None:
-            self._timer.record(perf_counter() - self._t0)
+            self._timer.observe(perf_counter() - self._t0)
 
     @property
     def active(self) -> bool:
@@ -150,7 +118,7 @@ class SpanHook:
         return None
 
     def end(self, name: str, token: object, seconds: float) -> None:
-        """Called after the span's timer recorded ``seconds``."""
+        """Called after the span's histogram observed ``seconds``."""
 
     def note(self, name: str, data: dict) -> None:
         """Called for point events (no duration, structured payload)."""
@@ -163,7 +131,7 @@ class _HookedSpan(Span):
 
     __slots__ = ("_name", "_hooks", "_tokens")
 
-    def __init__(self, timer: Timer, name: str, hooks: tuple):
+    def __init__(self, timer: Histogram, name: str, hooks: tuple):
         super().__init__(timer)
         self._name = name
         self._hooks = hooks
@@ -176,13 +144,18 @@ class _HookedSpan(Span):
 
     def __exit__(self, *exc) -> None:
         seconds = perf_counter() - self._t0
-        self._timer.record(seconds)
+        self._timer.observe(seconds)
         for hook, token in zip(reversed(self._hooks), reversed(self._tokens)):
             hook.end(self._name, token, seconds)
 
 
 class Registry:
-    """Process-local collection of counters and timers.
+    """Process-local collection of counters, span timers and histograms.
+
+    Span timers are :class:`~repro.obs.metrics.Histogram` objects kept
+    in their own namespace (:meth:`timer` / :meth:`timers`), apart from
+    the sample histograms of :meth:`histogram`: they render as
+    ``timings`` in RunRecords, never as ``histograms``.
 
     Starts disabled; everything reported while disabled is dropped at
     the guard in the instrumented code, so enabling mid-process only
@@ -196,8 +169,8 @@ class Registry:
     def __init__(self, enabled: bool = False):
         self.enabled = enabled
         self._counters: dict[str, Counter] = {}
-        self._timers: dict[str, Timer] = {}
-        self._histograms: dict = {}  # name -> metrics.Histogram
+        self._timers: dict[str, Histogram] = {}
+        self._histograms: dict[str, Histogram] = {}
         self._hooks: tuple[SpanHook, ...] = ()
 
     # -- state --------------------------------------------------------
@@ -256,21 +229,19 @@ class Registry:
         never even reaches here)."""
         self.counter(name).incr(amount)
 
-    def timer(self, name: str) -> Timer:
-        """The timer called ``name``, created on first use."""
+    def timer(self, name: str) -> Histogram:
+        """The span histogram called ``name`` (seconds), created on
+        first use."""
         t = self._timers.get(name)
         if t is None:
-            t = self._timers[name] = Timer(name)
+            t = self._timers[name] = Histogram(name)
         return t
 
-    def histogram(self, name: str):
-        """The :class:`~repro.obs.metrics.Histogram` called ``name``,
-        created on first use.  Imported lazily so the counter/timer
-        core stays import-light for code that never observes one."""
+    def histogram(self, name: str) -> Histogram:
+        """The sample :class:`~repro.obs.metrics.Histogram` called
+        ``name``, created on first use."""
         h = self._histograms.get(name)
         if h is None:
-            from .metrics import Histogram
-
             h = self._histograms[name] = Histogram(name)
         return h
 
@@ -294,7 +265,8 @@ class Registry:
             hook.note(name, dict(data or {}))
 
     def time(self, name: str) -> Span:
-        """A span recording into timer ``name``; no-op when disabled.
+        """A span observing into span histogram ``name``; no-op when
+        disabled.
 
         When hooks are attached the span also notifies them on
         begin/end — this is the single place the event stream and the
@@ -313,18 +285,19 @@ class Registry:
         """Counter values keyed by name, sorted for stable output."""
         return {name: self._counters[name].value for name in sorted(self._counters)}
 
-    def timers(self) -> dict[str, Timer]:
+    def timers(self) -> dict[str, Histogram]:
+        """Span histograms keyed by name, sorted for stable output."""
         return {name: self._timers[name] for name in sorted(self._timers)}
 
     def timings(self) -> dict[str, dict[str, float | int]]:
-        """Timer totals in the :class:`~repro.obs.record.RunRecord` shape."""
+        """Span totals in the :class:`~repro.obs.record.RunRecord` shape."""
         return {
-            name: {"seconds": t.total, "count": t.count}
+            name: {"seconds": t.sum, "count": t.count}
             for name, t in self.timers().items()
         }
 
     def histograms(self) -> dict:
-        """Histogram objects keyed by name, sorted for stable output."""
+        """Sample histograms keyed by name, sorted for stable output."""
         return {name: self._histograms[name] for name in sorted(self._histograms)}
 
     def histograms_record(self) -> dict:
@@ -350,16 +323,13 @@ class Registry:
     def export_state(self) -> dict:
         """A picklable snapshot for merging across process boundaries.
 
-        Unlike :meth:`snapshot` (the RunRecord shape), this keeps the
-        full timer statistics — ``total``/``count``/``max`` — so two
-        workers' states merge losslessly.
+        Unlike :meth:`snapshot` (the RunRecord shape), span timers and
+        histograms both travel in :meth:`Histogram.state` form, so two
+        workers' states merge bucket-exactly.
         """
         state = {
             "counters": self.counters(),
-            "timers": {
-                name: {"total": t.total, "count": t.count, "max": t.max}
-                for name, t in self.timers().items()
-            },
+            "timers": {name: t.state() for name, t in self.timers().items()},
         }
         if self._histograms:
             state["histograms"] = {
@@ -370,9 +340,9 @@ class Registry:
     def merge_state(self, state: dict) -> None:
         """Fold a worker's :meth:`export_state` into this registry.
 
-        Counters sum; timers merge ``total``/``count``/``max``;
-        histograms merge bucket-exactly
-        (:meth:`repro.obs.metrics.Histogram.merge_state`).  The one
+        Counters sum; span timers and histograms merge bucket-exactly
+        (:meth:`repro.obs.metrics.Histogram.merge_state`, which refuses
+        a state without a bucket ``layout``).  The one
         exception: ``mem.*.peak_bytes`` counters (written by
         :class:`repro.obs.profile.MemTracker`) are *peaks*, so they
         merge by maximum — summing peak memory across processes would
@@ -386,11 +356,7 @@ class Registry:
             else:
                 self.counter(name).incr(value)
         for name, entry in state.get("timers", {}).items():
-            timer = self.timer(name)
-            timer.total += entry["total"]
-            timer.count += entry["count"]
-            if entry.get("max", 0.0) > timer.max:
-                timer.max = entry["max"]
+            self.timer(name).merge_state(entry)
         for name, entry in state.get("histograms", {}).items():
             self.histogram(name).merge_state(entry)
 

@@ -67,6 +67,7 @@ from time import perf_counter
 from typing import Iterable, Sequence
 
 from .core import Registry, SpanHook
+from .jsonl import parse_jsonl
 
 __all__ = [
     "EVENT_SCHEMA_ID",
@@ -243,14 +244,18 @@ def validate_events(events: Sequence[dict]) -> list[str]:
     return errors
 
 
-def parse_events(lines: Iterable[str]) -> list[dict]:
-    """Parse JSONL lines into a validated event list.
+def parse_events(text: str) -> list[dict]:
+    """Parse an event log's text into a validated event list.
+
+    Lines are split by :func:`repro.obs.jsonl.parse_jsonl`: a torn
+    final line (a run killed mid-write) is dropped, a bad line anywhere
+    else raises.
 
     Raises:
-        ValueError: on malformed JSON or a schema violation (including
-            an unknown ``schema`` version in the run header).
+        ValueError: on a bad line before the last or a schema violation
+            (including an unknown ``schema`` version in the run header).
     """
-    events = [json.loads(line) for line in lines if line.strip()]
+    events, _ = parse_jsonl(text)
     errors = validate_events(events)
     if errors:
         raise ValueError("invalid event log: " + "; ".join(errors))
@@ -259,7 +264,7 @@ def parse_events(lines: Iterable[str]) -> list[dict]:
 
 def read_events(path: str | Path) -> list[dict]:
     """Load and validate an event log written by :class:`EventLog`."""
-    return parse_events(Path(path).read_text().splitlines())
+    return parse_events(Path(path).read_text())
 
 
 def merge_events(logs: Sequence[Sequence[dict]]) -> list[dict]:

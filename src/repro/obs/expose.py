@@ -6,7 +6,7 @@ module makes the same registry state scrapeable and streamable while
 the process is still working:
 
 * :func:`render_exposition` — the registry as **Prometheus text format
-  v0.0.4**: counters as ``<name>_total``, timers as summaries
+  v0.0.4**: counters as ``<name>_total``, span timers as summaries
   (``_sum``/``_count``/``_max``), histograms as classic cumulative
   ``_bucket{le="..."}`` series.  :func:`validate_exposition` is the
   matching in-repo checker (no client library needed), used by the
@@ -36,9 +36,10 @@ import re
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .core import Registry
+from .jsonl import parse_jsonl
 from .metrics import validate_histogram_record
 
 __all__ = [
@@ -109,7 +110,7 @@ def render_exposition(registry: Registry) -> str:
     """The registry's state in Prometheus text format v0.0.4.
 
     * counter ``a.b`` → ``a_b_total`` (TYPE counter);
-    * timer ``a.b`` → ``a_b_seconds_sum`` / ``_count`` / ``_max``
+    * span timer ``a.b`` → ``a_b_seconds_sum`` / ``_count`` / ``_max``
       (TYPE summary; ``_max`` rides as an extra sample, which the text
       format permits);
     * histogram ``a.b`` → classic cumulative ``a_b_bucket{le="..."}``
@@ -127,9 +128,9 @@ def render_exposition(registry: Registry) -> str:
     for name, timer in registry.timers().items():
         base = metric_name(name, "_seconds")
         lines.append(f"# TYPE {base} summary")
-        lines.append(f"{base}_sum {_format_value(timer.total)}")
+        lines.append(f"{base}_sum {_format_value(timer.sum)}")
         lines.append(f"{base}_count {timer.count}")
-        lines.append(f"{base}_max {_format_value(timer.max)}")
+        lines.append(f"{base}_max {_format_value(timer.max or 0.0)}")
     for name, hist in registry.histograms().items():
         base = metric_name(name)
         record = hist.to_record()
@@ -213,7 +214,7 @@ def snapshot_state(
 
     ``counters`` uses the exact RunRecord form (so the final snapshot
     of a drained daemon compares bit-identically against its drain-time
-    record), ``timers`` the lossless ``total``/``count``/``max`` form,
+    record), ``timers`` each span histogram's ``total``/``count``/``max``,
     ``histograms`` the cumulative record form.
     """
     state = {
@@ -223,7 +224,7 @@ def snapshot_state(
         "time": time.time() if now is None else now,
         "counters": registry.counters(),
         "timers": {
-            name: {"total": t.total, "count": t.count, "max": t.max}
+            name: {"total": t.sum, "count": t.count, "max": t.max or 0.0}
             for name, t in registry.timers().items()
         },
         "histograms": registry.histograms_record(),
@@ -277,37 +278,30 @@ def validate_snapshot(obj: object) -> list[str]:
     return errors
 
 
-def parse_snapshots(lines: Iterable[str]) -> list[dict]:
-    """Parse snapshot JSONL lines into a validated list.
+def parse_snapshots(text: str) -> list[dict]:
+    """Parse a snapshot stream's text into a validated list.
 
-    A trailing partial line (a process killed mid-write) is tolerated
-    and dropped, matching the checkpoint ledger's recovery semantics;
-    a malformed line anywhere *else* raises.
+    Lines are split by :func:`repro.obs.jsonl.parse_jsonl`, so a torn
+    final line (a process killed mid-write) is dropped and a bad line
+    anywhere else raises, exactly as for the checkpoint ledger.
 
     Raises:
-        ValueError: on malformed JSON or a schema violation.
+        ValueError: on a bad line before the last, a schema violation,
+            or a stream with no complete line.
     """
-    stripped = [line for line in lines if line.strip()]
-    snapshots: list[dict] = []
-    for i, line in enumerate(stripped):
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:
-            if i == len(stripped) - 1:
-                break  # torn trailing write
-            raise ValueError(f"snapshot line {i + 1}: invalid JSON: {exc}")
+    snapshots, _ = parse_jsonl(text)
+    if not snapshots:
+        raise ValueError("snapshot stream has no complete line")
+    for lineno, obj in enumerate(snapshots, start=1):
         errors = validate_snapshot(obj)
         if errors:
-            raise ValueError(
-                f"snapshot line {i + 1}: " + "; ".join(errors)
-            )
-        snapshots.append(obj)
+            raise ValueError(f"snapshot line {lineno}: " + "; ".join(errors))
     return snapshots
 
 
 def read_snapshots(path: str | Path) -> list[dict]:
     """Load and validate a snapshot stream written by :class:`SnapshotStream`."""
-    return parse_snapshots(Path(path).read_text().splitlines())
+    return parse_snapshots(Path(path).read_text())
 
 
 class SnapshotStream:

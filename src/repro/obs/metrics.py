@@ -1,10 +1,12 @@
 """Live telemetry tier one: the fixed-bucket log-scaled histogram.
 
-Counters (:mod:`repro.obs.core`) answer *how much*, timers *how long in
-total* — neither answers *how the individual samples are distributed*,
-which is the question a latency SLO or a per-round load profile asks.
-:class:`Histogram` fills that gap under the same design rules as the
-rest of ``repro.obs``:
+Counters (:mod:`repro.obs.core`) answer *how much*; :class:`Histogram`
+answers *how the individual samples are distributed*, which is the
+question a latency SLO or a per-round load profile asks.  It is also
+the one duration accumulator: every ``trace()`` span observes into a
+span histogram (:meth:`repro.obs.core.Registry.timer`), whose
+``sum``/``count``/``max`` render as the timer outputs.  It follows the
+same design rules as the rest of ``repro.obs``:
 
 * **Zero dependencies, near-zero overhead.**  ``observe`` is a couple
   of float compares, one ``log10`` and a dict increment — cheap enough
@@ -227,10 +229,17 @@ class Histogram:
         """Fold a :meth:`state` dict into this histogram.
 
         Raises:
-            ValueError: when ``state`` was produced under a different
-                bucket layout (merging would silently misbucket).
+            ValueError: when ``state`` carries no bucket ``layout`` (for
+                instance a ``{total, count, max}`` timer entry, which
+                would otherwise merge as an empty sum) or was produced
+                under a different layout (merging would misbucket).
         """
-        layout = state.get("layout", LAYOUT_ID)
+        layout = state.get("layout")
+        if layout is None:
+            raise ValueError(
+                f"histogram {self.name!r}: state has no bucket 'layout' "
+                f"(keys {sorted(state)}); refusing to merge"
+            )
         if layout != LAYOUT_ID:
             raise ValueError(
                 f"histogram {self.name!r}: cannot merge layout {layout!r} "

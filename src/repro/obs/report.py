@@ -36,7 +36,7 @@ def render_report(registry: Registry, title: str = "instrumentation") -> str:
         out.write(_table(
             ("timer", "total s", "count", "mean s"),
             [
-                (name, f"{t.total:.6f}", str(t.count), f"{t.mean:.6f}")
+                (name, f"{t.sum:.6f}", str(t.count), f"{t.mean:.6f}")
                 for name, t in timers.items()
             ],
         ))

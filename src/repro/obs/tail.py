@@ -96,9 +96,7 @@ _HIST_HEADERS = ("histogram", "count", "p50", "p90", "p95", "p99", "max")
 def _render_snapshot(text: str) -> str:
     from .expose import parse_snapshots
 
-    snapshots = parse_snapshots(text.splitlines())
-    if not snapshots:
-        return "(no complete snapshot lines yet)"
+    snapshots = parse_snapshots(text)
     snap = snapshots[-1]
     stamp = time.strftime("%H:%M:%S", time.localtime(snap["time"]))
     out = [

@@ -8,7 +8,8 @@ emits.  Two formats are recognised, sniffed per file:
   including the optional ``histograms`` section (finite bucket bounds,
   non-negative cumulative-monotone counts);
 * a ``repro.obs/metrics-snapshot/v1`` JSONL stream (``--metrics-out``),
-  validated line by line.
+  validated by :func:`repro.obs.expose.parse_snapshots` (a torn final
+  line is dropped, as every reader of the stream drops it).
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ __all__ = ["main"]
 
 def _validate_file(name: str, text: str) -> list[str]:
     """Violations in ``text``, whichever format it is."""
-    from .expose import SNAPSHOT_SCHEMA_ID, validate_snapshot
+    from .expose import SNAPSHOT_SCHEMA_ID, parse_snapshots
 
-    lines = [line for line in text.splitlines() if line.strip()]
     try:
         obj = json.loads(text)
     except ValueError:
@@ -38,21 +38,11 @@ def _validate_file(name: str, text: str) -> list[str]:
         return validate_run_record(obj)
     # Not a single run record: treat as a snapshot stream (also covers
     # the degenerate one-line stream).
-    errors: list[str] = []
-    parsed_any = False
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            snap = json.loads(line)
-        except ValueError as exc:
-            if lineno == len(lines):
-                continue  # torn trailing write, tolerated like readers do
-            errors.append(f"line {lineno}: invalid JSON: {exc}")
-            continue
-        parsed_any = True
-        errors.extend(f"line {lineno}: {e}" for e in validate_snapshot(snap))
-    if not parsed_any and not errors:
-        errors.append("no parseable JSON content")
-    return errors
+    try:
+        parse_snapshots(text)
+    except ValueError as exc:
+        return [str(exc)]
+    return []
 
 
 def _schema_of(text: str) -> str:

@@ -34,7 +34,9 @@ jsonschema dependency):
 
 Crash-safety contract: a process killed mid-write leaves at most one
 *partial trailing line*.  Readers drop it (reported via
-:attr:`CheckpointLedger.truncated`); re-opening for append first
+:attr:`CheckpointLedger.truncated`; the rule is
+:func:`repro.obs.jsonl.parse_jsonl`, shared by every JSONL stream in
+the repo); re-opening for append first
 truncates the file back to the last complete line so the journal never
 accumulates garbage.  A *duplicate* ``cell`` key, or an invalid line
 anywhere before the tail, is corruption and raises ``ValueError``.
@@ -49,6 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from ..obs.jsonl import parse_jsonl
 from .failures import CellFailure
 
 __all__ = [
@@ -170,44 +173,6 @@ class CheckpointLedger:
             )
 
 
-def _parse_lines(text: str) -> tuple[list[dict], bool]:
-    """Split ledger text into parsed complete lines + truncation flag.
-
-    Only the *final* chunk may be partial (no trailing newline or
-    malformed JSON) — that is the signature of a crash mid-write and is
-    dropped.  Malformed JSON anywhere earlier is corruption.
-    """
-    truncated = False
-    raw = text.split("\n")
-    if raw and raw[-1] == "":
-        raw.pop()
-    elif raw:
-        truncated = True  # no trailing newline: last line incomplete
-    lines: list[dict] = []
-    for i, chunk in enumerate(raw):
-        is_last = i == len(raw) - 1
-        try:
-            obj = json.loads(chunk)
-            if not isinstance(obj, dict):
-                raise ValueError("line is not a JSON object")
-        except ValueError as exc:
-            if is_last:
-                # A complete-looking final line that fails to parse is
-                # still the mid-write crash signature (the newline of
-                # the *previous* line survived, the payload did not).
-                truncated = True
-                break
-            raise ValueError(
-                f"checkpoint corrupt: line {i} is not valid JSON ({exc})"
-            ) from None
-        if is_last and truncated:
-            # Final chunk parsed but had no newline — the write may
-            # have been cut inside a longer payload; treat as partial.
-            break
-        lines.append(obj)
-    return lines, truncated
-
-
 def read_checkpoint(path: str | Path) -> CheckpointLedger:
     """Load and validate a ledger, dropping a partial trailing line.
 
@@ -216,7 +181,10 @@ def read_checkpoint(path: str | Path) -> CheckpointLedger:
             malformed JSON before the final line.
         OSError: when the file cannot be read.
     """
-    lines, truncated = _parse_lines(Path(path).read_text())
+    try:
+        lines, truncated = parse_jsonl(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"checkpoint corrupt: {exc}") from None
     errors = validate_checkpoint_lines(lines)
     if errors:
         raise ValueError(
@@ -238,27 +206,19 @@ def repair_trailing_line(path: str | Path) -> bool:
 
     Returns ``True`` when bytes were dropped.  Called before appending
     to a ledger a previous session may have died while writing.
+
+    Raises:
+        ValueError: on a bad line before the final one, as
+            :func:`read_checkpoint` does.
     """
     path = Path(path)
     data = path.read_bytes()
-    if not data or data.endswith(b"\n"):
-        # Even with a final newline the last payload may be garbage
-        # (crash between payload and fsync is not possible with our
-        # write ordering, but a foreign writer could have corrupted
-        # it); _parse_lines on read handles that case.
-        cut = len(data)
-        tail = data[:-1].rfind(b"\n")
-        last = data[tail + 1 : -1] if tail >= 0 else data[:-1]
-        if last:
-            try:
-                json.loads(last.decode("utf-8", errors="strict"))
-            except ValueError:
-                cut = tail + 1 if tail >= 0 else 0
-        if cut == len(data):
-            return False
-    else:
-        tail = data.rfind(b"\n")
-        cut = tail + 1 if tail >= 0 else 0
+    _, torn = parse_jsonl(data.decode("utf-8", errors="replace"))
+    if not torn:
+        return False
+    # The torn line is whatever follows the last newline before it.
+    body = data[:-1] if data.endswith(b"\n") else data
+    cut = body.rfind(b"\n") + 1
     with open(path, "r+b") as fh:
         fh.truncate(cut)
     return True

@@ -29,7 +29,7 @@ paying the per-invocation rebuild cost of the CLI.  The moving parts:
   into that request's structured error response while the good cells
   still answer normally.
 * **Metrics** (:class:`ServerStats`): always-on request/cache/batch
-  tallies, a latency reservoir, and wall/queue/solve-time
+  tallies and wall/queue/solve/batch-time
   :class:`~repro.obs.metrics.Histogram` distributions.  The ``stats``
   op folds a *live* copy (:meth:`SolveServer.metrics_registry`) so
   mid-run percentiles are accurate, and the same fold feeds the
@@ -78,26 +78,11 @@ __all__ = [
     "ServerThread",
     "serve_cell",
     "solve_batch",
-    "percentile",
     "run_server",
 ]
 
 #: Queue sentinel: drain is complete once the batcher consumes it.
 _STOP = object()
-
-#: Latency reservoir bound — enough for stable p99 at bench loads
-#: without unbounded growth on a long-lived daemon.
-_LATENCY_RESERVOIR = 100_000
-
-
-def percentile(samples: list[float], pct: float) -> float:
-    """Nearest-rank percentile of ``samples`` (0 for an empty list)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = max(1, -(-len(ordered) * pct // 100))  # ceil without math
-    return ordered[int(rank) - 1]
-
 
 # -- the solve worker (module-level: picklable for parallel_map) ------
 
@@ -259,11 +244,10 @@ class ServerStats:
     batch_cells: int = 0
     batch_max: int = 0
     batch_fallbacks: int = 0
-    latencies: list = field(default_factory=list)  # solve-request seconds
-    batch_seconds: list = field(default_factory=list)
     # Live latency distributions (docs/observability.md §7): wall is
-    # request arrival -> response, queue is enqueue -> batch start,
-    # solve is the batch solve duration charged to each of its cells.
+    # solve-request arrival -> response, queue is enqueue -> batch
+    # start, solve is the batch solve duration charged to each of its
+    # cells, batch_solve is that duration once per batch.
     wall: Histogram = field(
         default_factory=lambda: Histogram("serve.latency.wall")
     )
@@ -273,6 +257,9 @@ class ServerStats:
     solve: Histogram = field(
         default_factory=lambda: Histogram("serve.latency.solve")
     )
+    batch_solve: Histogram = field(
+        default_factory=lambda: Histogram("serve.batch.solve")
+    )
 
     def record_request(self, op: str) -> None:
         self.requests += 1
@@ -280,8 +267,6 @@ class ServerStats:
 
     def record_latency(self, seconds: float) -> None:
         self.wall.observe(seconds)
-        if len(self.latencies) < _LATENCY_RESERVOIR:
-            self.latencies.append(seconds)
 
     def record_queue(self, seconds: float) -> None:
         self.queue_wait.observe(seconds)
@@ -291,8 +276,7 @@ class ServerStats:
         self.batch_cells += size
         self.batch_max = max(self.batch_max, size)
         self.batch_fallbacks += 1 if fallback else 0
-        if len(self.batch_seconds) < _LATENCY_RESERVOIR:
-            self.batch_seconds.append(seconds)
+        self.batch_solve.observe(seconds)
         # Each cell in the batch waited for the whole batch solve, so
         # the batch duration is every member's solve time.
         for _ in range(size):
@@ -300,7 +284,7 @@ class ServerStats:
 
     def snapshot(self, cache: ResultCache) -> dict:
         """The JSON payload of the ``stats`` op."""
-        lat = self.latencies
+        wall = self.wall.summary()
         return {
             "requests": self.requests,
             "ops": dict(sorted(self.ops.items())),
@@ -313,11 +297,7 @@ class ServerStats:
             "batch_fallbacks": self.batch_fallbacks,
             "cache": cache.stats(),
             "latency": {
-                "count": len(lat),
-                "mean": sum(lat) / len(lat) if lat else 0.0,
-                "p50": percentile(lat, 50),
-                "p99": percentile(lat, 99),
-                "max": max(lat) if lat else 0.0,
+                key: wall[key] for key in ("count", "mean", "p50", "p99", "max")
             },
             "histograms": {
                 h.name: h.summary()
@@ -354,19 +334,16 @@ class ServerStats:
         }
         for op, count in self.ops.items():
             counters[f"serve.requests.{op}"] = count
-        timers = {}
-        if self.latencies:
-            timers["serve.request"] = {
-                "total": sum(self.latencies),
-                "count": len(self.latencies),
-                "max": max(self.latencies),
-            }
-        if self.batch_seconds:
-            timers["serve.batch.solve"] = {
-                "total": sum(self.batch_seconds),
-                "count": len(self.batch_seconds),
-                "max": max(self.batch_seconds),
-            }
+        # The serve.request timer is the wall histogram under its
+        # span name: one accumulator, two renderings.
+        timers = {
+            name: h.state()
+            for name, h in (
+                ("serve.request", self.wall),
+                ("serve.batch.solve", self.batch_solve),
+            )
+            if h.count
+        }
         state = {"counters": counters, "timers": timers}
         histograms = {
             h.name: h.state()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs import OBS, Registry, trace, traced
+from repro.obs.metrics import LAYOUT_ID
 
 
 @pytest.fixture(autouse=True)
@@ -39,8 +40,16 @@ class TestRegistry:
             pass
         timer = reg.timer("t")
         assert timer.count == 2
-        assert timer.total >= 0.0
-        assert timer.mean == pytest.approx(timer.total / 2)
+        assert timer.sum >= 0.0
+        assert timer.mean == pytest.approx(timer.sum / 2)
+
+    def test_spans_stay_out_of_sample_histograms(self):
+        reg = Registry(enabled=True)
+        with reg.time("t"):
+            pass
+        assert reg.histograms() == {}
+        assert "histograms" not in reg.snapshot()
+        assert "histograms" not in reg.export_state()
 
     def test_time_is_noop_when_disabled(self):
         reg = Registry()
@@ -88,13 +97,10 @@ class TestRegistry:
 
 class TestTimerMax:
     def test_max_tracks_longest_span(self):
-        from repro.obs.core import Timer
-
-        t = Timer("t")
+        t = Registry().timer("t")
         for seconds in (0.2, 0.5, 0.1):
-            t.record(seconds)
+            t.observe(seconds)
         assert t.max == 0.5
-        assert t.last == 0.1
         assert t.count == 3
 
 
@@ -205,18 +211,17 @@ class TestStateMerging:
     def make_worker(self, evals, span_seconds):
         reg = Registry(enabled=True)
         reg.incr("gain.evaluations", evals)
-        reg.timer("solve").record(span_seconds)
+        reg.timer("solve").observe(span_seconds)
         return reg
 
     def test_export_state_shape(self):
         reg = self.make_worker(5, 0.25)
         state = reg.export_state()
         assert state["counters"] == {"gain.evaluations": 5}
-        assert state["timers"]["solve"] == {
-            "total": 0.25,
-            "count": 1,
-            "max": 0.25,
-        }
+        solve = state["timers"]["solve"]
+        assert solve == reg.timer("solve").state()
+        assert solve["layout"] == LAYOUT_ID
+        assert (solve["count"], solve["sum"], solve["max"]) == (1, 0.25, 0.25)
 
     def test_merge_sums_counters_and_combines_timers(self):
         a = self.make_worker(5, 0.25)
@@ -224,7 +229,7 @@ class TestStateMerging:
         a.merge_state(b.export_state())
         assert a.counters() == {"gain.evaluations": 12}
         solve = a.timer("solve")
-        assert solve.total == pytest.approx(0.35)
+        assert solve.sum == pytest.approx(0.35)
         assert solve.count == 2
         assert solve.max == 0.25
 
@@ -241,6 +246,14 @@ class TestStateMerging:
         assert fwd.timings()["solve"]["seconds"] == pytest.approx(
             rev.timings()["solve"]["seconds"]
         )
+
+    def test_merge_refuses_timer_state_without_layout(self):
+        # The {total, count, max} timer form has no bucket layout; it
+        # must not merge as an empty sum.
+        reg = Registry()
+        old = {"timers": {"solve": {"total": 0.25, "count": 1, "max": 0.25}}}
+        with pytest.raises(ValueError, match="'solve'.*layout"):
+            reg.merge_state(old)
 
     def test_merge_into_empty_registry_reproduces_worker(self):
         worker = self.make_worker(9, 0.5)

@@ -265,7 +265,7 @@ class TestValidation:
     def test_empty_stream_rejected(self):
         assert validate_events([])
         with pytest.raises(ValueError):
-            parse_events([])
+            parse_events("")
 
     def test_negative_duration_rejected(self):
         _, log = make_log()

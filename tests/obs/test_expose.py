@@ -133,8 +133,8 @@ class TestSnapshotStream:
         good = json.dumps(
             snapshot_state(Registry(), seq=0, source="t", now=1.0)
         )
-        with pytest.raises(ValueError, match="invalid JSON"):
-            parse_snapshots([good, "{broken", good])
+        with pytest.raises(ValueError, match="line 2 is not valid JSON"):
+            parse_snapshots(f"{good}\n{{broken\n{good}\n")
 
     def test_schema_violation_raises(self):
         bad = json.dumps({"schema": "something/else", "seq": 0})
@@ -142,7 +142,7 @@ class TestSnapshotStream:
             snapshot_state(Registry(), seq=1, source="t", now=1.0)
         )
         with pytest.raises(ValueError, match="schema"):
-            parse_snapshots([bad, good])
+            parse_snapshots(f"{bad}\n{good}\n")
 
     def test_validate_snapshot_checks_fields(self):
         snap = snapshot_state(busy_registry(), seq=3, source="t", now=2.0)

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.geometry import (
     Point,
@@ -52,6 +52,8 @@ class TestPointProperties:
 
 class TestHullProperties:
     @given(st.lists(points, min_size=3, max_size=30))
+    # A short hull edge: an absolute area test once dropped (0, 2e-5).
+    @example([Point(0, 0), Point(0, 2e-5), Point(0, -1), Point(2e-5, 0)])
     def test_hull_contains_all_points(self, pts):
         hull = convex_hull(pts)
         if len(hull) < 3:

@@ -131,5 +131,27 @@ class TestExperimentsReliabilityFlags:
         assert "[F1F2]" in captured.out  # the healthy experiment completed
         assert "1 of 2 cell(s) failed" in captured.err
 
+    def test_resume_refuses_timer_state_without_layout(self, tmp_path, capsys):
+        # A ledger whose journalled registry state carries a timer in
+        # the {total, count, max} form (no histogram layout) must stop
+        # the resume with exit 2, not merge it as an empty span.
+        path = tmp_path / "exps.jsonl"
+        rec = str(tmp_path / "rec.json")
+        assert main(["F1F2", "--checkpoint", str(path), "--stats-out", rec]) == 0
+        lines = [json.loads(ln) for ln in path.read_text().splitlines()]
+        (cell,) = [ln for ln in lines if ln["type"] == "cell"]
+        timers = cell["result"]["state"]["timers"]
+        for name, state in timers.items():
+            timers[name] = {
+                "total": state["sum"], "count": state["count"], "max": state["max"]
+            }
+        path.write_text("".join(json.dumps(ln) + "\n" for ln in lines))
+        capsys.readouterr()
+        code = main(
+            ["F1F2", "--checkpoint", str(path), "--resume", "--stats-out", rec]
+        )
+        assert code == 2
+        assert "'experiment.F1F2'" in capsys.readouterr().err
+
     def test_resume_requires_checkpoint(self, capsys):
         assert main([*self.CHEAP, "--resume"]) == 2

@@ -228,6 +228,28 @@ class TestControlAndStats:
         assert stats["latency"]["count"] == 2
         assert stats["latency"]["p50"] <= stats["latency"]["p99"]
 
+    def test_latency_count_covers_every_request(self):
+        # stats.latency and the serve.request timer both render the
+        # wall histogram: no sample cap freezes either count.
+        from repro.serve.cache import ResultCache
+        from repro.serve.server import ServerStats
+
+        stats = ServerStats()
+        for _ in range(100_005):
+            stats.record_latency(0.001)
+        stats.record_batch(3, 0.01, fallback=False)
+        cache = ResultCache(4)
+        latency = stats.snapshot(cache)["latency"]
+        assert set(latency) == {"count", "mean", "p50", "p99", "max"}
+        assert latency["count"] == 100_005
+        assert latency["mean"] * latency["count"] == pytest.approx(100.005)
+        timers = stats.obs_state(cache)["timers"]
+        assert timers["serve.request"] == stats.wall.state()
+        assert timers["serve.request"]["count"] == 100_005
+        # one serve.batch.solve sample per batch, one solve sample per cell
+        assert timers["serve.batch.solve"]["count"] == 1
+        assert stats.solve.count == 3
+
     def test_shutdown_drains(self):
         thread = ServerThread(ServeConfig()).start()
         with ServeClient(thread.address, timeout=30) as c:

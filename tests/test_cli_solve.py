@@ -216,9 +216,9 @@ class TestParallelStats:
 
     CHEAP = ["F1F2", "T6"]
 
-    def run_stats(self, tmp_path, name, jobs):
+    def run_stats(self, tmp_path, name, jobs, ids=CHEAP):
         rec_file = tmp_path / name
-        argv = self.CHEAP + ["--stats-out", str(rec_file)]
+        argv = ids + ["--stats-out", str(rec_file)]
         if jobs > 1:
             argv += ["--jobs", str(jobs)]
         assert main(argv) == 0
@@ -238,6 +238,19 @@ class TestParallelStats:
             "failed": [],
         }
         # Same spans executed, whatever the process layout.
+        assert {
+            name: t["count"] for name, t in merged["timings"].items()
+        } == {name: t["count"] for name, t in serial["timings"].items()}
+
+    @pytest.mark.parametrize(
+        "ids", [["F1F2"], ["F1F2", "T6"]], ids=["one", "two"]
+    )
+    def test_jobs_record_counts_equal_serial(self, tmp_path, capsys, ids):
+        # A single experiment runs in-process even under --jobs 2; its
+        # counters and spans must still be recorded exactly once.
+        serial = self.run_stats(tmp_path, "serial.json", jobs=1, ids=ids)
+        merged = self.run_stats(tmp_path, "parallel.json", jobs=2, ids=ids)
+        assert merged["counters"] == serial["counters"]
         assert {
             name: t["count"] for name, t in merged["timings"].items()
         } == {name: t["count"] for name, t in serial["timings"].items()}
