@@ -24,8 +24,9 @@ Both modes accept the observability flags (see
 * ``--stats-out FILE`` — write a schema-checked
   :class:`repro.obs.RunRecord` JSON;
 * ``--events-out FILE`` — write the ``repro.obs/event/v1`` JSONL span
-  log (under ``--jobs N`` the per-worker logs are merged
-  deterministically);
+  log (each experiment records its own log; the logs are merged
+  deterministically at any ``--jobs`` and under every reliability
+  flag; ``sweep`` rejects the flag);
 * ``--mem-trace`` — per-span peak memory via ``tracemalloc``
   (``mem.*`` counters in the record/report);
 * ``--profile-out FILE`` — cProfile the run and write pstats.
@@ -81,11 +82,13 @@ Where each mode sits in the stack: ``docs/architecture.md``.
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from typing import Sequence
 
-from .experiments.harness import all_experiments, get_experiment
+from .experiments.harness import all_experiments
+from .graphs.backend import KERNELS
+from .obs.events import EventLog, merge_events, write_events
+from .solvers import solver_registry, takes
 
 __all__ = ["main"]
 
@@ -101,29 +104,6 @@ def _positive_int(text: str) -> int:
             f"must be a positive integer (got {value})"
         )
     return value
-
-
-def _solver_registry():
-    from .baselines import ALL_BASELINES
-    from .cds import (
-        greedy_connector_cds,
-        mfold_2conn_cds,
-        mfold_greedy_cds,
-        steiner_cds,
-        waf_cds,
-    )
-    from .distributed.solvers import DISTRIBUTED_SOLVERS
-
-    solvers = {
-        "waf": waf_cds,
-        "greedy": greedy_connector_cds,
-        "steiner": steiner_cds,
-        "mfold-greedy": mfold_greedy_cds,
-        "mfold-2conn": mfold_2conn_cds,
-    }
-    solvers.update(ALL_BASELINES)
-    solvers.update(DISTRIBUTED_SOLVERS)
-    return solvers
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -424,11 +404,11 @@ def _serve_client_main(argv: Sequence[str]) -> int:
     )
     parser.add_argument(
         "--algorithm", default="greedy",
-        choices=sorted(_solver_registry()),
+        choices=sorted(solver_registry()),
         help="construction algorithm (default: greedy)",
     )
     parser.add_argument(
-        "--kernel", default="auto", choices=("auto", "indexed", "bitset", "array"),
+        "--kernel", default="auto", choices=KERNELS,
         help="graph kernel for the kernelized solvers "
         "(auto picks by instance size)",
     )
@@ -600,108 +580,61 @@ def _experiments_main(argv: Sequence[str]) -> int:
             print(f"{key:6s} {title}")
         return 0
 
+    from .experiments.harness import ExperimentResult
+    from .experiments.parallel import run_experiments_resilient
     from .obs import OBS
 
-    jobs = args.jobs
+    error = _validate_reliability_flags(args)
+    if error:
+        print(error, file=sys.stderr)
+        return 2
     session = _ObsSession(args)
     ids = sorted(registry) if args.all else args.experiments
     failed: list[str] = []
     ran: list[str] = []
-    cell_failures = []
-    if _reliability_requested(args):
-        # Fault-isolated path: each experiment in its own process, with
-        # retries/timeouts and the checkpoint ledger.  A crashing
-        # experiment becomes a structured failure in the report instead
-        # of killing the batch.
-        from .experiments.harness import ExperimentResult
-        from .experiments.parallel import run_experiments_resilient
-
-        error = _validate_reliability_flags(args)
-        if error:
-            print(error, file=sys.stderr)
-            return 2
-        session.start()  # hooks in the parent record reliability notes
-        try:
-            with session.profiled():
-                report = run_experiments_resilient(
-                    ids,
-                    jobs=jobs,
-                    collect_obs=session.wanted,
-                    policy=_retry_policy(args),
-                    faults=_fault_plan(args),
-                    checkpoint=args.checkpoint,
-                    resume=args.resume,
-                )
-            results = []
-            for outcome in report.outcomes:
-                if not outcome.ok:
-                    continue
-                payload = outcome.result
-                results.append(ExperimentResult.from_json_obj(payload["result"]))
-                if session.wanted and payload.get("state"):
-                    # A resumed ledger's state may predate the current
-                    # span form; merge_state refuses it (ValueError).
-                    OBS.merge_state(payload["state"])
-        except (KeyError, ValueError) as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        session.stop_hooks()
-        cell_failures = report.failures
-        if not report.ok:
-            print(report.render_failures(), file=sys.stderr)
-    elif jobs > 1:
-        # Workers capture their own registries; the parent merges them
-        # (counters sum; span histograms merge bucket-exactly) so the report,
-        # the RunRecord and the event log cover every experiment.
-        # Per-span *nesting* under workers comes from the merged event
-        # log (--events-out), not from the merged timers — a merged
-        # timer keeps totals, not parent/child structure.
-        from .experiments.parallel import run_experiments_parallel
-
-        session.start(enable_hooks=False)
-        try:
-            with session.profiled():
-                outcomes = run_experiments_parallel(
-                    ids,
-                    jobs=jobs,
-                    collect_obs=session.wanted,
-                    collect_events=bool(args.events_out),
-                    mem_trace=args.mem_trace,
-                )
-        except KeyError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        if session.wanted:
-            # A single experiment ran in-process, where its worker's
-            # capture already filled OBS: merge into an empty registry
-            # so that state is not counted twice.
-            OBS.reset()
-            results = []
-            worker_logs = []
-            for result, state, events in outcomes:
-                results.append(result)
-                OBS.merge_state(state)
-                if events is not None:
-                    worker_logs.append(events)
-            if worker_logs:
-                from .obs.events import merge_events
-
-                session.merged_events = merge_events(worker_logs)
-        else:
-            results = outcomes
-    else:
-        session.start()
-        results = []
+    results = []
+    worker_logs = []
+    # One runner for every layout: in this process for a plain --jobs 1
+    # run, one forked process per attempt under --jobs N or any
+    # reliability flag.  Each experiment records its own counters,
+    # spans, event log and memory peaks; this process merges the
+    # payloads the same way whether they were computed now or resumed
+    # from the ledger.
+    session.start(workers=True)
+    try:
         with session.profiled():
-            for experiment_id in ids:
-                try:
-                    fn = get_experiment(experiment_id)
-                except KeyError as exc:
-                    print(exc, file=sys.stderr)
-                    return 2
-                with OBS.time(f"experiment.{fn.experiment_id}"):
-                    results.append(fn())
+            report = run_experiments_resilient(
+                ids,
+                jobs=args.jobs,
+                collect_obs=session.wanted,
+                collect_events=bool(args.events_out),
+                mem_trace=args.mem_trace,
+                policy=(
+                    _retry_policy(args) if _reliability_requested(args) else None
+                ),
+                faults=_fault_plan(args),
+                checkpoint=args.checkpoint,
+                resume=args.resume,
+            )
+        for outcome in report.outcomes:
+            if not outcome.ok:
+                continue
+            payload = outcome.result
+            results.append(ExperimentResult.from_json_obj(payload["result"]))
+            if session.wanted and payload.get("state"):
+                # A resumed ledger's state may predate the current
+                # span form; merge_state refuses it (ValueError).
+                OBS.merge_state(payload["state"])
+            if args.events_out and payload.get("events"):
+                worker_logs.append(payload["events"])
+    except (KeyError, ValueError) as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    finally:
         session.stop_hooks()
+    session.merge_worker_events(worker_logs)
+    if not report.ok:
+        print(report.render_failures(), file=sys.stderr)
     for result in results:
         ran.append(result.experiment_id)
         print(result.render())
@@ -720,7 +653,7 @@ def _experiments_main(argv: Sequence[str]) -> int:
     if failed:
         print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
         return 1
-    if cell_failures:
+    if not report.ok:
         return 1
     print(f"all {len(ids)} experiment(s) passed")
     return 0
@@ -878,13 +811,13 @@ def _sweep_main(argv: Sequence[str]) -> int:
     parser.add_argument(
         "--algorithm",
         default="greedy",
-        choices=sorted(_solver_registry()),
+        choices=sorted(solver_registry()),
         help="construction algorithm (default: greedy)",
     )
     parser.add_argument(
         "--kernel",
         default="auto",
-        choices=("auto", "indexed", "bitset", "array"),
+        choices=KERNELS,
         help="graph kernel for the kernelized solvers (results are "
         "identical under every kernel)",
     )
@@ -912,6 +845,13 @@ def _sweep_main(argv: Sequence[str]) -> int:
     from .obs import OBS
 
     error = _validate_reliability_flags(args)
+    if args.events_out:
+        # solve_cell's summary is digest-pinned and carries counters,
+        # not spans, so an isolated cell's span log cannot come back.
+        error = (
+            "--events-out is not supported by sweep "
+            "(cells report counters, not spans)"
+        )
     if error:
         print(error, file=sys.stderr)
         return 2
@@ -1029,16 +969,31 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _NoteLog(EventLog):
+    """An event log of point notes only: the reliability layer's
+    retries and failures.  Experiments record their spans in their own
+    logs, and under the inline engine those spans run in this process
+    too, so this log skips them."""
+
+    __slots__ = ()
+
+    def begin(self, name: str) -> None:
+        return None
+
+    def end(self, name: str, token: object, seconds: float) -> None:
+        return None
+
+
 class _ObsSession:
     """Per-invocation observability state: hooks, events, profiler.
 
     Ties the opt-in flags to the shared ``OBS`` registry for exactly
     one CLI run: ``start()`` enables the registry and attaches the
-    event log / memory tracker (serial mode), ``profiled()`` wraps the
-    run in cProfile when asked, and ``_emit_obs`` drains everything.
-    In parallel mode hooks run inside the workers instead
-    (``enable_hooks=False``) and the merged event stream is assigned to
-    :attr:`merged_events` by the caller.
+    event log / memory tracker, ``profiled()`` wraps the run in
+    cProfile when asked, and ``_emit_obs`` drains everything.  In
+    experiments mode (``start(workers=True)``) the experiments record
+    their own spans and memory peaks; this process keeps only a notes
+    log, and :meth:`merge_worker_events` folds the workers' logs in.
     """
 
     def __init__(self, args):
@@ -1050,21 +1005,17 @@ class _ObsSession:
         self.merged_events = None
         self._mem_cm = None
 
-    def start(self, enable_hooks: bool = True) -> None:
+    def start(self, workers: bool = False) -> None:
         if not self.wanted:
             return
         from .obs import OBS
 
         OBS.reset()
         OBS.enable()
-        if not enable_hooks:
-            return
         if self.args.events_out:
-            from .obs.events import EventLog
-
-            self.event_log = EventLog(OBS)
+            self.event_log = (_NoteLog if workers else EventLog)(OBS)
             OBS.add_hook(self.event_log)
-        if self.args.mem_trace:
+        if self.args.mem_trace and not workers:
             from .obs.profile import mem_tracing
 
             self._mem_cm = mem_tracing(OBS)
@@ -1079,6 +1030,19 @@ class _ObsSession:
             self._mem_cm = None
         if self.event_log is not None:
             OBS.remove_hook(self.event_log)
+
+    def merge_worker_events(self, logs: list) -> None:
+        """Interleave the workers' event logs with this process's notes.
+
+        The notes log joins the merge only when it holds notes, or when
+        no worker log exists (the output then is still a valid log).
+        """
+        if self.event_log is None:
+            return
+        notes = self.event_log.events
+        if len(notes) > 1 or not logs:
+            logs = [*logs, notes]
+        self.merged_events = merge_events(logs)
 
     def profiled(self):
         """Context manager for the run body: cProfile when requested."""
@@ -1123,15 +1087,13 @@ def _emit_obs(args, session: _ObsSession, *, algorithm: str, instance: dict,
         record.write(args.stats_out)
         print(f"run record written to {args.stats_out}")
     if args.events_out and session.events is not None:
-        from .obs.events import write_events
-
         write_events(session.events, args.events_out)
         print(f"event log written to {args.events_out}")
     OBS.disable()
 
 
 def _solve_main(argv: Sequence[str]) -> int:
-    solvers = _solver_registry()
+    solvers = solver_registry()
     parser = argparse.ArgumentParser(
         prog="repro-cds solve",
         description="Construct a CDS backbone for a deployment CSV (x,y per row).",
@@ -1149,7 +1111,7 @@ def _solve_main(argv: Sequence[str]) -> int:
     parser.add_argument(
         "--kernel",
         default="auto",
-        choices=("auto", "indexed", "bitset", "array"),
+        choices=KERNELS,
         help=(
             "graph kernel for the solver's hot loops: 'auto' (default) "
             "picks by algorithm and instance size, 'indexed' forces the "
@@ -1217,9 +1179,8 @@ def _solve_main(argv: Sequence[str]) -> int:
         points = kept
 
     solver = solvers[args.algorithm]
-    solver_params = inspect.signature(solver).parameters
     solver_kwargs = {}
-    if "kernel" in solver_params:
+    if takes(solver, "kernel"):
         solver_kwargs["kernel"] = args.kernel
     elif args.kernel != "auto":
         print(
@@ -1229,7 +1190,7 @@ def _solve_main(argv: Sequence[str]) -> int:
         )
         return 2
     if args.m is not None:
-        if "m" not in solver_params:
+        if not takes(solver, "m"):
             print(
                 f"--m is not supported by algorithm {args.algorithm!r} "
                 "(only the fault-tolerant solvers: mfold-greedy, "

@@ -12,9 +12,7 @@ from .parallel import (
     SweepCell,
     default_jobs,
     parallel_map,
-    run_experiments_parallel,
     solve_cell,
-    solve_cells,
     sweep_cells,
 )
 
@@ -28,8 +26,6 @@ __all__ = [
     "SweepCell",
     "default_jobs",
     "parallel_map",
-    "run_experiments_parallel",
     "solve_cell",
-    "solve_cells",
     "sweep_cells",
 ]

@@ -18,20 +18,20 @@ serial loop:
   counters never reach the parent by themselves.  Workers that want
   counts capture them *inside* the cell (see :func:`solve_cell`, which
   returns them in its result dict) or export the whole registry state
-  (see :func:`run_experiments_parallel` with ``collect_obs=True``,
+  (see :func:`run_experiments_resilient` with ``collect_obs=True``,
   which the CLI merges deterministically so ``--trace``/``--stats-out``
   work at any ``--jobs``).
 
 Workers must be defined at module level (``multiprocessing`` pickles
 them by reference); :func:`functools.partial` over a module-level
 function works for parameterised workers and is what
-:func:`solve_cells` does internally.
+:func:`solve_cells_resilient` does internally.
 
-The CLI experiments mode exposes this as ``--jobs N``
-(``python -m repro --all --jobs 4``), and
-``benchmarks/bench_to_json.py`` uses the same map to spread benchmark
-cases over cores (timing runs stay trustworthy because each case is
-timed inside a single process, unshared).
+The CLI experiments mode runs every experiment through
+:func:`run_experiments_resilient` (``python -m repro --all --jobs 4``),
+and ``benchmarks/bench_to_json.py`` uses :func:`parallel_map` to spread
+benchmark cases over cores (timing runs stay trustworthy because each
+case is timed inside a single process, unshared).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from ..reliability.failures import CellError
-from .harness import ExperimentResult, get_experiment
+from .harness import get_experiment
 from .instances import default_side
 
 T = TypeVar("T")
@@ -55,9 +55,7 @@ __all__ = [
     "parallel_map",
     "merge_cell_counters",
     "solve_cell",
-    "solve_cells",
     "solve_cells_resilient",
-    "run_experiments_parallel",
     "run_experiments_resilient",
     "default_jobs",
 ]
@@ -187,44 +185,24 @@ def solve_cell(
          "cds_size": ..., "dominators": ..., "connectors": ...,
          "counters": {...}}
 
-    ``algorithm`` is a key of the CLI solver registry (``"greedy"``,
-    ``"waf"``, a baseline name, ...).  ``kernel`` optionally pins the
-    graph kernel of the kernelized solvers (``"indexed"`` /
-    ``"bitset"`` / ``"array"``; results are identical under every
-    kernel) and is
-    echoed in the summary; ``None`` leaves the solver's default and
-    the summary shape exactly as before.  ``m`` likewise pins the
-    coverage multiplicity of the fault-tolerant solvers
-    (``mfold-greedy`` / ``mfold-2conn``).
+    ``algorithm`` is a key of :func:`repro.solvers.solver_registry`
+    (``"greedy"``, ``"waf"``, a baseline name, ...).  ``kernel``
+    optionally pins the graph kernel of the kernelized solvers
+    (``"indexed"`` / ``"bitset"`` / ``"array"``; results are identical
+    under every kernel) and is echoed in the summary; ``None`` leaves
+    the solver's default and the summary shape exactly as before.
+    ``m`` likewise pins the coverage multiplicity of the fault-tolerant
+    solvers (``mfold-greedy`` / ``mfold-2conn``).
 
     Raises:
         ValueError: when ``kernel`` (or ``m``) is given but
             ``algorithm`` does not accept it.
     """
-    import inspect
-
-    from ..cli import _solver_registry
     from ..graphs.generators import random_connected_udg
     from ..obs import OBS
+    from ..solvers import bind_solver
 
-    solver = _solver_registry()[algorithm]
-    params = inspect.signature(solver).parameters
-    kwargs = {}
-    if kernel is not None:
-        if "kernel" not in params:
-            raise ValueError(
-                f"algorithm {algorithm!r} does not take a kernel "
-                "(only the kernelized solvers: waf, greedy)"
-            )
-        kwargs["kernel"] = kernel
-    if m is not None:
-        if "m" not in params:
-            raise ValueError(
-                f"algorithm {algorithm!r} does not take a coverage "
-                "multiplicity m (only the fault-tolerant solvers: "
-                "mfold-greedy, mfold-2conn)"
-            )
-        kwargs["m"] = m
+    solver, kwargs = bind_solver(algorithm, kernel=kernel, m=m)
     _, graph = random_connected_udg(cell.n, cell.side, seed=cell.seed)
     with OBS.capture() as reg:
         result = solver(graph, **kwargs)
@@ -244,13 +222,6 @@ def solve_cell(
     if m is not None:
         summary["m"] = m
     return summary
-
-
-def solve_cells(
-    cells: Sequence[SweepCell], algorithm: str = "greedy", jobs: int = 1
-) -> list[dict]:
-    """Map :func:`solve_cell` over a grid, one result dict per cell."""
-    return parallel_map(partial(solve_cell, algorithm=algorithm), cells, jobs)
 
 
 def merge_cell_counters(results: Iterable[dict]) -> dict:
@@ -280,7 +251,8 @@ def solve_cells_resilient(
     checkpoint: str | None = None,
     resume: bool = False,
 ):
-    """Fault-isolated :func:`solve_cells`: failures become data.
+    """Map :func:`solve_cell` over a grid, fault-isolated: failures
+    become data.
 
     Runs the grid through :func:`repro.reliability.run_cells` (one
     forked process per attempt): a cell that raises, stalls past the
@@ -307,113 +279,65 @@ def solve_cells_resilient(
     )
 
 
-def _run_experiment_worker(experiment_id: str) -> ExperimentResult:
-    """Module-level worker so experiment runs pickle across processes."""
-    return get_experiment(experiment_id)()
+class _ExperimentTask(NamedTuple):
+    """One experiment cell: the id, its input position, what to record."""
+
+    experiment_id: str
+    worker: int
+    collect_obs: bool
+    collect_events: bool
+    mem_trace: bool
 
 
-def _run_experiment_worker_obs(
-    task: tuple[str, int, bool, bool],
-) -> tuple[ExperimentResult, dict, list | None]:
-    """Instrumented worker: run one experiment under a captured registry.
-
-    Returns ``(result, registry_state, events)`` — all picklable, so
-    the parent can merge every worker's counters/timers with
-    :meth:`Registry.merge_state` and interleave the per-worker event
-    logs with :func:`repro.obs.events.merge_events`.  The worker index
-    is the experiment's position in the input list, which keeps run ids
-    and the merged event order deterministic.
-    """
-    experiment_id, worker_index, collect_events, mem_trace = task
-    from contextlib import nullcontext
-
-    from ..obs import OBS
-
-    fn = get_experiment(experiment_id)
-    with OBS.capture() as reg:
-        log = None
-        if collect_events:
-            from ..obs.events import EventLog
-
-            log = EventLog(reg, run_id=f"worker-{worker_index}", worker=worker_index)
-            reg.add_hook(log)
-        if mem_trace:
-            from ..obs.profile import mem_tracing
-
-            mem = mem_tracing(reg)
-        else:
-            mem = nullcontext()
-        try:
-            with mem, reg.time(f"experiment.{experiment_id}"):
-                result = fn()
-        finally:
-            if log is not None:
-                reg.remove_hook(log)
-        state = reg.export_state()
-    return result, state, (log.events if log is not None else None)
-
-
-def run_experiments_parallel(
-    experiment_ids: Sequence[str],
-    jobs: int = 1,
-    *,
-    collect_obs: bool = False,
-    collect_events: bool = False,
-    mem_trace: bool = False,
-) -> list:
-    """Run registered experiments, possibly across processes.
-
-    Ids are resolved (and canonicalised) up front so an unknown id
-    raises ``KeyError`` before any process is forked; results come back
-    in the order the ids were given.
-
-    With ``collect_obs=False`` (the default) the return value is a
-    plain ``list[ExperimentResult]`` and instrumentation stays in the
-    child processes.  With ``collect_obs=True`` each element is a
-    ``(result, registry_state, events)`` triple: the per-worker
-    :data:`repro.obs.OBS` registry is captured around the run and
-    exported, which is how ``--trace``/``--stats-out`` work under
-    ``--jobs N`` — the CLI merges the states into its own registry
-    (counters sum; span histograms merge bucket-exactly).  ``collect_events``
-    additionally records each worker's ``repro.obs/event/v1`` log;
-    per-span *nesting* across workers is reconstructed from the merged
-    event log, not from the merged timers (a merged timer has no
-    parent/child structure).
-    """
-    canonical = [get_experiment(eid).experiment_id for eid in experiment_ids]
-    if not collect_obs:
-        return parallel_map(_run_experiment_worker, canonical, jobs)
-    tasks = [
-        (eid, index, collect_events, mem_trace)
-        for index, eid in enumerate(canonical)
-    ]
-    return parallel_map(_run_experiment_worker_obs, tasks, jobs)
-
-
-def _run_experiment_worker_record(task: tuple[str, bool]) -> dict:
+def _run_experiment_worker_record(task: _ExperimentTask) -> dict:
     """Checkpointable worker: one experiment, JSON-ready outcome.
 
     Returns ``{"result": <ExperimentResult json>, "state": <registry
-    state or None>}`` — everything JSON-serialisable, so the resilient
-    runner can journal it into the checkpoint ledger verbatim and a
-    resumed sweep replays both the tables *and* the merged counters
-    bit-identically.
+    state or None>}``, plus ``"events"`` (this experiment's
+    ``repro.obs/event/v1`` log) when ``collect_events`` is set; the
+    state holds the ``--mem-trace`` ``mem.*`` peaks with every other
+    counter.  The checkpoint ledger journals the payload verbatim, so
+    a resumed run replays tables, counters and spans alike.
+
+    The registry's prior contents are restored afterwards: under the
+    inline engine this runs in the parent, whose registry holds the
+    runner's ``reliability.*`` counters.
     """
-    experiment_id, collect_obs = task
-    fn = get_experiment(experiment_id)
-    if not collect_obs:
+    fn = get_experiment(task.experiment_id)
+    if not task.collect_obs:
         return {"result": fn().to_json_obj(), "state": None}
+    from contextlib import nullcontext
+
     from ..obs import OBS
+    from ..obs.events import EventLog
+    from ..obs.profile import mem_tracing
 
-    with OBS.capture() as reg:
-        with reg.time(f"experiment.{experiment_id}"):
-            result = fn()
-        state = reg.export_state()
-    return {"result": result.to_json_obj(), "state": state}
+    outer = OBS.export_state()
+    log = None
+    try:
+        with OBS.capture() as reg:
+            if task.collect_events:
+                log = EventLog(
+                    reg, run_id=f"worker-{task.worker}", worker=task.worker
+                )
+                reg.add_hook(log)
+            mem = mem_tracing(reg) if task.mem_trace else nullcontext()
+            with mem, reg.time(f"experiment.{task.experiment_id}"):
+                result = fn()
+            state = reg.export_state()
+    finally:
+        if log is not None:
+            OBS.remove_hook(log)
+        OBS.reset()
+        OBS.merge_state(outer)
+    payload = {"result": result.to_json_obj(), "state": state}
+    if log is not None:
+        payload["events"] = log.events
+    return payload
 
 
-def _experiment_task_key(task: tuple[str, bool]) -> str:
-    return task[0]
+def _experiment_task_key(task: _ExperimentTask) -> str:
+    return task.experiment_id
 
 
 def run_experiments_resilient(
@@ -421,29 +345,43 @@ def run_experiments_resilient(
     jobs: int = 1,
     *,
     collect_obs: bool = False,
+    collect_events: bool = False,
+    mem_trace: bool = False,
     policy=None,
     faults=None,
     checkpoint: str | None = None,
     resume: bool = False,
 ):
-    """Fault-isolated, checkpointable :func:`run_experiments_parallel`.
+    """Run registered experiments through :func:`repro.reliability.run_cells`.
 
-    Each experiment runs in its own forked process; a crashing or
-    overdue one becomes a structured failure in its slot instead of
-    killing the batch, and with ``checkpoint=`` / ``resume=True`` an
-    interrupted batch picks up where the ledger ends.  Returns the
-    :class:`~repro.reliability.runner.SweepReport` whose successful
-    outcomes carry ``{"result": <ExperimentResult json>, "state":
-    <registry state or None>}`` payloads — decode with
-    :meth:`repro.experiments.harness.ExperimentResult.from_json_obj`
-    and merge states with :meth:`repro.obs.Registry.merge_state`.
+    The one experiments runner behind ``python -m repro <ids>``.  Ids
+    are canonicalised up front, so an unknown id raises ``KeyError``
+    before anything runs.  A crashing or overdue experiment becomes a
+    structured failure in its slot; ``checkpoint=`` / ``resume=True``
+    journal and resume the batch.
+
+    With ``jobs > 1`` or any of ``policy`` / ``faults`` /
+    ``checkpoint``, each attempt runs in its own forked process;
+    otherwise the experiments run in this process (the inline engine),
+    where a profiler around the call sees them.
+
+    Returns the :class:`~repro.reliability.runner.SweepReport`; its
+    successful outcomes carry :func:`_run_experiment_worker_record`
+    payloads.  ``collect_obs`` captures each experiment's registry
+    state, ``collect_events`` its event log (worker index = input
+    position, so :func:`repro.obs.events.merge_events` is
+    deterministic) and ``mem_trace`` its per-span peak memory.
     """
     from ..reliability import run_cells
 
     canonical = [get_experiment(eid).experiment_id for eid in experiment_ids]
+    tasks = [
+        _ExperimentTask(eid, index, collect_obs, collect_events, mem_trace)
+        for index, eid in enumerate(canonical)
+    ]
     return run_cells(
         _run_experiment_worker_record,
-        [(eid, collect_obs) for eid in canonical],
+        tasks,
         jobs=jobs,
         policy=policy,
         faults=faults,
@@ -451,4 +389,10 @@ def run_experiments_resilient(
         resume=resume,
         label="experiments",
         key_fn=_experiment_task_key,
+        isolate=(
+            jobs > 1
+            or policy is not None
+            or faults is not None
+            or checkpoint is not None
+        ),
     )

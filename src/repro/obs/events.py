@@ -50,15 +50,15 @@ Reading a log back::
     for root in replay(events):          # the span forest
         print(root.name, root.duration, root.counters, len(root.children))
 
-The CLI exposes the writer as ``--events-out PATH`` on both modes
-(``python -m repro T8 --events-out t8.jsonl``); under ``--jobs N`` the
-per-worker logs are interleaved with :func:`merge_events` before
-writing.  See ``docs/observability.md`` §6.
+The CLI exposes the writer as ``--events-out PATH``
+(``python -m repro T8 --events-out t8.jsonl``).  In experiments mode
+each experiment records its own log, and the logs are interleaved
+with :func:`merge_events` before writing, at any ``--jobs`` and under
+every reliability flag.  See ``docs/observability.md`` §6.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time as _time
 from dataclasses import dataclass, field
@@ -67,7 +67,7 @@ from time import perf_counter
 from typing import Iterable, Sequence
 
 from .core import Registry, SpanHook
-from .jsonl import parse_jsonl
+from .jsonl import jsonl_line, parse_jsonl
 
 __all__ = [
     "EVENT_SCHEMA_ID",
@@ -192,9 +192,7 @@ class EventLog(SpanHook):
 
 def write_events(events: Iterable[dict], path: str | Path) -> None:
     """Dump events (header(s) included) as one-object-per-line JSONL."""
-    Path(path).write_text(
-        "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in events)
-    )
+    Path(path).write_text("".join(jsonl_line(ev) for ev in events))
 
 
 def validate_events(events: Sequence[dict]) -> list[str]:

@@ -30,7 +30,6 @@ in ``docs/serving.md``.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import threading
@@ -39,7 +38,7 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from .core import Registry
-from .jsonl import parse_jsonl
+from .jsonl import jsonl_line, parse_jsonl
 from .metrics import validate_histogram_record
 
 __all__ = [
@@ -329,7 +328,7 @@ class SnapshotStream:
                 registry, seq=self.seq, source=self.source, extra=extra
             )
             self.seq += 1
-            self._fh.write(json.dumps(state, sort_keys=True) + "\n")
+            self._fh.write(jsonl_line(state))
             self._fh.flush()
             return state
 

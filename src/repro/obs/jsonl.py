@@ -6,13 +6,19 @@ and ``python -m repro.obs.validate``) and the span event log
 (:mod:`repro.obs.events`) are all one JSON object per line, written by
 a process that may be killed mid-write.  :func:`parse_jsonl` is where
 their shared torn-tail rule lives; each reader adds only its schema.
+:func:`jsonl_line` is their one line encoder.
 """
 
 from __future__ import annotations
 
 import json
 
-__all__ = ["parse_jsonl"]
+__all__ = ["jsonl_line", "parse_jsonl"]
+
+
+def jsonl_line(obj) -> str:
+    """One stream line: ``obj`` as key-sorted JSON plus the newline."""
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def parse_jsonl(text: str) -> tuple[list[dict], bool]:

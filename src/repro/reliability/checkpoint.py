@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ..obs.jsonl import parse_jsonl
+from ..obs.jsonl import jsonl_line, parse_jsonl
 from .failures import CellFailure
 
 __all__ = [
@@ -266,7 +266,7 @@ class CheckpointWriter:
             )
 
     def _write_line(self, obj: Mapping) -> None:
-        self._fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        self._fh.write(jsonl_line(obj))
         self._fh.flush()
         os.fsync(self._fh.fileno())
 

@@ -50,6 +50,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from ..graphs.backend import KERNELS
+
 __all__ = [
     "REQUEST_SCHEMA_ID",
     "RESPONSE_SCHEMA_ID",
@@ -72,7 +74,6 @@ RESPONSE_SCHEMA_ID = "repro.serve/response/v1"
 REQUEST_OPS = ("solve", "ping", "stats", "shutdown")
 
 _INSTANCE_KINDS = ("spec", "edges")
-_KERNELS = ("auto", "indexed", "bitset", "array")
 
 
 # -- builders ---------------------------------------------------------
@@ -204,8 +205,8 @@ def validate_request(obj: object) -> list[str]:
     if not isinstance(algorithm, str) or not algorithm:
         errors.append("algorithm must be a non-empty string")
     kernel = obj.get("kernel", "auto")
-    if kernel not in _KERNELS:
-        errors.append(f"kernel must be one of {_KERNELS}, got {kernel!r}")
+    if kernel not in KERNELS:
+        errors.append(f"kernel must be one of {KERNELS}, got {kernel!r}")
     if not isinstance(obj.get("cache", True), bool):
         errors.append("cache must be a boolean")
     return errors

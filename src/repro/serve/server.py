@@ -101,12 +101,12 @@ def serve_cell(request: Mapping) -> dict:
             algorithm does not accept, or a disconnected edge instance
             — all surfaced to the client as structured error responses.
     """
-    from ..cli import _solver_registry
     from ..experiments.parallel import SweepCell, solve_cell
+    from ..solvers import solver_registry
 
     instance = request["instance"]
     algorithm = request["algorithm"]
-    if algorithm not in _solver_registry():
+    if algorithm not in solver_registry():
         # Pre-check so both instance kinds report an unknown algorithm
         # the same way (solve_cell would surface a bare KeyError).
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -120,21 +120,11 @@ def serve_cell(request: Mapping) -> dict:
 
 
 def _solve_edges(instance: Mapping, algorithm: str, kernel: str | None) -> dict:
-    import inspect
-
-    from ..cli import _solver_registry
     from ..graphs.graph import Graph
     from ..graphs.traversal import is_connected
+    from ..solvers import bind_solver
 
-    solver = _solver_registry()[algorithm]
-    kwargs = {}
-    if kernel is not None:
-        if "kernel" not in inspect.signature(solver).parameters:
-            raise ValueError(
-                f"algorithm {algorithm!r} does not take a kernel "
-                "(only the kernelized solvers: waf, greedy)"
-            )
-        kwargs["kernel"] = kernel
+    solver, kwargs = bind_solver(algorithm, kernel=kernel)
     graph: Graph = Graph()
     for node in range(instance["nodes"]):
         graph.add_node(node)

@@ -103,9 +103,9 @@ class TestPriorityElections:
 
 class TestRegistrySolvers:
     def test_all_variants_registered(self):
-        from repro.cli import _solver_registry
+        from repro.solvers import solver_registry
 
-        registry = _solver_registry()
+        registry = solver_registry()
         for name in DISTRIBUTED_SOLVERS:
             assert name in registry
 
@@ -125,9 +125,9 @@ class TestRegistrySolvers:
         assert summary["counters"]["sim.transmissions"] > 0
 
     def test_solve_cell_jobs_deterministic(self):
-        from repro.experiments.parallel import solve_cells
+        from repro.experiments.parallel import solve_cells_resilient
 
         cells = [SweepCell(n=25, side=3.5, seed=s) for s in range(3)]
-        serial = solve_cells(cells, algorithm="greedy-dist", jobs=1)
-        parallel = solve_cells(cells, algorithm="greedy-dist", jobs=2)
-        assert serial == parallel
+        serial = [solve_cell(c, algorithm="greedy-dist") for c in cells]
+        report = solve_cells_resilient(cells, algorithm="greedy-dist", jobs=2)
+        assert serial == report.results

@@ -78,3 +78,27 @@ class TestCLI:
         from repro.cli import main
 
         assert main(["NOPE"]) == 2
+
+    def test_raising_experiment_is_a_structured_failure(
+        self, monkeypatch, capsys
+    ):
+        # A plain --jobs 1 run goes through the reliability runner's
+        # inline engine: the exception becomes a failure report and
+        # exit 1, and the healthy experiment still prints its table.
+        from repro.cli import main
+        from repro.experiments import harness
+
+        monkeypatch.setitem(harness._REGISTRY, "BOOM", ("raises", _boom))
+        assert main(["F1F2", "BOOM"]) == 1
+        captured = capsys.readouterr()
+        assert "[F1F2]" in captured.out
+        assert "1 of 2 cell(s) failed" in captured.err
+        assert "RuntimeError" in captured.err
+        assert "Traceback" not in captured.err
+
+
+def _boom():
+    raise RuntimeError("experiment blew up")
+
+
+_boom.experiment_id = "BOOM"

@@ -18,9 +18,8 @@ from repro.experiments.parallel import (
     default_jobs,
     merge_cell_counters,
     parallel_map,
-    run_experiments_parallel,
+    run_experiments_resilient,
     solve_cell,
-    solve_cells,
     solve_cells_resilient,
     sweep_cells,
 )
@@ -130,9 +129,9 @@ class TestSolveCells:
     @pytest.mark.parametrize("algorithm", ["greedy", "waf"])
     def test_parallel_results_identical_to_serial(self, algorithm):
         cells = sweep_cells([10, 14], [1, 2], side=3.2)
-        serial = solve_cells(cells, algorithm=algorithm, jobs=1)
-        parallel = solve_cells(cells, algorithm=algorithm, jobs=2)
-        assert serial == parallel  # counters included, order included
+        serial = [solve_cell(c, algorithm=algorithm) for c in cells]
+        report = solve_cells_resilient(cells, algorithm=algorithm, jobs=2)
+        assert report.results == serial  # counters included, order included
 
     def test_cell_key_unique_per_grid(self):
         cells = sweep_cells([10, 14], [1, 2], side=3.2)
@@ -152,7 +151,7 @@ class TestSolveCells:
 
     def test_resilient_matches_plain_solve_cells(self):
         cells = sweep_cells([10, 14], [1, 2], side=3.2)
-        plain = solve_cells(cells, algorithm="greedy", jobs=1)
+        plain = [solve_cell(c, algorithm="greedy") for c in cells]
         report = solve_cells_resilient(cells, algorithm="greedy", jobs=2)
         assert report.ok
         assert report.results == plain
@@ -170,12 +169,22 @@ class TestSolveCells:
         assert list(merged) == ["a", "b"]
 
 
+def _results(report):
+    """Decode a run_experiments_resilient report's ExperimentResults."""
+    from repro.experiments.harness import ExperimentResult
+
+    assert report.ok
+    return [ExperimentResult.from_json_obj(p["result"]) for p in report.results]
+
+
 class TestRunExperimentsParallel:
+    """``run_experiments_resilient``: inline at jobs=1, forked at jobs=2."""
+
     CHEAP = ["F1F2", "T6"]
 
     def test_matches_serial_run(self):
-        serial = run_experiments_parallel(self.CHEAP, jobs=1)
-        forked = run_experiments_parallel(self.CHEAP, jobs=2)
+        serial = _results(run_experiments_resilient(self.CHEAP, jobs=1))
+        forked = _results(run_experiments_resilient(self.CHEAP, jobs=2))
         assert [r.experiment_id for r in forked] == [
             r.experiment_id for r in serial
         ]
@@ -184,7 +193,7 @@ class TestRunExperimentsParallel:
 
     def test_unknown_id_raises_before_forking(self):
         with pytest.raises(KeyError):
-            run_experiments_parallel(["NOPE"], jobs=2)
+            run_experiments_resilient(["NOPE"], jobs=2)
 
 
 class TestCollectObs:
@@ -193,27 +202,27 @@ class TestCollectObs:
     CHEAP = ["F1F2", "T6"]
 
     @staticmethod
-    def merge(outcomes):
+    def merge(report):
         from repro.obs import Registry
 
         reg = Registry()
-        for _result, state, _events in outcomes:
-            reg.merge_state(state)
+        for payload in report.results:
+            reg.merge_state(payload["state"])
         return reg
 
     def test_triples_returned_and_results_match_plain_run(self):
-        plain = run_experiments_parallel(self.CHEAP, jobs=1)
-        triples = run_experiments_parallel(self.CHEAP, jobs=2, collect_obs=True)
-        assert [r.render() for r, _, _ in triples] == [
+        plain = _results(run_experiments_resilient(self.CHEAP, jobs=1))
+        report = run_experiments_resilient(self.CHEAP, jobs=2, collect_obs=True)
+        assert [r.render() for r in _results(report)] == [
             r.render() for r in plain
         ]
-        for _result, state, events in triples:
-            assert set(state) == {"counters", "timers"}
-            assert events is None  # collect_events was off
+        for payload in report.results:
+            assert set(payload["state"]) == {"counters", "timers"}
+            assert "events" not in payload  # collect_events was off
 
     def test_merged_parallel_counters_equal_serial(self):
-        serial = run_experiments_parallel(self.CHEAP, jobs=1, collect_obs=True)
-        forked = run_experiments_parallel(self.CHEAP, jobs=2, collect_obs=True)
+        serial = run_experiments_resilient(self.CHEAP, jobs=1, collect_obs=True)
+        forked = run_experiments_resilient(self.CHEAP, jobs=2, collect_obs=True)
         assert self.merge(forked).counters() == self.merge(serial).counters()
         # Timer counts (span executions) must agree too; totals are
         # wall-clock and thus machine noise.
@@ -226,10 +235,10 @@ class TestCollectObs:
     def test_collect_events_returns_per_worker_logs(self):
         from repro.obs.events import merge_events, replay, validate_events
 
-        triples = run_experiments_parallel(
+        report = run_experiments_resilient(
             self.CHEAP, jobs=2, collect_obs=True, collect_events=True
         )
-        logs = [events for _, _, events in triples]
+        logs = [payload["events"] for payload in report.results]
         assert all(logs)
         for index, log in enumerate(logs):
             assert log[0]["run"] == f"worker-{index}"
@@ -242,10 +251,24 @@ class TestCollectObs:
         assert ("experiment.T6", 1) in root_names
 
     def test_mem_trace_collects_peak_counters(self):
-        triples = run_experiments_parallel(
+        report = run_experiments_resilient(
             ["F1F2"], jobs=1, collect_obs=True, mem_trace=True
         )
-        reg = self.merge(triples)
+        reg = self.merge(report)
         counters = reg.counters()
         assert counters["mem.run.peak_bytes"] > 0
         assert counters["mem.experiment.F1F2.peak_bytes"] > 0
+
+    def test_inline_run_keeps_the_callers_registry(self):
+        # Under the inline engine the worker captures into the shared
+        # registry; what the caller had recorded must survive it.
+        from repro.obs import OBS
+
+        with OBS.capture():
+            OBS.incr("caller.mark", 3)
+            report = run_experiments_resilient(["F1F2"], collect_obs=True)
+            counters, timers = OBS.counters(), OBS.timers()
+        OBS.reset()
+        assert counters == {"caller.mark": 3, "reliability.cells.completed": 1}
+        assert "experiment.F1F2" not in timers
+        assert "experiment.F1F2" in report.results[0]["state"]["timers"]

@@ -13,13 +13,10 @@ Three invariants over random connected UDGs:
   :func:`repro.graphs.properties.survives_node_removal`).
 """
 
-import inspect
-
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.cds import mfold_2conn_cds, mfold_greedy_cds
-from repro.cli import _solver_registry
 from repro.graphs import (
     is_k_connected,
     is_m_fold_cds,
@@ -27,6 +24,7 @@ from repro.graphs import (
     survives_node_removal,
 )
 from repro.graphs.biconnectivity import is_biconnected
+from repro.solvers import solver_registry, takes
 
 
 def udg_instances(min_n=2, max_n=16, density=0.8):
@@ -45,7 +43,7 @@ class TestRegistryValidity:
     @settings(max_examples=15, deadline=None)
     @given(udg_instances())
     def test_every_registry_solver_emits_valid_set(self, g):
-        for name, solver in sorted(_solver_registry().items()):
+        for name, solver in sorted(solver_registry().items()):
             if name == "mfold-2conn" and len(g) >= 3 and not is_k_connected(g, 2):
                 # no (2,m)-CDS exists; the solver must say so, not
                 # return something broken
@@ -54,14 +52,14 @@ class TestRegistryValidity:
                 continue
             result = solver(g)
             assert result.is_valid(g), name
-            if "m" in inspect.signature(solver).parameters:
+            if takes(solver, "m"):
                 assert is_m_fold_cds(g, result.nodes, result.meta["m"]), name
 
     @settings(max_examples=10, deadline=None)
     @given(udg_instances(min_n=4))
     def test_kernelized_solvers_bit_identical(self, g):
-        for name, solver in sorted(_solver_registry().items()):
-            if "kernel" not in inspect.signature(solver).parameters:
+        for name, solver in sorted(solver_registry().items()):
+            if not takes(solver, "kernel"):
                 continue
             if name == "mfold-2conn" and len(g) >= 3 and not is_k_connected(g, 2):
                 continue

@@ -76,6 +76,14 @@ class TestSweepMode:
         assert record["instance"]["cells"] == 4
         assert record["results"]["ok"] == 4
 
+    def test_events_out_rejected(self, tmp_path, capsys):
+        log_file = tmp_path / "sweep.events.jsonl"
+        assert sweep("--events-out", str(log_file)) == 2
+        err = capsys.readouterr().err
+        assert "--events-out is not supported by sweep" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not log_file.exists()
+
     def test_resume_requires_checkpoint(self, capsys):
         assert sweep("--resume") == 2
         assert "--resume requires --checkpoint" in capsys.readouterr().err

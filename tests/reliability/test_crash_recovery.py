@@ -12,7 +12,7 @@ import pytest
 
 from repro.experiments.parallel import (
     merge_cell_counters,
-    solve_cells,
+    solve_cell,
     solve_cells_resilient,
     sweep_cells,
 )
@@ -43,7 +43,7 @@ class TestCrashRecovery:
         path = str(tmp_path / "sweep.jsonl")
 
         # The ground truth: uninterrupted, serial, no reliability layer.
-        serial = solve_cells(GRID, algorithm="greedy", jobs=1)
+        serial = [solve_cell(c, algorithm="greedy") for c in GRID]
 
         # Interrupted run: two cells die mid-phase-2 (hard os._exit,
         # no cleanup), the other two complete and are journalled.
@@ -73,7 +73,7 @@ class TestCrashRecovery:
     def test_double_interruption_still_converges(self, tmp_path):
         """Kill → resume with kills still active → resume clean."""
         path = str(tmp_path / "sweep.jsonl")
-        serial = solve_cells(GRID, algorithm="greedy", jobs=1)
+        serial = [solve_cell(c, algorithm="greedy") for c in GRID]
 
         first = solve_cells_resilient(
             GRID, algorithm="greedy", jobs=2, faults=KILL_PLAN, checkpoint=path,
@@ -97,7 +97,7 @@ class TestCrashRecovery:
         assert merge_cell_counters(final.results) == merge_cell_counters(serial)
 
     def test_jobs_width_invisible_in_resumed_results(self, tmp_path):
-        serial = solve_cells(GRID, algorithm="greedy", jobs=1)
+        serial = [solve_cell(c, algorithm="greedy") for c in GRID]
         for jobs in (1, 3):
             path = str(tmp_path / f"sweep-{jobs}.jsonl")
             solve_cells_resilient(

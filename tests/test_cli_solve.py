@@ -291,6 +291,54 @@ class TestEventLogFlag:
             "experiment.T6",
         }
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--checkpoint", "ck.jsonl"], ["--retries", "1"]],
+        ids=["checkpoint", "retries"],
+    )
+    def test_reliability_events_replay_experiment_spans(
+        self, tmp_path, capsys, flags
+    ):
+        from repro.obs.events import read_events, replay
+
+        log_file = tmp_path / "run.events.jsonl"
+        flags = [str(tmp_path / f) if f.endswith(".jsonl") else f for f in flags]
+        assert main(["T6", *flags, "--events-out", str(log_file)]) == 0
+        roots = replay(read_events(log_file))
+        assert [r.name for r in roots] == ["experiment.T6"]
+        assert roots[0].children  # the worker's inner spans came back
+
+    def test_resumed_events_replay_journalled_spans(self, tmp_path, capsys):
+        from repro.obs.events import read_events, replay
+
+        ledger = str(tmp_path / "ck.jsonl")
+        first, resumed = tmp_path / "first.jsonl", tmp_path / "resumed.jsonl"
+        assert main(["T6", "--checkpoint", ledger, "--events-out", str(first)]) == 0
+        assert (
+            main(["T6", "--checkpoint", ledger, "--resume",
+                  "--events-out", str(resumed)])
+            == 0
+        )
+        assert read_events(resumed) == read_events(first)
+        assert [r.name for r in replay(read_events(resumed))] == ["experiment.T6"]
+
+    def test_failure_notes_join_the_worker_logs(self, tmp_path, capsys):
+        from repro.obs.events import read_events, replay
+
+        log_file = tmp_path / "run.events.jsonl"
+        code = main(
+            self.CHEAP
+            + ["--jobs", "2", "--events-out", str(log_file),
+               "--inject-fault", "site=*;action=raise;scope=*T6*"]
+        )
+        assert code == 1
+        events = read_events(log_file)
+        notes = [e for e in events if e["type"] == "note"]
+        assert [(n["name"], n["data"]["cell"]) for n in notes] == [
+            ("reliability.failure", "T6")
+        ]
+        assert [r.name for r in replay(events)] == ["experiment.F1F2"]
+
     def test_solve_events(self, deployment, tmp_path, capsys):
         from repro.obs.events import read_events, replay
 
@@ -324,6 +372,18 @@ class TestMemAndProfileFlags:
         counters = json.loads(rec_file.read_text())["counters"]
         assert counters["mem.run.peak_bytes"] > 0
         assert counters["mem.solve.total.peak_bytes"] > 0
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--jobs", "2"], ["--retries", "1"]],
+        ids=["inline", "jobs", "retries"],
+    )
+    def test_experiments_mem_trace_in_record(self, tmp_path, capsys, flags):
+        rec_file = tmp_path / "rec.json"
+        argv = ["F1F2", *flags, "--mem-trace", "--stats-out", str(rec_file)]
+        assert main(argv) == 0
+        counters = json.loads(rec_file.read_text())["counters"]
+        assert counters["mem.run.peak_bytes"] > 0
+        assert counters["mem.experiment.F1F2.peak_bytes"] > 0
 
     def test_solve_profile_out(self, deployment, tmp_path, capsys):
         import pstats
