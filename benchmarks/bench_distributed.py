@@ -3,8 +3,9 @@
 Asserts the structural counts of [10]'s phases (MIS = 2n transmissions,
 BFS tree = n) and times the full pipelines — plus the batched-vs-
 reference engine comparison and the MIS priority variants on a
-1000-node fixture (the scaling story continues in ``bench_to_json``'s
-``sim_*`` cases up to 10^5; see BENCH_pr8.json).
+1000-node fixture (the ``sim_*`` rows of ``check_counters.py`` gate the
+same pipelines' counters at 10^4; historical timings up to 10^5:
+BENCH_pr8.json).
 """
 
 import pytest

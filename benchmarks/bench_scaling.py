@@ -131,7 +131,8 @@ _XL = pytest.mark.skipif(
 
 @pytest.mark.slow
 def test_udg100000_array_build_and_greedy():
-    # Matches the BENCH_pr7.json udg100000 fixture parameters.
+    # The udg100000 fixture of check_counters.py (historical timings:
+    # BENCH_pr7.json).
     pts = uniform_points(100000, 140.0, seed=7)
     g = unit_disk_graph(pts)  # dispatches to the vectorized builder
     assert is_connected(g)
@@ -144,7 +145,8 @@ def test_udg100000_array_build_and_greedy():
 @pytest.mark.slow
 @_XL
 def test_udg1000000_build_and_greedy_complete():
-    # Matches the BENCH_pr7.json udg1000000 fixture parameters.
+    # The udg1000000 fixture of check_counters.py (historical timings:
+    # BENCH_pr7.json).
     pts = uniform_points(1000000, 380.0, seed=8)
     g = unit_disk_graph(pts)
     assert is_connected(g)

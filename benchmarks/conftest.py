@@ -10,9 +10,9 @@ Run with::
     pytest benchmarks/ --benchmark-only
 
 The ``obs`` fixture exposes the instrumentation registry to benches
-that want to assert operation counts, and ``bench_to_json.py`` (a
-plain script, not a pytest bench) exports the standing timing baseline
-to ``BENCH_baseline.json`` at the repo root.
+that want to assert operation counts.  ``check_counters.py`` (a plain
+script, not a pytest bench) gates the deterministic counters of the
+same fixtures; end-to-end timing lives in ``perfbench/``.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 :class:`~repro.cds.gain.GainTracker` re-scores **every** node of ``G``
 on every connector round — ``O(n)`` gain evaluations per selection,
-the dominant cost in `BENCH_baseline.json` (`gain.evaluations` = 2525
-for 25 selections on the 150-node fixture).  Two structural facts make
+the dominant cost in the historical `BENCH_baseline.json`
+(`gain.evaluations` = 2525 for 25 selections on the 150-node fixture).  Two structural facts make
 almost all of that work redundant:
 
 * **Candidate restriction.**  A node ``w ∉ I ∪ U`` has

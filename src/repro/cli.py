@@ -58,12 +58,7 @@ are the experiment ids themselves::
       python -m repro --all --jobs 4 --checkpoint exps.jsonl --retries 1
       python -m repro --all --jobs 4 --checkpoint exps.jsonl --resume
 
-A fourth mode, **bench**, compares committed benchmark snapshots and
-gates on regressions (see ``docs/performance.md`` §7)::
-
-      python -m repro bench compare BENCH_baseline.json BENCH_pr3.json
-
-A fifth mode, **serve**, runs the long-lived solve daemon — newline-
+A fourth mode, **serve**, runs the long-lived solve daemon — newline-
 delimited JSON over TCP or a Unix socket, request batching through the
 sweep machinery, and a fingerprint-keyed result cache whose hits are
 bit-identical to cold solves (see ``docs/serving.md``) — with
@@ -112,8 +107,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _solve_main(args[1:])
     if args and args[0] == "sweep":
         return _sweep_main(args[1:])
-    if args and args[0] == "bench":
-        return _bench_main(args[1:])
     if args and args[0] == "serve":
         return _serve_main(args[1:])
     if args and args[0] == "serve-client":
@@ -135,20 +128,6 @@ def _obs_main(argv: Sequence[str]) -> int:
     from .obs.tail import main as tail_main
 
     return tail_main(argv[1:])
-
-
-def _bench_main(argv: Sequence[str]) -> int:
-    """``python -m repro bench compare A.json B.json [...]``."""
-    if not argv or argv[0] != "compare":
-        print(
-            "usage: python -m repro bench compare BENCH_A.json BENCH_B.json "
-            "[...] [--threshold PCT] [--no-time-gate] [--out FILE]",
-            file=sys.stderr,
-        )
-        return 2
-    from .obs.trend import main as trend_main
-
-    return trend_main(argv[1:])
 
 
 def _serve_main(argv: Sequence[str]) -> int:
@@ -628,7 +607,8 @@ def _experiments_main(argv: Sequence[str]) -> int:
             if args.events_out and payload.get("events"):
                 worker_logs.append(payload["events"])
     except (KeyError, ValueError) as exc:
-        print(exc, file=sys.stderr)
+        # args[0], not str(exc): a KeyError's str() wraps it in quotes.
+        print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
     finally:
         session.stop_hooks()

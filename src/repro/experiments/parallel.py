@@ -29,9 +29,9 @@ function works for parameterised workers and is what
 
 The CLI experiments mode runs every experiment through
 :func:`run_experiments_resilient` (``python -m repro --all --jobs 4``),
-and ``benchmarks/bench_to_json.py`` uses :func:`parallel_map` to spread
-benchmark cases over cores (timing runs stay trustworthy because each
-case is timed inside a single process, unshared).
+and ``benchmarks/check_counters.py`` uses :func:`parallel_map` to spread
+its counter rows over cores (each row runs inside a single process, so
+its counters are the same at any ``--jobs``).
 """
 
 from __future__ import annotations

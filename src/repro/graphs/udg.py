@@ -43,9 +43,9 @@ __all__ = [
 
 #: Below this node count the grid builder dispatches to the all-pairs
 #: scan: the bucket machinery (hashing cell keys, neighbor lookups)
-#: costs more than the pair tests it avoids (``BENCH_baseline.json``
-#: measured grid ~1.4x slower than naive at n=20; the two cross over
-#: around n≈30 at benchmark densities).
+#: costs more than the pair tests it avoids (the historical
+#: ``BENCH_baseline.json`` measured grid ~1.4x slower than naive at
+#: n=20; the two cross over around n≈30 at benchmark densities).
 GRID_SMALL_N = 32
 
 #: At and above this node count :func:`unit_disk_graph` dispatches to

@@ -13,8 +13,8 @@ A zero-dependency observability layer for the whole library:
 
 The solvers, the UDG builders, the distributed simulator and the
 experiment harness all report here; ``python -m repro ... --trace`` /
-``--stats-out`` and the ``benchmarks/bench_to_json.py`` exporter are
-the front ends.  See ``docs/observability.md``.
+``--stats-out`` and the ``benchmarks/check_counters.py`` counter gate
+are the front ends.  See ``docs/observability.md``.
 """
 
 from .core import OBS, Counter, Registry, Span, SpanHook, trace, traced
@@ -29,7 +29,7 @@ from .record import (
 # Lazy so ``python -m repro.obs.report`` (and the other runnable
 # submodules) do not re-import the module they are about to execute
 # (runpy's double-import RuntimeWarning), and so the cheap core import
-# never pays for tracemalloc/cProfile/trend machinery it may not use.
+# never pays for tracemalloc/cProfile machinery it may not use.
 _LAZY = {
     "render_record": "report",
     "render_report": "report",
@@ -62,12 +62,6 @@ _LAZY = {
     "MemTracker": "profile",
     "mem_tracing": "profile",
     "profile_to": "profile",
-    "BENCH_SCHEMA_ID": "trend",
-    "BenchSnapshot": "trend",
-    "compare_snapshots": "trend",
-    "counter_drift": "trend",
-    "load_snapshot": "trend",
-    "render_trend_report": "trend",
 }
 
 

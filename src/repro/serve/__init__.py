@@ -20,7 +20,7 @@ Layout:
 * :mod:`~repro.serve.client` — a small blocking client for scripts,
   tests and ``python -m repro serve-client``.
 * :mod:`~repro.serve.loadgen` — the deterministic load generator
-  behind ``serve-client --loadgen`` and ``BENCH_serve.json``.
+  behind ``serve-client --loadgen``.
 
 Protocol reference and ops runbook: ``docs/serving.md``; where the
 daemon sits in the stack: ``docs/architecture.md``.

@@ -27,9 +27,8 @@ client-side latency percentiles, the daemon's own ``stats`` snapshot
 from per-worker :class:`~repro.obs.metrics.Histogram` objects merged
 exactly in the parent (the same machinery ``--jobs N`` uses for
 counters), and the merged histogram rides along in record form as
-``latency_histogram``.  ``BENCH_serve.json`` and the ``serve-smoke``
-CI job are both built on it; the workflow is documented in
-``docs/serving.md``.
+``latency_histogram``.  The ``serve-smoke`` CI job is built on it; the
+workflow is documented in ``docs/serving.md``.
 """
 
 from __future__ import annotations

@@ -78,6 +78,15 @@ class TestCLI:
         from repro.cli import main
 
         assert main(["NOPE"]) == 2
+        assert capsys.readouterr().err.startswith("unknown experiment 'NOPE'")
+
+    def test_removed_bench_mode_is_a_clean_usage_error(self, capsys):
+        from repro.cli import main
+
+        assert main(["bench", "compare", "a.json", "b.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("unknown experiment 'bench'")
+        assert err.count("\n") == 1
 
     def test_raising_experiment_is_a_structured_failure(
         self, monkeypatch, capsys

@@ -152,11 +152,11 @@ class TestJobsValidation:
 
         sys.path.insert(0, "benchmarks")
         try:
-            import bench_to_json
+            import check_counters
         finally:
             sys.path.pop(0)
         with pytest.raises(SystemExit):
-            bench_to_json.main(["--jobs", "0", "-o", "/tmp/never.json"])
+            check_counters.main(["--jobs", "0"])
         assert "positive integer" in capsys.readouterr().err
 
 
@@ -399,32 +399,3 @@ class TestMemAndProfileFlags:
         out = tmp_path / "t6.pstats"
         assert main(["T6", "--profile-out", str(out)]) == 0
         pstats.Stats(str(out))
-
-
-class TestBenchSubcommand:
-    def test_requires_compare(self, capsys):
-        assert main(["bench"]) == 2
-        assert "usage" in capsys.readouterr().err
-        assert main(["bench", "diff"]) == 2
-
-    def test_compare_dispatches_to_trend(self, tmp_path, capsys):
-        from repro.obs.trend import BENCH_SCHEMA_ID
-
-        snap = {
-            "schema": BENCH_SCHEMA_ID,
-            "repeats": 1,
-            "fixtures": {},
-            "runs": [
-                {
-                    "algorithm": "greedy/udg20",
-                    "counters": {"gain.evaluations": 10},
-                    "meta": {"seconds_median": 0.01},
-                }
-            ],
-        }
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        a.write_text(json.dumps(snap))
-        b.write_text(json.dumps(snap))
-        assert main(["bench", "compare", str(a), str(b)]) == 0
-        assert "Bench trend report" in capsys.readouterr().out
