@@ -93,11 +93,14 @@ DEFAULT_FIXTURES = ("udg20", "udg60", "udg150")
 #: an input it accepts.
 MFOLD_2CONN_SCALE = 0.6
 
-#: Case names, in run order per fixture.  ``waf`` and ``greedy`` run
+#: Case names, in run order per fixture.  ``generate`` draws the
+#: fixture itself (the rejection sampler's draws, rejections and its
+#: one UDG build); ``waf`` and ``greedy`` run
 #: the solvers' defaults (``kernel="auto"``); the ``*_indexed`` /
 #: ``*_bitset`` / ``*_array`` variants pin the kernel so the CSR,
 #: bitmask and numpy code paths are each gated on identical instances.
 CASE_NAMES = (
+    "generate",
     "udg_build_naive",
     "udg_build_grid",
     "udg_build_vector",
@@ -171,7 +174,7 @@ def _sim_mis(graph_int, engine: str):
     return tuple(mis)
 
 
-def _cases(points, graph):
+def _cases(fixture, points, graph):
     """The case callables for one fixture's deployment and its input graph."""
     from repro.distributed import distributed_greedy_cds, distributed_waf_cds
 
@@ -185,6 +188,7 @@ def _cases(points, graph):
         return run
 
     return {
+        "generate": lambda: random_connected_udg(*FIXTURES[fixture])[1],
         "udg_build_naive": lambda: unit_disk_graph_naive(points),
         "udg_build_grid": lambda: unit_disk_graph(points),
         "udg_build_vector": lambda: unit_disk_graph_vectorized(points),
@@ -244,7 +248,7 @@ def run_row(task: tuple[str, str]) -> dict:
         )
     elif case.startswith("sim_"):
         graph = int_labeled(graph)
-    fn = _cases(points, graph)[case]
+    fn = _cases(fixture, points, graph)[case]
     with OBS.capture() as reg:
         value = fn()
         counters = reg.counters()

@@ -29,8 +29,14 @@ def default_side(n: int, mean_degree: float = 5.5) -> float:
     """Square side giving roughly ``mean_degree`` UDG neighbors per node.
 
     For n uniform points in a side-s square the expected degree is about
-    ``pi * n / s**2``; solving for ``s`` keeps instances comfortably above
-    the connectivity threshold so rejection sampling converges fast.
+    ``pi * n / s**2``; this solves it for ``s``.  A fixed mean degree is
+    not a fixed chance of connectivity: the chance that some node is
+    isolated grows with ``n``, so rejection sampling slows as ``n``
+    grows.  Measured with :func:`random_connected_udg` at the default
+    ``max_attempts=200`` over seeds 0-99: 2.1 draws per call at n = 10,
+    4.4 at 20, 7.2 at 40, 15.6 at 60 and 32.9 at 100, none giving up;
+    98.5 at n = 150, where 16 of the 100 seeds give up, and 79 of 100
+    give up at n = 300.
     """
     return max(1.5, (3.141592653589793 * n / mean_degree) ** 0.5)
 

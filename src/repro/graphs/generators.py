@@ -16,10 +16,27 @@ import math
 import random
 from typing import Callable, Sequence
 
-from ..geometry.point import Point
+import numpy as np
+
+from ..geometry.point import EPS, Point
+from ..obs import OBS, trace
+from .array import gather_rows
 from .graph import Graph
-from .traversal import connected_components, is_connected
-from .udg import unit_disk_graph
+from .traversal import connected_components
+from .traversal import is_connected  # noqa: F401 - perfbench's traced runs wrap it here
+from .udg import (
+    GRID_SMALL_N,
+    GRID_VECTOR_N,
+    _bulk_graph,
+    _check_coords,
+    _checked_points,
+    _coords,
+    _grid_edges,
+    _grid_rows,
+    _neighbor_rows,
+    _pair_adjacency,
+    unit_disk_graph,
+)
 
 __all__ = [
     "uniform_points",
@@ -37,10 +54,31 @@ def _rng(seed: int | random.Random) -> random.Random:
     return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
+def _uniform_coords(n: int, side: float, rng: random.Random) -> np.ndarray:
+    """The ``(n, 2)`` coordinates of ``n`` points uniform in the ``side x
+    side`` square: the one definition of :func:`uniform_points`' stream.
+
+    Point by point, ``x`` then ``y``, each value is ``rng.uniform(0.0,
+    side)`` — ``Random.uniform``'s ``a + (b - a) * random()``, applied
+    to the whole array at once (IEEE arithmetic, so the same floats).
+    """
+    random_ = rng.random
+    coords = np.array([random_() for _ in range(2 * n)], dtype=np.float64)
+    coords *= side - 0.0
+    coords += 0.0
+    return coords.reshape(-1, 2)
+
+
+def _points(coords: np.ndarray) -> list[Point]:
+    """Points from ``(n, 2)`` coordinates (no per-point temporaries, so
+    no extra garbage-collector work)."""
+    values = iter(coords.ravel().tolist())
+    return [Point(x, y) for x, y in zip(values, values)]
+
+
 def uniform_points(n: int, side: float, seed: int | random.Random = 0) -> list[Point]:
     """``n`` points uniform in the ``side x side`` square."""
-    rng = _rng(seed)
-    return [Point(rng.uniform(0.0, side), rng.uniform(0.0, side)) for _ in range(n)]
+    return _points(_uniform_coords(n, side, _rng(seed)))
 
 
 def uniform_disk_points(
@@ -114,6 +152,105 @@ def chain_points(n: int, spacing: float = 1.0) -> list[Point]:
     return [Point(i * spacing, 0.0) for i in range(n)]
 
 
+#: Below this node count a draw's connectivity test finds its edges with
+#: one dense all-pairs distance test
+#: (:func:`~repro.graphs.udg._pair_adjacency`); from here up with the
+#: grid pair search (:func:`~repro.graphs.udg._grid_edges`).  Measured
+#: per draw, whole test included (2-vCPU VM, 2.5 and 3.1 nodes per unit
+#: square): dense 0.21-0.23 ms against grid 0.40-0.56 ms at n = 60 and
+#: 0.31-0.43 against 0.53-0.69 ms at n = 150; a tie within ±40 % either
+#: way at n = 200-300; grid ahead from n = 400 (1.06-1.37 against
+#: 1.62-2.83 ms) and 3x ahead at n = 600.  The dense test's O(n²)
+#: temporaries stay near 1 MB below the cutoff.
+DENSE_TEST_N = 256
+
+
+def _spans_all(indptr: np.ndarray, nbr: np.ndarray) -> bool:
+    """Whether a BFS from node 0 over the CSR rows reaches every node
+    (``n >= 1``): one :func:`gather_rows` per frontier."""
+    seen = np.zeros(indptr.size - 1, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        flat, _ = gather_rows(indptr, nbr, frontier)
+        # Deduplicated by hand: a bare np.unique imports numpy.ma on
+        # first use, ~20 ms and ~1 MiB in every forked sweep worker.
+        fresh = np.sort(flat[~seen[flat]])
+        first = np.ones(fresh.size, dtype=bool)
+        first[1:] = fresh[1:] != fresh[:-1]
+        frontier = fresh[first]
+        seen[frontier] = True
+    return bool(seen.all())
+
+
+def _connected_rows(
+    xs: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """The UDG over ``(xs[i], ys[i])`` as ``(indptr, nbr, pairs_tested)``
+    CSR rows if it is connected, else ``None`` — without a ``Graph``.
+
+    Rows are in all-pairs emission order (ascending ids) below
+    :data:`DENSE_TEST_N` and in the grid builder's from there up.  A
+    draw with an isolated node (below the cutoff, also an isolated
+    edge) is rejected before any row is built.
+    """
+    n = xs.size
+    if n == 0:
+        return None  # the empty graph is not connected
+    if n < DENSE_TEST_N:
+        adj = _pair_adjacency(xs, ys, 1.0, EPS)
+        degree = adj.sum(axis=1)
+        if n > 1 and not degree.all():
+            return None
+        # Two leaves joined to each other: the commonest small component
+        # at fixture densities (half the disconnected n = 60 draws that
+        # have no isolated node), found without a BFS.
+        leaves = np.flatnonzero(degree == 1)
+        if n > 2 and (degree[adj[leaves].argmax(axis=1)] == 1).any():
+            return None
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degree, out=indptr[1:])
+        nbr = np.flatnonzero(adj) % n
+        pairs_tested = n * (n - 1) // 2
+    else:
+        left, right, pairs_tested = _grid_edges(xs, ys, 1.0, EPS)
+        if n > 1 and not (
+            np.bincount(left, minlength=n) + np.bincount(right, minlength=n)
+        ).all():
+            return None
+        indptr, nbr = _neighbor_rows(left, right, n)
+    if not _spans_all(indptr, nbr):
+        return None
+    return indptr, nbr, pairs_tested
+
+
+def _accepted_graph(
+    pts: list[Point],
+    xs: np.ndarray,
+    ys: np.ndarray,
+    rows: tuple[np.ndarray, np.ndarray, int],
+) -> Graph[Point]:
+    """The graph ``unit_disk_graph(pts)`` builds, from the accepted
+    draw's test rows, with that builder's span and counters.
+
+    The test's rows are the builder's own below :data:`GRID_SMALL_N`
+    (all-pairs order) and at :data:`DENSE_TEST_N` and up (grid order).
+    In between the builder emits in grid order, so the grid pair search
+    runs once, for this draw.
+    """
+    n = len(pts)
+    builder = "vector" if n >= GRID_VECTOR_N else "grid"
+    with trace(f"udg.{builder}.build"):
+        if GRID_SMALL_N <= n < DENSE_TEST_N:
+            rows = _grid_rows(xs, ys, 1.0, EPS)
+        indptr, nbr, pairs_tested = rows
+        graph = _bulk_graph(pts, indptr, nbr)
+    if OBS.enabled:
+        OBS.incr(f"udg.{builder}.pairs_tested", pairs_tested)
+        OBS.incr(f"udg.{builder}.edges_emitted", graph.edge_count())
+    return graph
+
+
 def random_connected_udg(
     n: int,
     side: float,
@@ -125,21 +262,59 @@ def random_connected_udg(
 
     Draws deployments (uniform square by default) until the UDG is
     connected.  ``side`` should be modest relative to ``sqrt(n)`` or
-    connectivity becomes vanishingly rare; a ``ValueError`` after
-    ``max_attempts`` failures signals that rather than looping forever.
+    connectivity becomes rare: at the benchmark fixture densities a
+    connected deployment takes 48 draws on average at ``n = 60, side =
+    6.2``, 3.7 at ``n = 150, side = 8.0`` and 2.0 at ``n = 1000, side =
+    18.0`` (256 seeds each), and a ``ValueError`` after
+    ``max_attempts`` failures signals a hopeless density rather than
+    looping forever.
+
+    Each draw is validated like every UDG builder's input (non-finite
+    or duplicate coordinates raise ``ValueError`` on that draw) and
+    tested for connectivity on coordinate arrays.  ``Point`` objects
+    (default path) and the ``Graph`` are made for the accepted draw
+    only: on a 2-vCPU VM a draw costs 0.12 ms on average at ``n = 60``
+    (0.67 ms as a full UDG build), 0.60 ms at 150 (2.3) and 3.2 ms at
+    1000 (16.7).
+    The result is what drawing ``uniform_points(n, side, rng)`` (or
+    calling ``point_factory(n, side, rng)``) until ``is_connected(
+    unit_disk_graph(pts))`` would return: the same points, the same
+    adjacency insertion order and the same ``rng`` state afterwards.
+
+    When :data:`repro.obs.OBS` is enabled the accepted build reports
+    the ``udg.grid.*`` (``udg.vector.*``) span and counters
+    ``unit_disk_graph`` would, and the sampler counts
+    ``generate.draws`` (deployments drawn) and ``generate.rejected``
+    (drawn and not returned: disconnected, or invalid and raised on).
     """
     rng = _rng(seed)
-    for _ in range(max_attempts):
-        if point_factory is None:
-            pts = uniform_points(n, side, rng)
-        else:
-            pts = list(point_factory(n, side, rng))
-        graph = unit_disk_graph(pts)
-        if is_connected(graph):
-            return list(pts), graph
-    raise ValueError(
-        f"no connected deployment of {n} nodes in side={side} after {max_attempts} tries"
-    )
+    draws = accepted = 0
+    try:
+        for _ in range(max_attempts):
+            draws += 1
+            if point_factory is None:
+                coords = _uniform_coords(n, side, rng)
+                _check_coords(coords)
+                xs, ys = coords[:, 0], coords[:, 1]
+            else:
+                pts = _checked_points(point_factory(n, side, rng))
+                xs, ys = _coords(pts)
+            rows = _connected_rows(xs, ys)
+            if rows is None:
+                continue
+            if point_factory is None:
+                pts = _points(coords)
+            graph = _accepted_graph(pts, xs, ys, rows)
+            accepted = 1
+            return pts, graph
+        raise ValueError(
+            f"no connected deployment of {n} nodes in side={side} "
+            f"after {max_attempts} tries"
+        )
+    finally:
+        if OBS.enabled:
+            OBS.incr("generate.draws", draws)
+            OBS.incr("generate.rejected", draws - accepted)
 
 
 def largest_component_udg(
@@ -154,6 +329,6 @@ def largest_component_udg(
     comps = connected_components(graph)
     if not comps:
         return [], Graph()
-    biggest = max(comps, key=len)
-    kept = [p for p in points if p in set(biggest)]
+    biggest = set(max(comps, key=len))
+    kept = [p for p in points if p in biggest]
     return kept, graph.subgraph(kept)

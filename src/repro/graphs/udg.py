@@ -199,6 +199,44 @@ def _checked_points(points: Sequence[Point]) -> list[Point]:
     return pts
 
 
+def _check_coords(coords: np.ndarray) -> None:
+    """:func:`_checked_points`' contract on an ``(n, 2)`` coordinate
+    array: the same errors, with the same messages, for the same
+    deployments — and no ``Point`` made unless one is reported."""
+    if not np.isfinite(coords).all():
+        first = int(np.isfinite(coords).all(axis=1).argmin())
+        p = Point(*coords[first].tolist())
+        raise ValueError(f"non-finite coordinates in UDG input: {p!r}")
+    # Equal points (== per coordinate, so 0.0 and -0.0 agree, as in a
+    # set of Points) share an x and sort next to each other; random
+    # deployments almost never share an x, so sort by x alone first.
+    xs = np.sort(coords[:, 0])
+    if (xs[1:] == xs[:-1]).any():
+        ordered = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+            raise ValueError("duplicate points in UDG input")
+
+
+def _pair_adjacency(
+    xs: np.ndarray, ys: np.ndarray, radius: float, tol: float
+) -> np.ndarray:
+    """The UDG over the points ``(xs[i], ys[i])`` as an ``n x n``
+    boolean adjacency matrix (no self-loops), from one dense distance
+    test.
+
+    The same float operations as :func:`_all_pairs_scan`, so the same
+    edges; O(n²) memory, so only for small ``n``.
+    """
+    d_sq = xs[:, None] - xs
+    d_sq *= d_sq
+    dy = ys[:, None] - ys
+    dy *= dy
+    d_sq += dy
+    adj = d_sq <= (radius + tol) * (radius + tol)
+    np.fill_diagonal(adj, False)
+    return adj
+
+
 def unit_disk_graph_vectorized(
     points: Sequence[Point],
     radius: float = 1.0,
@@ -248,11 +286,7 @@ def unit_disk_graph_vectorized(
             OBS.incr("udg.vector.edges_emitted", graph.edge_count())
         return graph
     with trace("udg.vector.build"):
-        left, right, pairs_tested = _grid_edges(pts, radius, tol)
-        indptr, nbr = _neighbor_rows(left, right, n)
-        # The pair search's temporaries are gone; drop the edge list too
-        # before the Python-object fill allocates its rows.
-        del left, right
+        indptr, nbr, pairs_tested = _grid_rows(*_coords(pts), radius, tol)
         graph = _bulk_graph(pts, indptr, nbr)
     if OBS.enabled:
         OBS.incr("udg.vector.pairs_tested", pairs_tested)
@@ -260,20 +294,40 @@ def unit_disk_graph_vectorized(
     return graph
 
 
-def _grid_edges(
-    pts: list[Point], radius: float, tol: float
+def _coords(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``x`` and ``y`` coordinates of ``pts`` as float arrays."""
+    n = len(pts)
+    xs = np.fromiter((p.x for p in pts), dtype=np.float64, count=n)
+    ys = np.fromiter((p.y for p in pts), dtype=np.float64, count=n)
+    return xs, ys
+
+
+def _grid_rows(
+    xs: np.ndarray, ys: np.ndarray, radius: float, tol: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Every UDG edge as ``(left, right)`` point ids, in the grid
-    builder's emission order, plus the grid's ``pairs_tested`` count.
+    """CSR rows of the grid builder's graph over the coordinates ``xs,
+    ys`` (see :func:`_neighbor_rows`), plus its ``pairs_tested`` count.
+
+    The edge list dies with this frame, before a caller's
+    Python-object fill allocates its rows.
+    """
+    left, right, pairs_tested = _grid_edges(xs, ys, radius, tol)
+    indptr, nbr = _neighbor_rows(left, right, xs.size)
+    return indptr, nbr, pairs_tested
+
+
+def _grid_edges(
+    xs: np.ndarray, ys: np.ndarray, radius: float, tol: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every UDG edge over the points ``(xs[i], ys[i])`` as ``(left,
+    right)`` point ids, in the grid builder's emission order, plus the
+    grid's ``pairs_tested`` count.
 
     ``left`` is the endpoint the grid builder's scan reaches first
     (its ``add_edge`` first argument).  All numpy temporaries of the
     pair search die with this frame.
     """
-    n = len(pts)
     r_sq = (radius + tol) * (radius + tol)
-    xs = np.fromiter((p.x for p in pts), dtype=np.float64, count=n)
-    ys = np.fromiter((p.y for p in pts), dtype=np.float64, count=n)
     # Bucket exactly as the grid builder does (same float divisions,
     # same floor), then rank occupied cells by first appearance — the
     # iteration order of the grid builder's bucket dict.
@@ -350,7 +404,7 @@ def _grid_edges(
 
 def _neighbor_rows(
     left: np.ndarray, right: np.ndarray, n: int
-) -> tuple[list[int], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """CSR rows of the graph ``add_edge(left[k], right[k])`` for ``k`` in
     order would build: ``(indptr, nbr)`` with node ``i``'s neighbor ids,
     in adjacency insertion order, at ``nbr[indptr[i]:indptr[i + 1]]``.
@@ -366,7 +420,8 @@ def _neighbor_rows(
     src[1::2] = right
     dst[0::2] = right
     dst[1::2] = left
-    indptr = [0, *np.cumsum(np.bincount(src, minlength=n)).tolist()]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     # The stable sort by source, as a plain sort of unique keys (about
     # four times faster than a stable argsort here).
     key = src * entries + np.arange(entries, dtype=np.int64)
@@ -374,7 +429,7 @@ def _neighbor_rows(
     return indptr, dst[key % entries]
 
 
-def _bulk_graph(pts: list[Point], indptr: list[int], nbr: np.ndarray) -> Graph[Point]:
+def _bulk_graph(pts: list[Point], indptr: np.ndarray, nbr: np.ndarray) -> Graph[Point]:
     """The :class:`Graph` with CSR rows ``(indptr, nbr)`` over ``pts``,
     its memoized kernel view seeded from the same rows.
 
@@ -386,6 +441,7 @@ def _bulk_graph(pts: list[Point], indptr: list[int], nbr: np.ndarray) -> Graph[P
     """
     n = len(pts)
     ids = list(range(n))
+    indptr = indptr.tolist()
     indices = np.fromiter(ids, dtype=object, count=n)[nbr].tolist()
     neighbors = np.fromiter(pts, dtype=object, count=n)[nbr].tolist()
     fromkeys = dict.fromkeys

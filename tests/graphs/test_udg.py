@@ -124,6 +124,39 @@ class TestNonFiniteRejected:
             unit_disk_graph([Point(0.0, 0.0), Point(math.nan, 0.0)])
 
 
+class TestCoordinateArrayCheck:
+    """``_check_coords`` (the sampler's validator) agrees with the
+    builders' ``_checked_points`` on every deployment."""
+
+    CASES = {
+        "shared x, distinct y": [(1.0, 0.0), (1.0, 2.0), (1.0, 1.0), (0.5, 0.0)],
+        "duplicate": [(1.0, 0.0), (0.3, 0.2), (1.0, 0.0)],
+        "signed zero duplicate": [(0.0, 1.0), (2.0, 2.0), (-0.0, 1.0)],
+        "nan after inf": [(0.0, 0.0), (math.inf, 1.0), (math.nan, 0.0)],
+        "nan in y": [(0.0, 0.0), (0.5, math.nan)],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_error_as_checked_points(self, case):
+        import numpy as np
+
+        from repro.graphs.udg import _check_coords, _checked_points
+
+        coords = self.CASES[case]
+
+        def outcome(check, arg):
+            try:
+                check(arg)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        expected = outcome(_checked_points, [Point(x, y) for x, y in coords])
+        array = np.array(coords, dtype=np.float64).reshape(-1, 2)
+        assert outcome(_check_coords, array) == expected
+
+
 class TestGridSmallNDispatch:
     def test_small_n_adjacency_is_bit_identical_to_naive(self):
         # Below GRID_SMALL_N the grid builder runs the shared all-pairs
