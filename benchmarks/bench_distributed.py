@@ -12,12 +12,14 @@ import pytest
 
 from repro.distributed import (
     RadioTopology,
+    Simulator,
     build_bfs_tree,
     distributed_greedy_cds,
     distributed_waf_cds,
     elect_leader,
     elect_mis,
 )
+from repro.distributed import engine as engine_module
 from repro.experiments import get_experiment
 from repro.experiments.instances import int_labeled
 from repro.graphs import random_connected_udg
@@ -55,15 +57,18 @@ def test_mis_phase_message_optimality(benchmark):
 
 
 @pytest.mark.parametrize("engine", ["batched", "reference"])
-def test_mis_engine_comparison(benchmark, engine):
+def test_mis_engine_comparison(benchmark, monkeypatch, engine):
     """The PR 8 tentpole on one mid-size fixture: identical metrics,
-    different wall clock."""
+    different wall clock.  The reference oracle is reached by swapping
+    it in for the batched class that ``make_simulator`` builds."""
+    if engine == "reference":
+        monkeypatch.setattr(engine_module, "BatchedSimulator", Simulator)
     g = make_graph(1000, 18.0, 4)
     topo = RadioTopology(g)
-    tree, _ = build_bfs_tree(g, 0, engine=engine, topology=topo)
+    tree, _ = build_bfs_tree(g, 0, topology=topo)
 
     def mis_phase():
-        return elect_mis(g, tree, engine=engine, topology=topo)
+        return elect_mis(g, tree, topology=topo)
 
     mis, metrics = benchmark(mis_phase)
     assert metrics.transmissions == 2 * len(g)

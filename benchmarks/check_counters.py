@@ -32,7 +32,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
+from unittest import mock
 
 # Runnable without PYTHONPATH (the CI jobs call it bare).
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -161,13 +163,27 @@ CASE_MAX_N: dict[str, int] = {
 }
 
 
-def _sim_mis(graph_int, engine: str):
-    """Tree + MIS on one engine over a shared interned topology."""
-    from repro.distributed import RadioTopology, build_bfs_tree, elect_mis
+def _sim_mis(graph_int, reference: bool = False):
+    """Tree + MIS over a shared interned topology: on the batched engine,
+    or with ``reference`` on the reference oracle, swapped in for the
+    batched class that ``make_simulator`` looks up at call time."""
+    from repro.distributed import (
+        RadioTopology,
+        Simulator,
+        build_bfs_tree,
+        elect_mis,
+        engine,
+    )
 
     topo = RadioTopology(graph_int)
-    tree, tree_metrics = build_bfs_tree(graph_int, 0, engine=engine, topology=topo)
-    mis, mis_metrics = elect_mis(graph_int, tree, engine=engine, topology=topo)
+    swap = (
+        mock.patch.object(engine, "BatchedSimulator", Simulator)
+        if reference
+        else nullcontext()
+    )
+    with swap:
+        tree, tree_metrics = build_bfs_tree(graph_int, 0, topology=topo)
+        mis, mis_metrics = elect_mis(graph_int, tree, topology=topo)
     merged = tree_metrics.merge(mis_metrics)
     OBS.incr("bench.sim.rounds", merged.rounds)
     OBS.incr("bench.sim.transmissions", merged.transmissions)
@@ -212,8 +228,8 @@ def _cases(fixture, points, graph):
         "mfold_greedy": lambda: mfold_greedy_cds(graph, m=2),
         "mfold_2conn": lambda: mfold_2conn_cds(graph, m=2),
         "steiner": lambda: steiner_cds(graph),
-        "sim_mis": lambda: _sim_mis(graph, "batched"),
-        "sim_mis_reference": lambda: _sim_mis(graph, "reference"),
+        "sim_mis": lambda: _sim_mis(graph),
+        "sim_mis_reference": lambda: _sim_mis(graph, reference=True),
         "sim_waf_dist": sim_dist(distributed_waf_cds),
         "sim_greedy_dist": sim_dist(distributed_greedy_cds),
     }

@@ -6,14 +6,13 @@ Section III tree-parent connector protocol, and a leader-coordinated
 Section IV max-gain connector protocol — all with message/round
 accounting.
 
-Two round engines share the simulator contract: the per-message
-reference :class:`Simulator` and the scaled
-:class:`~repro.distributed.engine.BatchedSimulator` (per-node inbox
-batching, active-set scheduling, kernel-backed topology) — every
-protocol entry point takes ``engine=`` and all run batched by default
-with bit-identical metrics and outputs.  :func:`simulate_components`
-shards disconnected topologies across worker processes, and the MIS
-election's node-priority order is pluggable via ``priority=`` /
+Every protocol runs on the batched round engine
+(:class:`~repro.distributed.engine.BatchedSimulator`: per-node inbox
+batching, active-set scheduling, kernel-backed topology), built through
+:func:`make_simulator`.  The per-message reference :class:`Simulator`
+stays public as the simple oracle the lockstep equivalence suite pins
+the batched engine against, bit for bit.  The MIS election's
+node-priority order is pluggable via ``priority=`` /
 :func:`make_priority`.
 """
 
@@ -25,13 +24,7 @@ from .simulator import (
     SimMetrics,
     Simulator,
 )
-from .engine import (
-    ENGINES,
-    BatchedSimulator,
-    RoundTelemetry,
-    make_simulator,
-    simulate_components,
-)
+from .engine import BatchedSimulator, make_simulator
 from .leader import LeaderNode, elect_leader
 from .bfs_tree import BFSNode, DistributedTree, build_bfs_tree
 from .mis_protocol import PRIORITIES, MISNode, elect_mis, make_priority
@@ -53,11 +46,8 @@ __all__ = [
     "RadioTopology",
     "SimMetrics",
     "Simulator",
-    "ENGINES",
     "BatchedSimulator",
-    "RoundTelemetry",
     "make_simulator",
-    "simulate_components",
     "LeaderNode",
     "elect_leader",
     "BFSNode",

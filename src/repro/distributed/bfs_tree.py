@@ -68,24 +68,29 @@ def build_bfs_tree(
     graph: Graph,
     root: Hashable,
     *,
-    engine: str = "batched",
     topology: RadioTopology | None = None,
 ) -> tuple[DistributedTree, SimMetrics]:
     """Run the explore wave from ``root``.
 
     Raises:
-        AssertionError: if some node was never reached (disconnected).
+        ValueError: if ``root`` is not a node of ``graph``, or the
+            topology is disconnected (checked on the topology's kernel
+            view before any round runs).
     """
-    sim = make_simulator(
-        graph, lambda v: BFSNode(v, root), engine=engine, topology=topology
-    )
+    topo = topology if topology is not None else RadioTopology(graph)
+    if root not in topo.view:
+        raise ValueError(f"root {root!r} is not a node of the topology")
+    if not topo.view.is_connected():
+        raise ValueError(
+            f"root {root!r} cannot reach every node: topology is disconnected"
+        )
+    sim = make_simulator(graph, lambda v: BFSNode(v, root), topology=topo)
     metrics = sim.run()
     parent: dict = {}
     level: dict = {}
     for proc in sim.processes.values():
         assert isinstance(proc, BFSNode)
-        if proc.level is None:
-            raise AssertionError(f"node {proc.node_id!r} unreachable from root")
+        assert proc.level is not None, f"node {proc.node_id!r} unreachable from root"
         level[proc.node_id] = proc.level
         if proc.parent is not None:
             parent[proc.node_id] = proc.parent

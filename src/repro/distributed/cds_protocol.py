@@ -13,12 +13,15 @@ the BFS tree, and a winner-announcement flood).  Each iteration's
 messages are counted faithfully; the iteration loop itself is driven by
 the test harness the way a real implementation's leader would drive it.
 
-Both pipelines run on the batched engine by default (``engine=``
-selects; see :mod:`repro.distributed.engine`) and intern the topology
-**once**: a single :class:`~repro.distributed.simulator.RadioTopology`
-is threaded through every phase — and, for the greedy, every
-iteration — so the O(V+E) kernel build and receiver-tuple gather are
-paid once per pipeline instead of once per simulator.  The MIS phase's
+Both pipelines run on the batched round engine
+(:mod:`repro.distributed.engine`; the reference engine is a test oracle
+only) and intern the topology **once**: a single
+:class:`~repro.distributed.simulator.RadioTopology` is threaded through
+every phase — and, for the greedy, every iteration — so the O(V+E)
+kernel build and receiver-tuple gather are paid once per pipeline
+instead of once per simulator.  The same topology's kernel view answers
+the connectivity check that rejects a disconnected input before the
+first round.  The MIS phase's
 node-priority order is pluggable end to end (``priority=``, see
 :func:`repro.distributed.mis_protocol.make_priority`).
 """
@@ -118,7 +121,6 @@ def _waf_connector_phase(
     tree: DistributedTree,
     dominators: list,
     *,
-    engine: str = "batched",
     topology: RadioTopology | None = None,
 ) -> tuple[list, SimMetrics]:
     topo = topology if topology is not None else RadioTopology(graph)
@@ -130,7 +132,6 @@ def _waf_connector_phase(
     sim = make_simulator(
         graph,
         lambda v: _WAFConnectorNode(v, tree, dom_set, dom_count[v]),
-        engine=engine,
         topology=topo,
     )
     metrics = sim.run()
@@ -146,17 +147,17 @@ def distributed_waf_cds(
     graph: Graph,
     *,
     priority: "str | Callable[[Hashable], object] | None" = None,
-    engine: str = "batched",
     topology: RadioTopology | None = None,
 ) -> tuple[CDSResult, SimMetrics]:
     """The full distributed WAF pipeline.
 
     Returns the CDS and the merged metrics of all four phases.  One
-    :class:`RadioTopology` is shared by every phase; ``engine`` and
-    ``priority`` select the round engine and the MIS rank order.
+    :class:`RadioTopology` is shared by every phase; ``priority``
+    selects the MIS rank order.
 
     Raises:
-        ValueError / AssertionError: on empty or disconnected input.
+        ValueError: on empty or disconnected input, before any round
+            runs.
     """
     if len(graph) == 1:
         only = next(iter(graph))
@@ -171,14 +172,10 @@ def distributed_waf_cds(
         )
     topo = topology if topology is not None else RadioTopology(graph)
     with trace("distributed.waf"):
-        leader, m1 = elect_leader(graph, engine=engine, topology=topo)
-        tree, m2 = build_bfs_tree(graph, leader, engine=engine, topology=topo)
-        dominators, m3 = elect_mis(
-            graph, tree, priority=priority, engine=engine, topology=topo
-        )
-        connectors, m4 = _waf_connector_phase(
-            graph, tree, dominators, engine=engine, topology=topo
-        )
+        leader, m1 = elect_leader(graph, topology=topo)
+        tree, m2 = build_bfs_tree(graph, leader, topology=topo)
+        dominators, m3 = elect_mis(graph, tree, priority=priority, topology=topo)
+        connectors, m4 = _waf_connector_phase(graph, tree, dominators, topology=topo)
     metrics = m1.merge(m2).merge(m3).merge(m4)
     result = CDSResult(
         algorithm="waf-distributed",
@@ -245,7 +242,6 @@ def flood_min_labels(
     graph: Graph,
     backbone: set,
     *,
-    engine: str = "batched",
     topology: RadioTopology | None = None,
 ) -> tuple[dict, dict, SimMetrics]:
     """Label the components of ``G[backbone]`` by min-id flooding.
@@ -260,7 +256,6 @@ def flood_min_labels(
     sim = make_simulator(
         graph,
         lambda v: _LabelNode(v, v in backbone),
-        engine=engine,
         topology=topology,
     )
     metrics = sim.run()
@@ -316,7 +311,6 @@ def convergecast_max(
     tree: DistributedTree,
     values: dict,
     *,
-    engine: str = "batched",
     topology: RadioTopology | None = None,
 ) -> tuple[tuple, SimMetrics]:
     """Aggregate the maximum of ``values`` up to the root.
@@ -328,7 +322,6 @@ def convergecast_max(
     sim = make_simulator(
         graph,
         lambda v: _ConvergecastNode(v, tree, children, tuple(values[v])),
-        engine=engine,
         topology=topology,
     )
     metrics = sim.run()
@@ -360,14 +353,12 @@ def flood_value(
     origin: Hashable,
     value,
     *,
-    engine: str = "batched",
     topology: RadioTopology | None = None,
 ) -> SimMetrics:
     """Flood ``value`` from ``origin`` to everyone: n transmissions."""
     sim = make_simulator(
         graph,
         lambda v: _FloodNode(v, origin, value),
-        engine=engine,
         topology=topology,
     )
     return sim.run()
@@ -377,7 +368,6 @@ def distributed_greedy_cds(
     graph: Graph,
     *,
     priority: "str | Callable[[Hashable], object] | None" = None,
-    engine: str = "batched",
     topology: RadioTopology | None = None,
 ) -> tuple[CDSResult, SimMetrics]:
     """The Section IV algorithm as a leader-coordinated protocol.
@@ -388,6 +378,10 @@ def distributed_greedy_cds(
     Repeats until one component remains.  The metrics sum every phase
     and iteration; the shared topology makes each iteration's three
     sub-simulations reuse one interned kernel.
+
+    Raises:
+        ValueError: on empty or disconnected input, before any round
+            runs.
     """
     if len(graph) == 1:
         only = next(iter(graph))
@@ -402,11 +396,9 @@ def distributed_greedy_cds(
         )
     topo = topology if topology is not None else RadioTopology(graph)
     with trace("distributed.greedy.setup"):
-        leader, m1 = elect_leader(graph, engine=engine, topology=topo)
-        tree, m2 = build_bfs_tree(graph, leader, engine=engine, topology=topo)
-        dominators, m3 = elect_mis(
-            graph, tree, priority=priority, engine=engine, topology=topo
-        )
+        leader, m1 = elect_leader(graph, topology=topo)
+        tree, m2 = build_bfs_tree(graph, leader, topology=topo)
+        dominators, m3 = elect_mis(graph, tree, priority=priority, topology=topo)
     metrics = m1.merge(m2).merge(m3)
 
     receivers = topo.receivers
@@ -415,9 +407,7 @@ def distributed_greedy_cds(
     iterations = 0
     while True:
         iterations += 1
-        labels, heard, m_label = flood_min_labels(
-            graph, backbone, engine=engine, topology=topo
-        )
+        labels, heard, m_label = flood_min_labels(graph, backbone, topology=topo)
         metrics = metrics.merge(m_label)
         if len(set(labels.values())) <= 1:
             break
@@ -430,13 +420,13 @@ def distributed_greedy_cds(
                 seen = {labels[u] for u in nbrs if u in backbone}
                 values[v] = (max(0, len(seen) - 1), v)
         (best_gain, winner), m_conv = convergecast_max(
-            graph, tree, values, engine=engine, topology=topo
+            graph, tree, values, topology=topo
         )
         metrics = metrics.merge(m_conv)
         if best_gain < 1:
             raise AssertionError("no positive gain but backbone disconnected")
         metrics = metrics.merge(
-            flood_value(graph, tree.root, winner, engine=engine, topology=topo)
+            flood_value(graph, tree.root, winner, topology=topo)
         )
         backbone.add(winner)
         connectors.append(winner)

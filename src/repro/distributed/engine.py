@@ -1,4 +1,4 @@
-"""The batched round engine: the simulator's hot loop at 10⁴–10⁵ nodes.
+"""The round engine every protocol runs on: batched, active-set.
 
 The reference :class:`~repro.distributed.simulator.Simulator` is the
 semantic baseline but pays three per-round taxes that dominate at
@@ -32,13 +32,10 @@ bit-identical (pinned by the randomized lockstep suite in
   adjacency membership), and one ``Context`` per node is reused for
   every callback.
 
-:func:`simulate_components` adds the orthogonal axis: independent
-connected components share no messages, so they shard across
-:func:`repro.experiments.parallel.parallel_map` worker processes and
-their metrics merge deterministically with
-:meth:`~repro.distributed.simulator.SimMetrics.merge_parallel`
-(rounds max, message work summed — the totals of one whole-topology
-run, whatever ``jobs`` is).
+:func:`make_simulator` is the protocols' one construction point.  It
+always builds a :class:`BatchedSimulator`; the reference engine is a
+test oracle only, which the lockstep suite reaches by swapping this
+module's ``BatchedSimulator`` name for ``Simulator``.
 """
 
 from __future__ import annotations
@@ -57,103 +54,7 @@ from .simulator import (
     Simulator,
 )
 
-__all__ = [
-    "ENGINES",
-    "RoundTelemetry",
-    "BatchedSimulator",
-    "make_simulator",
-    "simulate_components",
-]
-
-#: Valid ``engine=`` arguments of the protocol entry points.
-ENGINES = ("batched", "reference")
-
-
-class RoundTelemetry:
-    """Opt-in per-round telemetry for :class:`BatchedSimulator`.
-
-    When attached (``telemetry=`` on the engine or
-    :func:`make_simulator`), the engine reports one sample per sampled
-    round: the **active-node count** (nodes that got a tick), the
-    **messages delivered** this round, and the **queue depth** left for
-    the next round.  ``every=k`` samples rounds ``1, 1+k, 1+2k, ...``
-    so long simulations pay O(rounds / k) bookkeeping; detached, the
-    engine pays a single ``is not None`` check per round — comfortably
-    inside the existing ≤5% disabled-overhead budget.
-
-    Samples accumulate in :attr:`samples`; when a
-    :class:`~repro.obs.core.Registry` is supplied, each sample also
-    feeds the ``sim.round.active`` / ``sim.round.delivered`` /
-    ``sim.round.queue`` histograms and the ``sim.round.sampled``
-    counter (docs/observability.md §7), so round telemetry merges and
-    exports like every other metric.  :meth:`write` replays the samples
-    as a ``repro.obs/metrics-snapshot/v1`` JSONL stream — one line per
-    sample, raw values in ``extra`` — viewable with
-    ``python -m repro obs tail``.
-    """
-
-    __slots__ = ("every", "registry", "samples", "rounds_seen")
-
-    def __init__(self, every: int = 1, registry=None):
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        self.every = every
-        self.registry = registry
-        self.samples: list[dict] = []
-        self.rounds_seen = 0
-
-    def record(self, round_no: int, *, active: int, delivered: int,
-               queued: int) -> None:
-        """Called by the engine once per round; samples every ``k``-th."""
-        self.rounds_seen += 1
-        if (round_no - 1) % self.every:
-            return
-        sample = {
-            "round": round_no,
-            "active": active,
-            "delivered": delivered,
-            "queue": queued,
-        }
-        self.samples.append(sample)
-        registry = self.registry
-        if registry is not None:
-            registry.observe("sim.round.active", active)
-            registry.observe("sim.round.delivered", delivered)
-            registry.observe("sim.round.queue", queued)
-            registry.incr("sim.round.sampled")
-
-    def snapshot_registry(self):
-        """A fresh registry holding the ``sim.round.*`` view of the
-        accumulated samples (independent of :attr:`registry`)."""
-        from ..obs.core import Registry
-
-        registry = Registry()
-        for sample in self.samples:
-            registry.observe("sim.round.active", sample["active"])
-            registry.observe("sim.round.delivered", sample["delivered"])
-            registry.observe("sim.round.queue", sample["queue"])
-            registry.incr("sim.round.sampled")
-        return registry
-
-    def write(self, path, *, source: str = "sim") -> int:
-        """Replay the samples as a metrics-snapshot/v1 JSONL stream.
-
-        One line per sample, with the cumulative ``sim.round.*``
-        registry state up to that round and the raw per-round values in
-        ``extra``.  Returns the number of lines written.
-        """
-        from ..obs.core import Registry
-        from ..obs.expose import SnapshotStream
-
-        registry = Registry()
-        with SnapshotStream(path, source=source) as stream:
-            for sample in self.samples:
-                registry.observe("sim.round.active", sample["active"])
-                registry.observe("sim.round.delivered", sample["delivered"])
-                registry.observe("sim.round.queue", sample["queue"])
-                registry.incr("sim.round.sampled")
-                stream.write(registry, extra=sample)
-        return len(self.samples)
+__all__ = ["BatchedSimulator", "make_simulator"]
 
 
 class BatchedSimulator:
@@ -172,14 +73,12 @@ class BatchedSimulator:
         *,
         topology: RadioTopology | None = None,
         record_rounds: bool = False,
-        telemetry: RoundTelemetry | None = None,
     ):
         self.graph = graph
         self.topology = topology if topology is not None else RadioTopology(graph)
         self.processes: dict[Hashable, NodeProcess] = {
             v: factory(v) for v in graph.nodes()
         }
-        self.telemetry = telemetry
         self.metrics = SimMetrics()
         self.round = 0
         self.round_log: list[tuple[int, int]] | None = (
@@ -212,7 +111,6 @@ class BatchedSimulator:
         metrics = self.metrics
         order_of = self.topology.order_of
         ordered = list(processes)  # dense-id order == dict order
-        telemetry = self.telemetry
         node_rounds = 0
         deliver_batches = 0
         for node_id, proc in processes.items():
@@ -264,15 +162,6 @@ class BatchedSimulator:
                 active = sorted(senders, key=order_of.__getitem__)
             for node_id in active:
                 processes[node_id].on_round(contexts[node_id])
-            if telemetry is not None:
-                # queued = messages the callbacks just produced for the
-                # next round; delivered/active describe this round.
-                telemetry.record(
-                    self.round,
-                    active=len(senders),
-                    delivered=receptions,
-                    queued=len(queue),
-                )
             if self.round_log is not None:
                 self.round_log.append(
                     (metrics.transmissions, metrics.receptions)
@@ -288,124 +177,16 @@ def make_simulator(
     graph: Graph,
     factory: Callable[[Hashable], NodeProcess],
     *,
-    engine: str = "batched",
     topology: RadioTopology | None = None,
     record_rounds: bool = False,
-    telemetry: RoundTelemetry | None = None,
-) -> "BatchedSimulator | Simulator":
-    """Build the requested engine over ``graph`` — the protocols' seam.
+) -> BatchedSimulator:
+    """Build the round engine over ``graph`` — the protocols' seam.
 
-    ``engine`` is ``"batched"`` (default: the scaled engine) or
-    ``"reference"`` (the per-message baseline).  Results are
-    bit-identical either way; the choice is purely a performance —
-    and, for the equivalence suite, a cross-checking — decision.
-    ``telemetry`` attaches a :class:`RoundTelemetry` sampler (batched
-    engine only — the reference engine is the minimal semantic
-    baseline and stays uninstrumented).
-
-    Raises:
-        ValueError: on an unknown engine name, or ``telemetry`` with
-            the reference engine.
+    Every protocol entry point constructs its simulator here.  The
+    class is looked up at call time, so a test can substitute the
+    reference :class:`~repro.distributed.simulator.Simulator` and run
+    the same pipelines on the oracle.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine != "batched":
-        if telemetry is not None:
-            raise ValueError("telemetry= requires the batched engine")
-        return Simulator(
-            graph, factory, topology=topology, record_rounds=record_rounds
-        )
     return BatchedSimulator(
-        graph,
-        factory,
-        topology=topology,
-        record_rounds=record_rounds,
-        telemetry=telemetry,
+        graph, factory, topology=topology, record_rounds=record_rounds
     )
-
-
-def _component_worker(
-    task: tuple[Graph, Callable, Callable, str, int],
-):
-    """Run one component's simulation in (possibly) a worker process.
-
-    Module-level so :func:`repro.experiments.parallel.parallel_map` can
-    pickle it; the factory and extractor must be picklable too when
-    ``jobs > 1`` (module-level functions or ``functools.partial``).
-    """
-    subgraph, factory, extract, engine, max_rounds = task
-    sim = make_simulator(subgraph, factory, engine=engine)
-    metrics = sim.run(max_rounds=max_rounds)
-    result = extract(sim) if extract is not None else None
-    return result, metrics
-
-
-def simulate_components(
-    graph: Graph,
-    factory: Callable[[Hashable], NodeProcess],
-    *,
-    extract: Callable[[Any], Any] | None = None,
-    jobs: int = 1,
-    engine: str = "batched",
-    topology: RadioTopology | None = None,
-    max_rounds: int = 10_000,
-) -> tuple[list, SimMetrics]:
-    """Shard one protocol run across connected components.
-
-    Components exchange no messages, so each is its own simulation;
-    with ``jobs > 1`` they spread over
-    :func:`repro.experiments.parallel.parallel_map` worker processes.
-    Determinism is preserved end to end: components are enumerated in
-    first-node order, results come back in input order whatever the
-    scheduling, and the per-component metrics merge with
-    :meth:`SimMetrics.merge_parallel` — so the returned totals are
-    bit-identical to one simulator running the whole topology, and to
-    the ``jobs=1`` serial loop.
-
-    Args:
-        graph: the (possibly disconnected) communication topology.
-        factory: per-node process factory, as for the engines; must be
-            picklable for ``jobs > 1``.
-        extract: optional per-component reducer called with the
-            finished simulator in the worker; its (picklable) return
-            value lands in the result list.  ``None`` records ``None``
-            per component.
-        jobs: worker processes (``<= 1`` runs serial in-process).
-        engine: ``"batched"`` or ``"reference"``, per component.
-        topology: optional prebuilt :class:`RadioTopology` of ``graph``
-            (used for component discovery; per-component simulators
-            intern their own subgraph either way).
-        max_rounds: per-component round cap.
-
-    Returns:
-        ``(results, metrics)`` — one extracted result per component in
-        first-node order, and the parallel-merged metrics.
-    """
-    from ..experiments.parallel import parallel_map
-
-    topo = topology if topology is not None else RadioTopology(graph)
-    view = topo.view
-    components = view.connected_components()
-    if len(components) <= 1:
-        sim = make_simulator(graph, factory, engine=engine, topology=topo)
-        metrics = sim.run(max_rounds=max_rounds)
-        result = extract(sim) if extract is not None else None
-        return [result], metrics
-    tasks = [
-        (
-            graph.subgraph([view.node_at(i) for i in comp]),
-            factory,
-            extract,
-            engine,
-            max_rounds,
-        )
-        for comp in components
-    ]
-    outcomes = parallel_map(_component_worker, tasks, jobs=jobs)
-    results = [result for result, _ in outcomes]
-    merged = SimMetrics()
-    for _, metrics in outcomes:
-        merged = merged.merge_parallel(metrics)
-    if OBS.enabled:
-        OBS.incr("sim.components.sharded", len(components))
-    return results, merged

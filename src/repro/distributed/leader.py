@@ -51,23 +51,21 @@ class LeaderNode(NodeProcess):
 def elect_leader(
     graph: Graph,
     *,
-    engine: str = "batched",
     topology: RadioTopology | None = None,
 ) -> tuple[Hashable, SimMetrics]:
     """Run flood-min on ``graph``; return the leader and the metrics.
 
     Raises:
-        ValueError: if the graph is empty.
-        AssertionError: if more than one node believes it leads — only
-            possible on a disconnected topology.
+        ValueError: if the graph is empty or disconnected (checked on
+            the topology's kernel view before any round runs).
     """
     if len(graph) == 0:
         raise ValueError("cannot elect a leader on an empty graph")
-    sim = make_simulator(graph, LeaderNode, engine=engine, topology=topology)
+    topo = topology if topology is not None else RadioTopology(graph)
+    if not topo.view.is_connected():
+        raise ValueError("topology is disconnected: no single leader to elect")
+    sim = make_simulator(graph, LeaderNode, topology=topo)
     metrics = sim.run()
     leaders = [p.node_id for p in sim.processes.values() if p.is_leader]  # type: ignore[attr-defined]
-    if len(leaders) != 1:
-        raise AssertionError(
-            f"{len(leaders)} self-declared leaders; topology disconnected?"
-        )
+    assert len(leaders) == 1, f"{len(leaders)} self-declared leaders"
     return leaders[0], metrics

@@ -92,7 +92,6 @@ def luby_mis(
     graph: Graph,
     seed: int = 0,
     *,
-    engine: str = "batched",
     topology: RadioTopology | None = None,
 ) -> tuple[list, SimMetrics]:
     """Run Luby's algorithm; return the MIS (sorted) and run metrics.
@@ -101,9 +100,7 @@ def luby_mis(
     continuous distribution (collisions have probability ~0; a replay
     with another seed resolves the astronomically unlikely tie).
     """
-    sim = make_simulator(
-        graph, lambda v: LubyNode(v, seed), engine=engine, topology=topology
-    )
+    sim = make_simulator(graph, lambda v: LubyNode(v, seed), topology=topology)
     metrics = sim.run()
     mis = []
     for proc in sim.processes.values():

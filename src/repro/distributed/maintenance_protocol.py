@@ -89,7 +89,6 @@ def distributed_join(
     joiner: Hashable,
     backbone: frozenset,
     *,
-    engine: str = "batched",
     topology: RadioTopology | None = None,
 ) -> tuple[frozenset, SimMetrics]:
     """Run the join-repair protocol.
@@ -113,7 +112,6 @@ def distributed_join(
     sim = make_simulator(
         graph,
         lambda v: _JoinNode(v, joiner, frozenset(backbone)),
-        engine=engine,
         topology=topology,
     )
     metrics = sim.run()

@@ -149,7 +149,6 @@ def elect_mis(
     tree: DistributedTree,
     *,
     priority: "str | Callable[[Hashable], object] | None" = None,
-    engine: str = "batched",
     topology: RadioTopology | None = None,
 ) -> tuple[list[Hashable], SimMetrics]:
     """Run the MIS election over an already-built BFS tree.
@@ -161,7 +160,6 @@ def elect_mis(
         graph: the topology.
         tree: the BFS tree whose levels anchor the rank.
         priority: node-priority order — see :func:`make_priority`.
-        engine: round engine, ``"batched"`` (default) or ``"reference"``.
         topology: optional shared :class:`RadioTopology` of ``graph``.
 
     Raises:
@@ -174,7 +172,6 @@ def elect_mis(
     sim = make_simulator(
         graph,
         lambda v: MISNode(v, rank_of[v], len(receivers[v])),
-        engine=engine,
         topology=topo,
     )
     metrics = sim.run()

@@ -16,17 +16,16 @@ Protocols subclass :class:`NodeProcess` and react to ``on_start`` /
 ``on_message`` / ``on_round`` — or the batch callback ``on_messages``,
 which receives a node's whole per-round inbox at once (the default
 implementation falls back to per-message ``on_message``, so existing
-protocols run unchanged on every engine).  Two engines share this
+protocols run unchanged on either engine).  Two engines share this
 module's contract:
 
+* :class:`~repro.distributed.engine.BatchedSimulator` — the engine
+  every protocol runs on (``distributed/engine.py``): per-node inbox
+  batching plus an active set so idle nodes cost nothing.
 * :class:`Simulator` — the reference engine: delivers message by
   message and ticks ``on_round`` on every node every round.  Simple,
-  and the semantic baseline the equivalence suite pins the batched
-  engine against.
-* :class:`~repro.distributed.engine.BatchedSimulator` — the scaled
-  engine (``distributed/engine.py``): per-node inbox batching plus an
-  active-set so idle nodes cost nothing.  Bit-identical metrics and
-  protocol outputs; 10⁴–10⁵-node runs are its reason to exist.
+  and kept as the test oracle the lockstep equivalence suite pins the
+  batched engine against (bit-identical metrics and protocol outputs).
 
 Both run until quiescence (no messages in flight and no node asked to
 stay active) or a round cap, and record :class:`SimMetrics`.  Topology
@@ -95,24 +94,6 @@ class SimMetrics:
         )
         return merged
 
-    def merge_parallel(self, other: "SimMetrics") -> "SimMetrics":
-        """Combined metrics of *concurrently*-run partitions.
-
-        Independent connected components execute simultaneously in the
-        synchronous model, so time is the maximum of the parts while
-        message work still sums — exactly the totals one simulator
-        running the whole (disconnected) topology would record.  Used
-        by :func:`repro.distributed.engine.simulate_components` to merge
-        per-component shards deterministically.
-        """
-        merged = SimMetrics(
-            rounds=max(self.rounds, other.rounds),
-            transmissions=self.transmissions + other.transmissions,
-            receptions=self.receptions + other.receptions,
-            by_kind=self.by_kind + other.by_kind,
-        )
-        return merged
-
 
 class RadioTopology:
     """One topology, interned once, shared by every phase and engine.
@@ -132,9 +113,9 @@ class RadioTopology:
       iteration order; the batched engine sorts its active set by it so
       callback order matches the reference engine's dict order.
 
-    Build one per topology and pass it to every simulator of a
-    multi-phase pipeline (``Simulator(graph, factory, topology=topo)``)
-    to pay the O(V+E) interning once instead of once per phase.
+    Build one per topology and pass it as ``topology=`` to every
+    simulator of a multi-phase pipeline to pay the O(V+E) interning
+    once instead of once per phase.
     """
 
     __slots__ = ("graph", "view", "receivers", "order_of", "_nbr_sets")

@@ -48,10 +48,9 @@ def _run_pipeline(
     pipeline: Callable,
     algorithm: str,
     priority: "str | None",
-    engine: str,
 ) -> CDSResult:
     relabeled, back = _int_relabeled(graph)
-    result, metrics = pipeline(relabeled, priority=priority, engine=engine)
+    result, metrics = pipeline(relabeled, priority=priority)
     meta = dict(result.meta)
     if "leader" in meta:
         meta["leader"] = back[meta["leader"]]
@@ -59,7 +58,6 @@ def _run_pipeline(
         sim_rounds=metrics.rounds,
         sim_transmissions=metrics.transmissions,
         sim_receptions=metrics.receptions,
-        engine=engine,
         priority=priority or "bfs-rank",
     )
     return CDSResult(
@@ -71,27 +69,25 @@ def _run_pipeline(
     )
 
 
-def waf_dist_cds(graph: Graph, *, engine: str = "batched") -> CDSResult:
+def waf_dist_cds(graph: Graph) -> CDSResult:
     """The full distributed WAF pipeline as a registry solver."""
-    return _run_pipeline(graph, distributed_waf_cds, "waf-dist", None, engine)
+    return _run_pipeline(graph, distributed_waf_cds, "waf-dist", None)
 
 
-def waf_dist_degree_cds(graph: Graph, *, engine: str = "batched") -> CDSResult:
+def waf_dist_degree_cds(graph: Graph) -> CDSResult:
     """Distributed WAF under the ``"degree"`` MIS priority."""
-    return _run_pipeline(
-        graph, distributed_waf_cds, "waf-dist-degree", "degree", engine
-    )
+    return _run_pipeline(graph, distributed_waf_cds, "waf-dist-degree", "degree")
 
 
-def greedy_dist_cds(graph: Graph, *, engine: str = "batched") -> CDSResult:
+def greedy_dist_cds(graph: Graph) -> CDSResult:
     """The leader-coordinated greedy pipeline as a registry solver."""
-    return _run_pipeline(graph, distributed_greedy_cds, "greedy-dist", None, engine)
+    return _run_pipeline(graph, distributed_greedy_cds, "greedy-dist", None)
 
 
-def greedy_dist_degree_cds(graph: Graph, *, engine: str = "batched") -> CDSResult:
+def greedy_dist_degree_cds(graph: Graph) -> CDSResult:
     """Distributed greedy under the ``"degree"`` MIS priority."""
     return _run_pipeline(
-        graph, distributed_greedy_cds, "greedy-dist-degree", "degree", engine
+        graph, distributed_greedy_cds, "greedy-dist-degree", "degree"
     )
 
 

@@ -89,7 +89,6 @@ def run_traffic(
     flows: Sequence[tuple[Hashable, Hashable]],
     max_rounds: int = 10_000,
     *,
-    engine: str = "batched",
     topology: RadioTopology | None = None,
 ) -> TrafficStats:
     """Transport one packet per flow over the backbone.
@@ -117,7 +116,7 @@ def run_traffic(
         expected_receiver[packet_id] = target
 
     sim = make_simulator(
-        graph, lambda v: _RelayNode(v, initial[v]), engine=engine, topology=topology
+        graph, lambda v: _RelayNode(v, initial[v]), topology=topology
     )
     metrics = sim.run(max_rounds=max_rounds)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.distributed import build_bfs_tree
 from repro.graphs import Graph, bfs_tree as centralized_bfs_tree
+from repro.obs import OBS
 
 
 class TestDistributedBFS:
@@ -47,8 +48,16 @@ class TestDistributedBFS:
 
     def test_unreachable_node_detected(self):
         g = Graph(edges=[(0, 1)], nodes=[2])
-        with pytest.raises(AssertionError):
-            build_bfs_tree(g, 0)
+        with OBS.capture() as registry:
+            with pytest.raises(ValueError, match="disconnected"):
+                build_bfs_tree(g, 0)
+        assert registry.counters() == {}
+
+    def test_unknown_root_rejected(self, path5):
+        with OBS.capture() as registry:
+            with pytest.raises(ValueError, match="root 99 is not a node"):
+                build_bfs_tree(path5, 99)
+        assert registry.counters() == {}
 
     def test_rank(self, path5):
         tree, _ = build_bfs_tree(path5, 0)

@@ -1,5 +1,7 @@
 """Unit tests for the end-to-end distributed CDS pipelines."""
 
+import pytest
+
 from repro.distributed import (
     build_bfs_tree,
     convergecast_max,
@@ -8,7 +10,9 @@ from repro.distributed import (
     flood_min_labels,
     flood_value,
 )
+from repro.distributed.solvers import greedy_dist_cds, waf_dist_cds
 from repro.graphs import Graph, is_maximal_independent_set
+from repro.obs import OBS
 
 
 def labeled_udg(fixture):
@@ -105,3 +109,16 @@ class TestDistributedGreedy:
     def test_single_node(self):
         result, _ = distributed_greedy_cds(Graph(nodes=[0]))
         assert result.size == 1
+
+
+class TestDisconnectedInput:
+    @pytest.mark.parametrize(
+        "solve",
+        [distributed_waf_cds, distributed_greedy_cds, waf_dist_cds, greedy_dist_cds],
+    )
+    def test_rejected_before_any_round(self, solve):
+        g = Graph(edges=[(0, 1), (2, 3)])
+        with OBS.capture() as registry:
+            with pytest.raises(ValueError, match="disconnected"):
+                solve(g)
+        assert "sim.runs" not in registry.counters()

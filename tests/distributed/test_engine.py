@@ -3,17 +3,16 @@
 import pytest
 
 from repro.distributed import (
-    ENGINES,
     BatchedSimulator,
-    Context,
-    Message,
     NodeProcess,
     RadioTopology,
     SimMetrics,
     Simulator,
+    build_bfs_tree,
+    elect_mis,
     make_simulator,
-    simulate_components,
 )
+from repro.obs import OBS
 from repro.graphs import Graph
 from repro.graphs.backend import adjacency_rows, build_kernel
 
@@ -30,19 +29,37 @@ class Echo(NodeProcess):
         self.heard.append((message.sender, message.kind))
 
 
+#: Both engines, for the contract tests that must hold on each.
+ENGINE_CLASSES = (BatchedSimulator, Simulator)
+
+
+def _captured_tree_and_mis(graph):
+    with OBS.capture() as registry:
+        tree, _ = build_bfs_tree(graph, 0)
+        elect_mis(graph, tree)
+    return registry.counters()
+
+
 class TestMakeSimulator:
-    def test_engine_selection(self, path5):
+    def test_engine_selection(self, path5, reference_engine):
         assert isinstance(make_simulator(path5, Echo), BatchedSimulator)
-        assert isinstance(
-            make_simulator(path5, Echo, engine="reference"), Simulator
-        )
+        with reference_engine():
+            assert isinstance(make_simulator(path5, Echo), Simulator)
+        assert isinstance(make_simulator(path5, Echo), BatchedSimulator)
 
-    def test_unknown_engine_rejected(self, path5):
-        with pytest.raises(ValueError, match="unknown engine"):
-            make_simulator(path5, Echo, engine="warp")
-
-    def test_engines_constant(self):
-        assert ENGINES == ("batched", "reference")
+    def test_oracle_swap_reaches_the_protocols(self, path5, reference_engine):
+        # Without the swap the protocols run batched: the batched engine
+        # is the only one that records sim.batch.* counters.
+        batched = _captured_tree_and_mis(path5)
+        assert batched["sim.rounds"] > 0
+        assert batched["sim.batch.node_rounds"] > 0
+        assert batched["sim.batch.deliver_batches"] > 0
+        # Under the swap they run on the reference engine, so a lockstep
+        # comparison really compares two engines.
+        with reference_engine():
+            reference = _captured_tree_and_mis(path5)
+        assert reference["sim.rounds"] == batched["sim.rounds"]
+        assert not [name for name in reference if name.startswith("sim.batch.")]
 
 
 class TestBatchDelivery:
@@ -155,10 +172,10 @@ class TestActiveSet:
             def on_round(self, ctx):
                 ticks.append((ctx.round, self.node_id))
 
-        for engine in ENGINES:
+        for engine in ENGINE_CLASSES:
             ticks.clear()
             g = Graph(edges=[(0, 1)])
-            make_simulator(g, Sticky, engine=engine).run()
+            engine(g, Sticky).run()
             # Node 1 hears the poke in round 1 and stays active, so it
             # must still get an on_round tick in round 2 even though
             # the round began by re-arming the request set.
@@ -172,9 +189,9 @@ class TestActiveSet:
             def on_round(self, ctx):
                 ctx.broadcast("spam")
 
-        for engine in ENGINES:
+        for engine in ENGINE_CLASSES:
             with pytest.raises(RuntimeError, match="did not quiesce"):
-                make_simulator(path5, Chatty, engine=engine).run(max_rounds=10)
+                engine(path5, Chatty).run(max_rounds=10)
 
 
 class TestContextReuse:
@@ -201,9 +218,9 @@ class TestContextReuse:
                 if self.node_id == 0:
                     ctx.send(4, "ping")
 
-        for engine in ENGINES:
+        for engine in ENGINE_CLASSES:
             with pytest.raises(ValueError, match="cannot reach"):
-                make_simulator(path5, Bad, engine=engine).run()
+                engine(path5, Bad).run()
 
     def test_is_neighbor(self, path5):
         probes = {}
@@ -226,8 +243,8 @@ class TestRadioTopology:
 
     def test_shared_topology_across_engines(self, path5):
         topo = RadioTopology(path5)
-        m1 = make_simulator(path5, Echo, engine="batched", topology=topo).run()
-        m2 = make_simulator(path5, Echo, engine="reference", topology=topo).run()
+        m1 = BatchedSimulator(path5, Echo, topology=topo).run()
+        m2 = Simulator(path5, Echo, topology=topo).run()
         assert m1 == m2
 
     def test_can_reach(self, path5):
@@ -265,43 +282,3 @@ class TestMetricsMerge:
         assert m.by_kind == {"x": 5, "y": 7}
         # Inputs untouched.
         assert a.rounds == 2 and b.by_kind["y"] == 7
-
-    def test_merge_parallel_takes_max_rounds(self):
-        a = SimMetrics(rounds=2, transmissions=3, receptions=4)
-        b = SimMetrics(rounds=5, transmissions=7, receptions=1)
-        m = a.merge_parallel(b)
-        assert (m.rounds, m.transmissions, m.receptions) == (5, 10, 5)
-
-
-def _extract_heard(sim):
-    return sorted(
-        (p.node_id, len(p.heard)) for p in sim.processes.values()
-    )
-
-
-class TestSimulateComponents:
-    def test_matches_whole_topology_run(self):
-        # Two components: a triangle and an edge.
-        g = Graph(edges=[(0, 1), (1, 2), (0, 2), (10, 11)])
-        results, merged = simulate_components(g, Echo, extract=_extract_heard)
-        whole = BatchedSimulator(g, Echo)
-        whole_metrics = whole.run()
-        assert merged == whole_metrics
-        assert [h for r in results for h in r] == _extract_heard(whole)
-
-    def test_single_component_short_circuits(self, path5):
-        results, merged = simulate_components(path5, Echo, extract=_extract_heard)
-        assert len(results) == 1
-        assert merged == BatchedSimulator(path5, Echo).run()
-
-    def test_parallel_jobs_bit_identical(self):
-        g = Graph(edges=[(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (8, 9)])
-        serial = simulate_components(g, Echo, extract=_extract_heard, jobs=1)
-        parallel = simulate_components(g, Echo, extract=_extract_heard, jobs=3)
-        assert serial == parallel
-
-    def test_reference_engine_shards_identically(self):
-        g = Graph(edges=[(0, 1), (1, 2), (3, 4)])
-        b = simulate_components(g, Echo, extract=_extract_heard)
-        r = simulate_components(g, Echo, extract=_extract_heard, engine="reference")
-        assert b == r

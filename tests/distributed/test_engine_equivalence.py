@@ -1,9 +1,10 @@
 """Randomized engine-equivalence suite: batched vs reference, lockstep.
 
 The correctness spine of the batched round engine, in the style of the
-kernel-equivalence suites of PRs 2/3/7: every protocol runs on both
-engines over randomized connected topologies, and the comparison is
-*per-round* — ``record_rounds=True`` captures the running
+kernel-equivalence suites of PRs 2/3/7: every protocol runs on the
+batched engine and, inside the ``reference_engine`` fixture's swap, on
+the reference oracle over randomized connected topologies, and the
+comparison is *per-round* — ``record_rounds=True`` captures the running
 (transmissions, receptions) totals after each round, so a divergence
 pinpoints the first round where the schedules differ rather than just
 the final totals.
@@ -58,55 +59,60 @@ SEEDS = range(12)
 
 class TestLockstepProtocols:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_full_pipelines_bit_identical(self, seed):
+    def test_full_pipelines_bit_identical(self, seed, reference_engine):
         rng = random.Random(seed)
         g = random_connected_graph(rng, rng.randrange(2, 40))
 
-        leader_r, ml_r = elect_leader(g, engine="reference")
-        leader_b, ml_b = elect_leader(g, engine="batched")
+        with reference_engine():
+            leader_r, ml_r = elect_leader(g)
+        leader_b, ml_b = elect_leader(g)
         assert (leader_r, ml_r) == (leader_b, ml_b)
 
-        tree_r, mt_r = build_bfs_tree(g, leader_r, engine="reference")
-        tree_b, mt_b = build_bfs_tree(g, leader_b, engine="batched")
+        with reference_engine():
+            tree_r, mt_r = build_bfs_tree(g, leader_r)
+        tree_b, mt_b = build_bfs_tree(g, leader_b)
         assert (tree_r.parent, tree_r.level, mt_r) == (
             tree_b.parent,
             tree_b.level,
             mt_b,
         )
 
-        waf_r, mw_r = distributed_waf_cds(g, engine="reference")
-        waf_b, mw_b = distributed_waf_cds(g, engine="batched")
+        with reference_engine():
+            waf_r, mw_r = distributed_waf_cds(g)
+        waf_b, mw_b = distributed_waf_cds(g)
         assert waf_r.nodes == waf_b.nodes
         assert waf_r.dominators == waf_b.dominators
         assert sorted(waf_r.connectors) == sorted(waf_b.connectors)
         assert mw_r == mw_b
 
-        greedy_r, mg_r = distributed_greedy_cds(g, engine="reference")
-        greedy_b, mg_b = distributed_greedy_cds(g, engine="batched")
+        with reference_engine():
+            greedy_r, mg_r = distributed_greedy_cds(g)
+        greedy_b, mg_b = distributed_greedy_cds(g)
         assert greedy_r.nodes == greedy_b.nodes
         assert greedy_r.connectors == greedy_b.connectors
         assert mg_r == mg_b
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("priority", [None, "degree"])
-    def test_mis_all_priorities(self, seed, priority):
+    def test_mis_all_priorities(self, seed, priority, reference_engine):
         rng = random.Random(seed)
         g = random_connected_graph(rng, rng.randrange(2, 40))
         tree, _ = build_bfs_tree(g, 0)
-        mis_r, m_r = elect_mis(g, tree, priority=priority, engine="reference")
-        mis_b, m_b = elect_mis(g, tree, priority=priority, engine="batched")
+        with reference_engine():
+            mis_r, m_r = elect_mis(g, tree, priority=priority)
+        mis_b, m_b = elect_mis(g, tree, priority=priority)
         assert (mis_r, m_r) == (mis_b, m_b)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_luby_bit_identical(self, seed):
+    def test_luby_bit_identical(self, seed, reference_engine):
         rng = random.Random(1000 + seed)
         g = random_connected_graph(rng, rng.randrange(2, 30))
-        assert luby_mis(g, seed=seed, engine="reference") == luby_mis(
-            g, seed=seed, engine="batched"
-        )
+        with reference_engine():
+            reference = luby_mis(g, seed=seed)
+        assert reference == luby_mis(g, seed=seed)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_traffic_bit_identical(self, seed):
+    def test_traffic_bit_identical(self, seed, reference_engine):
         rng = random.Random(2000 + seed)
         n = rng.randrange(4, 25)
         g = random_connected_graph(rng, n)
@@ -114,8 +120,9 @@ class TestLockstepProtocols:
         flows = [
             (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(1, 8))
         ]
-        s_r = run_traffic(g, sorted(backbone.nodes), flows, engine="reference")
-        s_b = run_traffic(g, sorted(backbone.nodes), flows, engine="batched")
+        with reference_engine():
+            s_r = run_traffic(g, sorted(backbone.nodes), flows)
+        s_b = run_traffic(g, sorted(backbone.nodes), flows)
         assert (s_r.delivered, s_r.mean_delay, s_r.max_delay, s_r.max_queue) == (
             s_b.delivered,
             s_b.mean_delay,
@@ -125,7 +132,7 @@ class TestLockstepProtocols:
         assert s_r.metrics == s_b.metrics
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_join_repair_bit_identical(self, seed):
+    def test_join_repair_bit_identical(self, seed, reference_engine):
         rng = random.Random(3000 + seed)
         n = rng.randrange(4, 25)
         g = random_connected_graph(rng, n)
@@ -136,12 +143,9 @@ class TestLockstepProtocols:
             g2.add_edge(u, v)
         for u in rng.sample(range(n), rng.randrange(1, min(4, n))):
             g2.add_edge(joiner, u)
-        out_r = distributed_join(
-            g2, joiner, frozenset(backbone.nodes), engine="reference"
-        )
-        out_b = distributed_join(
-            g2, joiner, frozenset(backbone.nodes), engine="batched"
-        )
+        with reference_engine():
+            out_r = distributed_join(g2, joiner, frozenset(backbone.nodes))
+        out_b = distributed_join(g2, joiner, frozenset(backbone.nodes))
         assert out_r == out_b
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.distributed import elect_leader
 from repro.graphs import Graph
+from repro.obs import OBS
 
 
 class TestLeaderElection:
@@ -26,8 +27,11 @@ class TestLeaderElection:
 
     def test_disconnected_detected(self):
         g = Graph(edges=[(0, 1)], nodes=[2])
-        with pytest.raises(AssertionError):
-            elect_leader(g)
+        with OBS.capture() as registry:
+            with pytest.raises(ValueError, match="disconnected"):
+                elect_leader(g)
+        # Rejected before round 1: no simulation ran at all.
+        assert registry.counters() == {}
 
     def test_rounds_bounded_by_diameter_plus_constant(self, path5):
         _, metrics = elect_leader(path5)
