@@ -51,11 +51,9 @@ from repro.experiments.parallel import parallel_map  # noqa: E402
 from repro.graphs import random_connected_udg  # noqa: E402
 from repro.graphs.backend import build_kernel  # noqa: E402
 from repro.graphs.udg import (  # noqa: E402
-    GRID_VECTOR_N,
     Point,
     unit_disk_graph,
     unit_disk_graph_naive,
-    unit_disk_graph_vectorized,
 )
 from repro.mis.first_fit import first_fit_mis_nodes  # noqa: E402
 from repro.obs import OBS  # noqa: E402
@@ -105,7 +103,6 @@ CASE_NAMES = (
     "generate",
     "udg_build_naive",
     "udg_build_grid",
-    "udg_build_vector",
     "mis_indexed",
     "mis_bitset",
     "mis_array",
@@ -130,12 +127,9 @@ CASE_NAMES = (
 #: it the case is dropped from the fixture.  The naive builder is
 #: quadratic; the interpreted greedy tracker and the Steiner solver
 #: are superlinear-in-practice beyond 10^4; the bitset kernel's masks
-#: cost n^2/8 bytes (125 GB at 10^6); the default builder IS the
-#: vectorized path at GRID_VECTOR_N and up, so the ``grid`` case stops
-#: where its name stops being true.  Absent means unlimited.
+#: cost n^2/8 bytes (125 GB at 10^6).  Absent means unlimited.
 CASE_MAX_N: dict[str, int] = {
     "udg_build_naive": 1999,
-    "udg_build_grid": GRID_VECTOR_N - 1,
     "mis_indexed": 100_000,
     "mis_bitset": 100_000,
     "waf": 100_000,
@@ -207,7 +201,6 @@ def _cases(fixture, points, graph):
         "generate": lambda: random_connected_udg(*FIXTURES[fixture])[1],
         "udg_build_naive": lambda: unit_disk_graph_naive(points),
         "udg_build_grid": lambda: unit_disk_graph(points),
-        "udg_build_vector": lambda: unit_disk_graph_vectorized(points),
         "mis_indexed": lambda: first_fit_mis_nodes(
             graph, index=build_kernel(graph, "indexed")
         ),

@@ -1126,8 +1126,7 @@ def _solve_main(argv: Sequence[str]) -> int:
 
     from .analysis.ratios import estimate_gamma_c
     from .cds.prune import prune_result
-    from .graphs.generators import largest_component_udg
-    from .graphs.traversal import is_connected
+    from .graphs.traversal import connected_components, is_connected
     from .graphs.udg import unit_disk_graph
     from .io import load_points, save_result
     from .obs import OBS
@@ -1151,12 +1150,15 @@ def _solve_main(argv: Sequence[str]) -> int:
         print(f"invalid deployment: {exc}", file=sys.stderr)
         return 2
     if not is_connected(graph):
-        kept, graph = largest_component_udg(points)
+        # A CDS needs a connected network: solving a component instead
+        # would silently change the instance.
+        sizes = [len(c) for c in connected_components(graph)]
         print(
-            f"note: deployment disconnected; using the largest component "
-            f"({len(graph)} of {len(points)} nodes)",
+            f"invalid deployment: disconnected into {len(sizes)} components "
+            f"(the largest has {max(sizes)} of {len(graph)} nodes)",
+            file=sys.stderr,
         )
-        points = kept
+        return 2
 
     solver = solvers[args.algorithm]
     solver_kwargs = {}

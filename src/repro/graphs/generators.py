@@ -19,22 +19,20 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..geometry.point import EPS, Point
-from ..obs import OBS, trace
+from ..obs import OBS
 from .array import gather_rows
 from .graph import Graph
 from .traversal import connected_components
 from .traversal import is_connected  # noqa: F401 - perfbench's traced runs wrap it here
 from .udg import (
     GRID_SMALL_N,
-    GRID_VECTOR_N,
-    _bulk_graph,
     _check_coords,
-    _checked_points,
     _coords,
+    _dense_rows,
     _grid_edges,
-    _grid_rows,
     _neighbor_rows,
     _pair_adjacency,
+    _udg_graph,
     unit_disk_graph,
 )
 
@@ -208,9 +206,7 @@ def _connected_rows(
         leaves = np.flatnonzero(degree == 1)
         if n > 2 and (degree[adj[leaves].argmax(axis=1)] == 1).any():
             return None
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degree, out=indptr[1:])
-        nbr = np.flatnonzero(adj) % n
+        indptr, nbr = _dense_rows(adj, degree)
         pairs_tested = n * (n - 1) // 2
     else:
         left, right, pairs_tested = _grid_edges(xs, ys, 1.0, EPS)
@@ -222,33 +218,6 @@ def _connected_rows(
     if not _spans_all(indptr, nbr):
         return None
     return indptr, nbr, pairs_tested
-
-
-def _accepted_graph(
-    pts: list[Point],
-    xs: np.ndarray,
-    ys: np.ndarray,
-    rows: tuple[np.ndarray, np.ndarray, int],
-) -> Graph[Point]:
-    """The graph ``unit_disk_graph(pts)`` builds, from the accepted
-    draw's test rows, with that builder's span and counters.
-
-    The test's rows are the builder's own below :data:`GRID_SMALL_N`
-    (all-pairs order) and at :data:`DENSE_TEST_N` and up (grid order).
-    In between the builder emits in grid order, so the grid pair search
-    runs once, for this draw.
-    """
-    n = len(pts)
-    builder = "vector" if n >= GRID_VECTOR_N else "grid"
-    with trace(f"udg.{builder}.build"):
-        if GRID_SMALL_N <= n < DENSE_TEST_N:
-            rows = _grid_rows(xs, ys, 1.0, EPS)
-        indptr, nbr, pairs_tested = rows
-        graph = _bulk_graph(pts, indptr, nbr)
-    if OBS.enabled:
-        OBS.incr(f"udg.{builder}.pairs_tested", pairs_tested)
-        OBS.incr(f"udg.{builder}.edges_emitted", graph.edge_count())
-    return graph
 
 
 def random_connected_udg(
@@ -274,15 +243,15 @@ def random_connected_udg(
     tested for connectivity on coordinate arrays.  ``Point`` objects
     (default path) and the ``Graph`` are made for the accepted draw
     only: on a 2-vCPU VM a draw costs 0.12 ms on average at ``n = 60``
-    (0.67 ms as a full UDG build), 0.60 ms at 150 (2.3) and 3.2 ms at
-    1000 (16.7).
+    (0.6-0.7 ms as a full ``unit_disk_graph`` build and connectivity
+    test), 0.60 ms at 150 (1.2-1.4) and 3.2 ms at 1000 (7-10).
     The result is what drawing ``uniform_points(n, side, rng)`` (or
     calling ``point_factory(n, side, rng)``) until ``is_connected(
     unit_disk_graph(pts))`` would return: the same points, the same
     adjacency insertion order and the same ``rng`` state afterwards.
 
     When :data:`repro.obs.OBS` is enabled the accepted build reports
-    the ``udg.grid.*`` (``udg.vector.*``) span and counters
+    the ``udg.grid.build`` span and ``udg.grid.*`` counters
     ``unit_disk_graph`` would, and the sampler counts
     ``generate.draws`` (deployments drawn) and ``generate.rejected``
     (drawn and not returned: disconnected, or invalid and raised on).
@@ -294,17 +263,24 @@ def random_connected_udg(
             draws += 1
             if point_factory is None:
                 coords = _uniform_coords(n, side, rng)
-                _check_coords(coords)
                 xs, ys = coords[:, 0], coords[:, 1]
+                _check_coords(xs, ys)
             else:
-                pts = _checked_points(point_factory(n, side, rng))
+                pts = list(point_factory(n, side, rng))
                 xs, ys = _coords(pts)
+                _check_coords(xs, ys, pts)
             rows = _connected_rows(xs, ys)
             if rows is None:
                 continue
             if point_factory is None:
                 pts = _points(coords)
-            graph = _accepted_graph(pts, xs, ys, rows)
+            # The test's rows are the builder's own below GRID_SMALL_N
+            # (all-pairs order) and from DENSE_TEST_N up (grid order);
+            # in between the builder emits in grid order, so its rows
+            # are computed once, for this draw.
+            if GRID_SMALL_N <= n < DENSE_TEST_N:
+                rows = None
+            graph = _udg_graph(pts, xs, ys, rows=rows)
             accepted = 1
             return pts, graph
         raise ValueError(

@@ -13,8 +13,8 @@ queries, induced subgraphs and iteration in deterministic order.
 
 A graph also memoizes one kernel view of itself: the
 :class:`~repro.graphs.indexed.IndexedGraph` that
-:meth:`IndexedGraph.from_graph` builds (or that a bulk builder such as
-:func:`repro.graphs.udg.unit_disk_graph_vectorized` seeds) is kept in
+:meth:`IndexedGraph.from_graph` builds (or that
+:func:`repro.graphs.udg.unit_disk_graph` seeds from its own rows) is kept in
 the ``_index`` slot, so the connectivity check, the solver's kernel
 build and result validation all share one interning pass.  The
 invalidation contract: every mutator clears the memo, and copies and

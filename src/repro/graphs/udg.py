@@ -5,17 +5,21 @@ transmission radii normalized to one: nodes are planar points, and two
 nodes are adjacent iff their Euclidean distance is at most one
 (Section I of the paper).
 
-Two builders are provided: the obvious quadratic one and a
-grid-bucketed one that only tests pairs in neighboring buckets —
-expected linear time for bounded-density deployments, which is what
-makes the larger benchmark sweeps feasible.  A quasi-UDG variant
-(edges certain below an inner radius, absent above 1, arbitrary —
-here: pseudorandom — in between) is included for robustness
-experiments, since real radios are not perfect disks.
+:func:`unit_disk_graph` is the one exact builder.  It tests pairs on
+coordinate arrays: all pairs at once below :data:`GRID_SMALL_N` nodes,
+and from there up only pairs in neighboring grid buckets — expected
+linear time for bounded-density deployments, which is what makes the
+larger benchmark sweeps feasible.  :func:`unit_disk_graph_naive`, the
+obvious quadratic loop, is kept as the edge-set oracle the tests check
+it against.  A quasi-UDG variant (edges certain below an inner radius,
+absent above 1, arbitrary — here: pseudorandom — in between) is
+included for robustness experiments, since real radios are not perfect
+disks.
 
 Every builder rejects duplicate points (two radios at identical
 coordinates collapse into one UDG node, corrupting size accounting) and
-non-finite coordinates, and, when :data:`repro.obs.OBS` is enabled,
+non-finite coordinates, through the one validator
+:func:`_check_coords`, and, when :data:`repro.obs.OBS` is enabled,
 reports ``udg.<builder>.pairs_tested`` vs ``udg.<builder>.edges_emitted``
 — the quantities that make the naive-vs-grid trade-off measurable
 instead of folklore.
@@ -23,8 +27,7 @@ instead of folklore.
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,38 +39,24 @@ from .indexed import IndexedGraph
 __all__ = [
     "unit_disk_graph",
     "unit_disk_graph_naive",
-    "unit_disk_graph_vectorized",
     "quasi_unit_disk_graph",
-    "communication_radius_graph",
 ]
 
-#: Below this node count the grid builder dispatches to the all-pairs
-#: scan: the bucket machinery (hashing cell keys, neighbor lookups)
-#: costs more than the pair tests it avoids (the historical
-#: ``BENCH_baseline.json`` measured grid ~1.4x slower than naive at
-#: n=20; the two cross over around n≈30 at benchmark densities).
+#: Below this node count :func:`unit_disk_graph` tests all pairs at
+#: once and emits each adjacency row in ascending id order (the
+#: all-pairs order, as :func:`unit_disk_graph_naive`); from here up it
+#: buckets and emits rows in the grid scan's order.  The cutoff fixes
+#: that row order, which downstream traversals depend on — not the
+#: speed.
 GRID_SMALL_N = 32
 
-#: At and above this node count :func:`unit_disk_graph` dispatches to
-#: :func:`unit_disk_graph_vectorized`: per-pair interpreted loops stop
-#: being viable around the same size the array kernel takes over
-#: solving (:data:`repro.graphs.backend.ARRAY_AUTO_N`), and the
-#: vectorized builder's numpy setup is amortized well before that.
-GRID_VECTOR_N = 20000
-
-#: The half-neighborhood the grid builder scans (each unordered cell
-#: pair visited once); the vectorized builder replays the same buckets
-#: in the same order.
+#: The half-neighborhood the grid scan visits from each bucket (each
+#: unordered bucket pair once), in scan order.
 _GRID_DIRECTIONS = ((1, -1), (1, 0), (1, 1), (0, 1))
 
 
 def _all_pairs_scan(pts: list[Point], graph: Graph[Point], r_sq: float) -> None:
-    """Add every edge with squared distance at most ``r_sq``; O(n^2).
-
-    The one scan both exact builders share below :data:`GRID_SMALL_N`,
-    so their outputs there are bit-identical including adjacency
-    insertion order.
-    """
+    """Add every edge with squared distance at most ``r_sq``; O(n^2)."""
     add_edge = graph.add_edge
     for i in range(len(pts) - 1):
         pi = pts[i]
@@ -79,15 +68,22 @@ def _all_pairs_scan(pts: list[Point], graph: Graph[Point], r_sq: float) -> None:
                 add_edge(pi, pj)
 
 
+def _checked(points: Iterable[Point]) -> list[Point]:
+    """The deployment as a list, validated by :func:`_check_coords`."""
+    pts = list(points)
+    _check_coords(*_coords(pts), pts)
+    return pts
+
+
 def unit_disk_graph_naive(
-    points: Sequence[Point], radius: float = 1.0, tol: float = EPS
+    points: Iterable[Point], radius: float = 1.0, tol: float = EPS
 ) -> Graph[Point]:
     """UDG by testing all pairs.  O(n^2); the reference implementation.
 
     Duplicate points are rejected, exactly as in :func:`unit_disk_graph`
     — the two builders promise identical behaviour on every input.
     """
-    pts = _checked_points(points)
+    pts = _checked(points)
     graph: Graph[Point] = Graph(nodes=pts)
     r_sq = (radius + tol) * (radius + tol)
     with trace("udg.naive.build"):
@@ -100,120 +96,115 @@ def unit_disk_graph_naive(
 
 
 def unit_disk_graph(
-    points: Sequence[Point], radius: float = 1.0, tol: float = EPS
+    points: Iterable[Point], radius: float = 1.0, tol: float = EPS
 ) -> Graph[Point]:
-    """UDG via grid bucketing: only pairs in adjacent buckets are tested.
+    """The UDG over ``points``: an edge for every pair at distance at
+    most ``radius`` (plus ``tol``); the edge set of
+    :func:`unit_disk_graph_naive`.
 
-    Buckets have side ``radius``, so any edge's endpoints lie in the
-    same or neighboring buckets.  Produces a graph identical to
-    :func:`unit_disk_graph_naive` (tests assert this); expected time is
-    linear in ``n`` for bounded density.  Below :data:`GRID_SMALL_N`
-    nodes the builder dispatches to the all-pairs scan — same trace and
-    counter names (with truthful all-pairs values), and output there is
-    bit-identical to the naive builder's, adjacency order included.
-
-    At and above :data:`GRID_VECTOR_N` nodes the builder dispatches to
-    :func:`unit_disk_graph_vectorized` — bit-identical output again
-    (node order, adjacency order, everything), with the pair testing
-    done in numpy instead of per-pair interpreted loops.
+    Pairs are tested on coordinate arrays (:func:`_udg_rows`): all at
+    once below :data:`GRID_SMALL_N` nodes, where the output is
+    bit-identical to the naive builder's, adjacency order included;
+    from there up only pairs in neighboring buckets of side ``radius``
+    — expected time linear in ``n`` for bounded density — with each
+    adjacency row in grid scan order (:func:`_grid_edges`).  The
+    graph's memoized :class:`~repro.graphs.indexed.IndexedGraph` view
+    is seeded from the same rows (:func:`_bulk_graph`).  An
+    instrumented run records one ``udg.grid.build`` span and the
+    ``udg.grid.*`` counters at every ``n``.
 
     Duplicate points are rejected: two radios at the same coordinates
     would be a single node in the UDG model and silently merging them
     corrupts size accounting.  So are non-finite coordinates, which no
     radio can have and which no distance test would ever connect.
     """
-    if len(points) >= GRID_VECTOR_N:
-        return unit_disk_graph_vectorized(points, radius, tol)
-    pts = _checked_points(points)
-    graph: Graph[Point] = Graph(nodes=pts)
+    pts = list(points)
+    xs, ys = _coords(pts)
+    _check_coords(xs, ys, pts)
     if radius <= 0.0:
-        return graph
-    r_sq = (radius + tol) * (radius + tol)
-    counting = OBS.enabled
-    n = len(pts)
-    if n < GRID_SMALL_N:
-        with trace("udg.grid.build"):
-            _all_pairs_scan(pts, graph, r_sq)
-        if counting:
-            OBS.incr("udg.grid.pairs_tested", n * (n - 1) // 2)
-            OBS.incr("udg.grid.edges_emitted", graph.edge_count())
-        return graph
-    pairs_tested = 0
+        return Graph(nodes=pts)
+    return _udg_graph(pts, xs, ys, radius, tol)
+
+
+def _udg_graph(
+    pts: list[Point],
+    xs: np.ndarray,
+    ys: np.ndarray,
+    radius: float = 1.0,
+    tol: float = EPS,
+    rows: tuple[np.ndarray, np.ndarray, int] | None = None,
+) -> Graph[Point]:
+    """:func:`unit_disk_graph`'s graph over the validated ``pts`` (at
+    coordinates ``xs, ys``), with its span and counters.
+
+    ``rows`` are the :func:`_udg_rows` of the same coordinates when the
+    caller already has them; otherwise they are computed inside the
+    span.
+    """
     with trace("udg.grid.build"):
-        floor = math.floor
-        buckets: dict[tuple[int, int], list[Point]] = {}
-        setdefault = buckets.setdefault
-        for p in pts:
-            setdefault(
-                (int(floor(p.x / radius)), int(floor(p.y / radius))), []
-            ).append(p)
-        add_edge = graph.add_edge
-        bucket_get = buckets.get
-        for (bx, by), cell in buckets.items():
-            # Within-cell pairs.
-            m = len(cell)
-            if counting:
-                pairs_tested += m * (m - 1) // 2
-            for i in range(m - 1):
-                pi = cell[i]
-                pix, piy = pi.x, pi.y
-                for j in range(i + 1, m):
-                    pj = cell[j]
-                    dx, dy = pix - pj.x, piy - pj.y
-                    if dx * dx + dy * dy <= r_sq:
-                        add_edge(pi, pj)
-            # Cross-cell pairs: scan half the neighbors to visit each
-            # unordered cell pair once.
-            for ox, oy in _GRID_DIRECTIONS:
-                other = bucket_get((bx + ox, by + oy))
-                if not other:
-                    continue
-                if counting:
-                    pairs_tested += m * len(other)
-                for p in cell:
-                    px, py = p.x, p.y
-                    for q in other:
-                        dx, dy = px - q.x, py - q.y
-                        if dx * dx + dy * dy <= r_sq:
-                            add_edge(p, q)
-    if counting:
+        if rows is None:
+            rows = _udg_rows(xs, ys, radius, tol)
+        indptr, nbr, pairs_tested = rows
+        graph = _bulk_graph(pts, indptr, nbr)
+    if OBS.enabled:
         OBS.incr("udg.grid.pairs_tested", pairs_tested)
         OBS.incr("udg.grid.edges_emitted", graph.edge_count())
     return graph
 
 
-def _checked_points(points: Sequence[Point]) -> list[Point]:
-    """Materialize and validate a deployment: duplicates and non-finite
-    coordinates are errors.
+def _udg_rows(
+    xs: np.ndarray, ys: np.ndarray, radius: float, tol: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """CSR rows of :func:`unit_disk_graph`'s graph over ``(xs[i],
+    ys[i])`` (see :func:`_neighbor_rows`), plus its ``pairs_tested``:
+    dense all-pairs rows below :data:`GRID_SMALL_N`, grid scan rows
+    from there up."""
+    n = xs.size
+    if n < GRID_SMALL_N:
+        adj = _pair_adjacency(xs, ys, radius, tol)
+        return (*_dense_rows(adj, adj.sum(axis=1)), n * (n - 1) // 2)
+    # The edge list dies with this frame, before the caller's
+    # Python-object fill allocates its rows.
+    left, right, pairs_tested = _grid_edges(xs, ys, radius, tol)
+    return (*_neighbor_rows(left, right, n), pairs_tested)
 
-    Shared by every builder so their input contract is identical (see
-    ``docs/usage.md`` §1).
+
+def _dense_rows(
+    adj: np.ndarray, degree: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR rows of the boolean adjacency matrix ``adj`` whose row sums
+    are ``degree``: each row in ascending id order, which is the order
+    the all-pairs scan emits."""
+    n = degree.size
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    return indptr, np.flatnonzero(adj) % max(n, 1)
+
+
+def _check_coords(
+    xs: np.ndarray, ys: np.ndarray, pts: Sequence[Point] | None = None
+) -> None:
+    """Validate a deployment given as coordinate arrays: non-finite
+    coordinates and duplicate points raise ``ValueError``.
+
+    The one input check of every builder and of the deployment sampler
+    (see ``docs/usage.md`` §1).  The first non-finite point in input
+    order is named — ``pts[i]`` itself when the caller has the points,
+    else rebuilt from its coordinates — so no ``Point`` is made unless
+    one is reported.
     """
-    pts = list(points)
-    isfinite = math.isfinite
-    for p in pts:
-        if not (isfinite(p.x) and isfinite(p.y)):
-            raise ValueError(f"non-finite coordinates in UDG input: {p!r}")
-    if len(set(pts)) != len(pts):
-        raise ValueError("duplicate points in UDG input")
-    return pts
-
-
-def _check_coords(coords: np.ndarray) -> None:
-    """:func:`_checked_points`' contract on an ``(n, 2)`` coordinate
-    array: the same errors, with the same messages, for the same
-    deployments — and no ``Point`` made unless one is reported."""
-    if not np.isfinite(coords).all():
-        first = int(np.isfinite(coords).all(axis=1).argmin())
-        p = Point(*coords[first].tolist())
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        first = int((np.isfinite(xs) & np.isfinite(ys)).argmin())
+        p = pts[first] if pts is not None else Point(float(xs[first]), float(ys[first]))
         raise ValueError(f"non-finite coordinates in UDG input: {p!r}")
     # Equal points (== per coordinate, so 0.0 and -0.0 agree, as in a
     # set of Points) share an x and sort next to each other; random
     # deployments almost never share an x, so sort by x alone first.
-    xs = np.sort(coords[:, 0])
-    if (xs[1:] == xs[:-1]).any():
-        ordered = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
-        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+    sorted_xs = np.sort(xs)
+    if (sorted_xs[1:] == sorted_xs[:-1]).any():
+        order = np.lexsort((ys, xs))
+        ox, oy = xs[order], ys[order]
+        if ((ox[1:] == ox[:-1]) & (oy[1:] == oy[:-1])).any():
             raise ValueError("duplicate points in UDG input")
 
 
@@ -237,63 +228,6 @@ def _pair_adjacency(
     return adj
 
 
-def unit_disk_graph_vectorized(
-    points: Sequence[Point],
-    radius: float = 1.0,
-    tol: float = EPS,
-) -> Graph[Point]:
-    """UDG built with vectorized pair testing; bit-identical to the grid.
-
-    The builder the 10⁴–10⁶-node deployments need: the same grid
-    bucketing as :func:`unit_disk_graph`, but with every per-pair step
-    executed as numpy array operations instead of interpreted loops.
-    The output is **bit-identical** to the grid builder's at every size
-    — node order, adjacency insertion order, everything — because the
-    builder reconstructs the grid's exact edge emission order: it
-    enumerates candidate pairs in ``(emitting bucket's first-appearance
-    rank, scan phase, position of each endpoint in its bucket)`` order —
-    the scan phase being within-cell (0) or the index of the cross-cell
-    direction in :data:`_GRID_DIRECTIONS` (1–4) — which is precisely the
-    order the grid builder's nested loops emit.  The hypothesis suite in
-    ``tests/graphs/test_udg_vectorized.py`` pins the equivalence.
-
-    Nothing is replayed through :meth:`Graph.add_edge`: the edges
-    become each node's insertion-ordered neighbor row in numpy (see
-    :func:`_neighbor_rows`), the adjacency dicts are filled a row at a
-    time, and the same rows seed the graph's memoized
-    :class:`~repro.graphs.indexed.IndexedGraph` view, so the
-    connectivity check, the solver's kernel build and validation never
-    intern the topology again.
-
-    Counters (``udg.vector.pairs_tested`` — the bucket pairs the grid
-    scan *would* test, computed from bucket sizes — and
-    ``udg.vector.edges_emitted``) describe the same candidate economy
-    as the grid builder's.
-
-    Raises:
-        ValueError: on duplicate points or non-finite coordinates.
-    """
-    pts = _checked_points(points)
-    n = len(pts)
-    if radius <= 0.0 or n < GRID_SMALL_N:
-        graph: Graph[Point] = Graph(nodes=pts)
-        if radius <= 0.0:
-            return graph
-        with trace("udg.vector.build"):
-            _all_pairs_scan(pts, graph, (radius + tol) * (radius + tol))
-        if OBS.enabled:
-            OBS.incr("udg.vector.pairs_tested", n * (n - 1) // 2)
-            OBS.incr("udg.vector.edges_emitted", graph.edge_count())
-        return graph
-    with trace("udg.vector.build"):
-        indptr, nbr, pairs_tested = _grid_rows(*_coords(pts), radius, tol)
-        graph = _bulk_graph(pts, indptr, nbr)
-    if OBS.enabled:
-        OBS.incr("udg.vector.pairs_tested", pairs_tested)
-        OBS.incr("udg.vector.edges_emitted", graph.edge_count())
-    return graph
-
-
 def _coords(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
     """The ``x`` and ``y`` coordinates of ``pts`` as float arrays."""
     n = len(pts)
@@ -302,35 +236,30 @@ def _coords(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _grid_rows(
-    xs: np.ndarray, ys: np.ndarray, radius: float, tol: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """CSR rows of the grid builder's graph over the coordinates ``xs,
-    ys`` (see :func:`_neighbor_rows`), plus its ``pairs_tested`` count.
-
-    The edge list dies with this frame, before a caller's
-    Python-object fill allocates its rows.
-    """
-    left, right, pairs_tested = _grid_edges(xs, ys, radius, tol)
-    indptr, nbr = _neighbor_rows(left, right, xs.size)
-    return indptr, nbr, pairs_tested
-
-
 def _grid_edges(
     xs: np.ndarray, ys: np.ndarray, radius: float, tol: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Every UDG edge over the points ``(xs[i], ys[i])`` as ``(left,
-    right)`` point ids, in the grid builder's emission order, plus the
-    grid's ``pairs_tested`` count.
+    right)`` point ids, in grid scan order, plus the scan's
+    ``pairs_tested`` count.
 
-    ``left`` is the endpoint the grid builder's scan reaches first
-    (its ``add_edge`` first argument).  All numpy temporaries of the
-    pair search die with this frame.
+    The grid scan puts each point, in input order, into the bucket
+    ``(floor(x / radius), floor(y / radius))``, so any edge's endpoints
+    lie in the same or neighboring buckets.  It visits the buckets in
+    order of first appearance; from each it tests the bucket's own
+    pairs (scan phase 0; ``i < j`` by position in the bucket), then its
+    product with each existing neighbor bucket in the directions of
+    :data:`_GRID_DIRECTIONS` (phases 1-4; bucket point outer, neighbor
+    point inner).  Here the candidate pairs are enumerated in exactly
+    that order — sorted by ``(emitting bucket's rank, phase, position
+    of each endpoint in its bucket)`` — and tested in numpy in one
+    batch.  ``left`` is the endpoint the scan reaches first; the count
+    is the pairs the scan tests, computed from bucket sizes.  All numpy
+    temporaries of the pair search die with this frame.
     """
     r_sq = (radius + tol) * (radius + tol)
-    # Bucket exactly as the grid builder does (same float divisions,
-    # same floor), then rank occupied cells by first appearance — the
-    # iteration order of the grid builder's bucket dict.
+    # Bucket (one float division and floor per coordinate), then rank
+    # occupied cells by first appearance — the scan's bucket order.
     cx = np.floor(xs / radius).astype(np.int64)
     cy = np.floor(ys / radius).astype(np.int64)
     cx -= cx.min()
@@ -364,7 +293,7 @@ def _grid_edges(
         pair_b.append(rank_of[loc[found]])
         pair_phase.append(np.full(int(found.sum()), phase, dtype=np.int64))
     # In scan order — by emitting bucket rank, then phase — so that the
-    # expansion below enumerates candidates in the grid builder's
+    # expansion below enumerates candidates in the grid scan's
     # emission order: bucket pair, then each endpoint's position in its
     # bucket (the nested loop indices).  Every (rank, phase) key is
     # unique, so any sort gives this order.
@@ -452,19 +381,8 @@ def _bulk_graph(pts: list[Point], indptr: np.ndarray, nbr: np.ndarray) -> Graph[
     return Graph._adopt(adj, index)  # noqa: SLF001 - same-package bulk path
 
 
-def communication_radius_graph(
-    points: Sequence[Point], radius: float
-) -> Graph[Point]:
-    """UDG with an explicit (non-unit) communication radius.
-
-    Equivalent to rescaling coordinates; provided because the examples
-    speak in meters rather than normalized units.
-    """
-    return unit_disk_graph(points, radius=radius)
-
-
 def quasi_unit_disk_graph(
-    points: Sequence[Point],
+    points: Iterable[Point],
     inner_radius: float = 0.75,
     outer_radius: float = 1.0,
     seed: int = 0,
@@ -484,7 +402,7 @@ def quasi_unit_disk_graph(
     """
     if not (0.0 < inner_radius <= outer_radius):
         raise ValueError("need 0 < inner_radius <= outer_radius")
-    pts = _checked_points(points)
+    pts = _checked(points)
     graph: Graph[Point] = Graph(nodes=pts)
     inner_sq = inner_radius * inner_radius
     outer_sq = (outer_radius + EPS) * (outer_radius + EPS)

@@ -8,8 +8,6 @@ import pytest
 
 from repro.geometry import Point
 from repro.graphs import (
-    generators,
-    udg,
     chain_points,
     clustered_points,
     corridor_points,
@@ -210,21 +208,6 @@ class TestSamplerObservability:
         assert {k: v for k, v in counters.items() if k.startswith("udg.")} == oracle
         assert counters["generate.draws"] - counters["generate.rejected"] == 1
         assert builds == 1  # rejected draws are not UDG builds
-
-    def test_vector_tier_reports_vector_counters(self, monkeypatch):
-        # Shrink the vector tier so a small deployment reaches it.
-        monkeypatch.setattr(udg, "GRID_VECTOR_N", 100)
-        monkeypatch.setattr(generators, "GRID_VECTOR_N", 100)
-        pts, _ = oracle_connected_udg(150, 8.0, random.Random(5))
-        with OBS.capture() as reg:
-            unit_disk_graph(pts)
-            oracle = reg.counters()
-        assert "udg.vector.pairs_tested" in oracle
-        with OBS.capture() as reg:
-            sampled, graph = random_connected_udg(150, 8.0, seed=5)
-            counters = reg.counters()
-        assert sampled == pts
-        assert {k: v for k, v in counters.items() if k.startswith("udg.")} == oracle
 
     def test_counts_every_draw_on_exhaustion(self):
         with OBS.capture() as reg:

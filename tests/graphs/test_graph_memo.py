@@ -23,7 +23,7 @@ from repro.graphs import Graph, IndexedGraph
 from repro.graphs.backend import build_kernel
 from repro.graphs.generators import uniform_points
 from repro.graphs.traversal import bfs_order, is_connected
-from repro.graphs.udg import unit_disk_graph, unit_disk_graph_vectorized
+from repro.graphs.udg import unit_disk_graph
 
 node_ids = st.integers(min_value=0, max_value=11)
 
@@ -170,7 +170,7 @@ class TestMemo:
             same_graph(clone, graph)
 
     def test_builder_seeded_graph_pickles_without_its_view(self):
-        graph = unit_disk_graph_vectorized(uniform_points(200, 9.0, 4))
+        graph = unit_disk_graph(uniform_points(200, 9.0, 4))
         assert graph._index is not None
         clone = pickle.loads(pickle.dumps(graph))
         assert clone._index is None

@@ -7,11 +7,10 @@ import pytest
 
 from repro.geometry import Point
 from repro.graphs import (
-    communication_radius_graph,
     quasi_unit_disk_graph,
+    random_connected_udg,
     unit_disk_graph,
     unit_disk_graph_naive,
-    unit_disk_graph_vectorized,
     uniform_points,
 )
 
@@ -90,9 +89,21 @@ class TestUnitDiskGraph:
 BUILDERS = (
     unit_disk_graph,
     unit_disk_graph_naive,
-    unit_disk_graph_vectorized,
     quasi_unit_disk_graph,
 )
+
+
+class TestOneShotIterable:
+    @pytest.mark.parametrize("builder", BUILDERS, ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("n", (20, 60))
+    def test_iterator_builds_the_same_graph(self, builder, n):
+        # A generator has no len(): every builder materializes first.
+        pts = uniform_points(n, 5.0, seed=n)
+        from_iter = builder(iter(pts))
+        from_list = builder(pts)
+        assert list(from_iter.nodes()) == pts
+        for p in pts:
+            assert from_iter.neighbors(p) == from_list.neighbors(p)
 
 
 class TestNonFiniteRejected:
@@ -106,13 +117,12 @@ class TestNonFiniteRejected:
             builder(pts)
 
     @pytest.mark.parametrize(
-        "builder", (unit_disk_graph, unit_disk_graph_vectorized),
-        ids=lambda b: b.__name__,
+        "builder", (unit_disk_graph,), ids=lambda b: b.__name__,
     )
     def test_rejected_on_the_bucketed_paths(self, builder):
-        # Above GRID_SMALL_N, where the grid buckets by floor(x) and the
-        # vectorized builder casts floor(x) to int64: a NaN must stop
-        # at the input check, not reach either (no RuntimeWarning).
+        # Above GRID_SMALL_N, where the builder casts floor(x) to int64:
+        # a NaN must stop at the input check, not reach the bucketing
+        # (no RuntimeWarning).
         pts = uniform_points(60, 5.0, seed=2) + [Point(math.nan, 1.0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -123,10 +133,18 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError, match=r"Point\(x=nan, y=0\.0\)"):
             unit_disk_graph([Point(0.0, 0.0), Point(math.nan, 0.0)])
 
+    @pytest.mark.parametrize("builder", BUILDERS, ids=lambda b: b.__name__)
+    def test_message_names_the_point_as_given(self, builder):
+        # The input Point itself, int coordinate included, not its
+        # float coordinates.
+        with pytest.raises(ValueError, match=r"Point\(x=0, y=nan\)$"):
+            builder([Point(1, 1), Point(0, math.nan)])
+
 
 class TestCoordinateArrayCheck:
-    """``_check_coords`` (the sampler's validator) agrees with the
-    builders' ``_checked_points`` on every deployment."""
+    """Every builder and the deployment sampler validate through one
+    coordinate-array check, which raises exactly the errors the former
+    per-``Point`` check (``_checked_points``) raised."""
 
     CASES = {
         "shared x, distinct y": [(1.0, 0.0), (1.0, 2.0), (1.0, 1.0), (0.5, 0.0)],
@@ -137,24 +155,39 @@ class TestCoordinateArrayCheck:
         "empty": [],
     }
 
+    #: The error message per case (``None``: the input is valid).
+    MESSAGES = {
+        "shared x, distinct y": None,
+        "duplicate": "duplicate points in UDG input",
+        "signed zero duplicate": "duplicate points in UDG input",
+        "nan after inf": "non-finite coordinates in UDG input: Point(x=inf, y=1.0)",
+        "nan in y": "non-finite coordinates in UDG input: Point(x=0.5, y=nan)",
+        "empty": None,
+    }
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_same_error_as_checked_points(self, case):
-        import numpy as np
+        pts = [Point(x, y) for x, y in self.CASES[case]]
 
-        from repro.graphs.udg import _check_coords, _checked_points
-
-        coords = self.CASES[case]
-
-        def outcome(check, arg):
+        def outcome(build):
             try:
-                check(arg)
+                build()
             except ValueError as exc:
                 return str(exc)
             return None
 
-        expected = outcome(_checked_points, [Point(x, y) for x, y in coords])
-        array = np.array(coords, dtype=np.float64).reshape(-1, 2)
-        assert outcome(_check_coords, array) == expected
+        expected = self.MESSAGES[case]
+        for builder in BUILDERS:
+            assert outcome(lambda: builder(pts)) == expected, builder.__name__
+        sampled = outcome(
+            lambda: random_connected_udg(
+                len(pts), 1.0, seed=0, max_attempts=1,
+                point_factory=lambda n, side, rng: list(pts),
+            )
+        )
+        if case == "empty":  # valid, but no graph without nodes is connected
+            expected = "no connected deployment of 0 nodes in side=1.0 after 1 tries"
+        assert sampled == expected
 
 
 class TestGridSmallNDispatch:
@@ -196,7 +229,7 @@ class TestGridSmallNDispatch:
 class TestCommunicationRadius:
     def test_scaled_radius(self):
         pts = [Point(0, 0), Point(30, 0), Point(70, 0)]
-        g = communication_radius_graph(pts, radius=40.0)
+        g = unit_disk_graph(pts, radius=40.0)
         assert g.has_edge(pts[0], pts[1])
         assert g.has_edge(pts[1], pts[2])
         assert not g.has_edge(pts[0], pts[2])

@@ -74,16 +74,23 @@ class TestSolve:
         path.write_text("x,y\n")
         assert main(["solve", str(path)]) == 2
 
-    def test_disconnected_uses_giant_component(self, tmp_path, capsys):
+    def test_disconnected_deployment_is_an_input_error(self, tmp_path, capsys):
+        # Never silently solved on a component of it.
         from repro.geometry import Point
         from repro.io import save_points as sp
 
         pts = [Point(0, 0), Point(0.5, 0), Point(0.9, 0.2), Point(50, 50)]
         path = tmp_path / "disc.csv"
+        out_file = tmp_path / "result.json"
         sp(pts, path)
-        assert main(["solve", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "largest component" in out
+        assert main(["solve", str(path), "--ratio", "--out", str(out_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            "invalid deployment: disconnected into 2 components "
+            "(the largest has 3 of 4 nodes)"
+        )
+        assert "backbone" not in captured.out
+        assert not out_file.exists()
 
     def test_unknown_algorithm_rejected(self, deployment):
         with pytest.raises(SystemExit):
