@@ -13,7 +13,10 @@ the repo benchmark under ``perfbench/``.
 
 Exit status: 0 when every selected row matches, 1 on any difference
 (a drifted counter, result or seed, an expected row that did not run,
-or a run row with no expectation), 2 on a usage error.
+a run row with no expectation, or a row that raised), 2 on a usage
+error.  Rows run through :func:`repro.reliability.run_cells`, so a
+raising row is reported by its ``(case, fixture)`` key while every
+other row still runs and is compared.
 
 Usage::
 
@@ -47,7 +50,6 @@ from repro.cds import (  # noqa: E402
     waf_cds,
 )
 from repro.experiments.instances import int_labeled  # noqa: E402
-from repro.experiments.parallel import parallel_map  # noqa: E402
 from repro.graphs import random_connected_udg  # noqa: E402
 from repro.graphs.backend import build_kernel  # noqa: E402
 from repro.graphs.udg import (  # noqa: E402
@@ -57,6 +59,7 @@ from repro.graphs.udg import (  # noqa: E402
 )
 from repro.mis.first_fit import first_fit_mis_nodes  # noqa: E402
 from repro.obs import OBS  # noqa: E402
+from repro.reliability import run_cells  # noqa: E402
 
 EXPECTED_PATH = Path(__file__).resolve().parent / "expected_counters.json"
 
@@ -244,8 +247,8 @@ def run_row(task: tuple[str, str]) -> dict:
     """Rebuild one fixture and run one case under capture.
 
     Module-level and self-contained (the deployment is regenerated from
-    its seed in-process) so ``parallel_map`` gives identical rows at
-    any ``--jobs``.
+    its seed in-process) so ``run_cells`` gives identical rows at any
+    ``--jobs``.
     """
     case, fixture = task
     n, side, seed = FIXTURES[fixture]
@@ -262,6 +265,12 @@ def run_row(task: tuple[str, str]) -> dict:
         value = fn()
         counters = reg.counters()
     return {"counters": counters, "results": _result_sizes(value), "seed": seed}
+
+
+def row_key(task: tuple[str, str]) -> str:
+    """A row's name in the expected file: ``<case>/<fixture>``."""
+    case, fixture = task
+    return f"{case}/{fixture}"
 
 
 def select_rows(
@@ -359,8 +368,12 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    rows = parallel_map(run_row, tasks, jobs=args.jobs)
-    actual = {f"{case}/{fixture}": row for (case, fixture), row in zip(tasks, rows)}
+    report = run_cells(
+        run_row, tasks, jobs=args.jobs, isolate=args.jobs > 1, key_fn=row_key
+    )
+    actual = {o.key: o.result for o in report.outcomes if o.ok}
+    if not report.ok:
+        print(report.render_failures(), file=sys.stderr)
 
     path = Path(args.expected)
     stored = json.loads(path.read_text()) if path.exists() else {}
@@ -370,14 +383,22 @@ def main(argv=None) -> int:
         if in_selection(row, fixtures, cases)
     }
     if args.update:
+        if not report.ok:
+            return 1  # never rewrite a selection with rows missing
         kept = {row: value for row, value in stored.items() if row not in selected}
         path.write_text(json.dumps({**kept, **actual}, indent=2, sort_keys=True) + "\n")
         print(f"{len(actual)} rows -> {path} ({len(kept)} other rows kept)")
         return 0
 
-    problems = compare(selected, actual)
+    # A raising row is reported above, not again as "did not run".
+    failed = {failure.key for failure in report.failures}
+    problems = compare(
+        {row: value for row, value in selected.items() if row not in failed},
+        actual,
+    )
     if problems:
         print("\n".join(problems), file=sys.stderr)
+    if problems or failed:
         return 1
     print(f"all {len(actual)} rows match {path}")
     return 0

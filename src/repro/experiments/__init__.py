@@ -11,7 +11,6 @@ from .harness import (
 from .parallel import (
     SweepCell,
     default_jobs,
-    parallel_map,
     solve_cell,
     sweep_cells,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "run_recorded",
     "SweepCell",
     "default_jobs",
-    "parallel_map",
     "solve_cell",
     "sweep_cells",
 ]

@@ -1,4 +1,4 @@
-"""Parallel sweep runner: multiprocessing maps with deterministic output.
+"""Sweep cells and the workers that solve them, with deterministic output.
 
 Every empirical table in this reproduction is a *sweep*: the same
 computation over a grid of ``(n, seed)`` cells (instance sizes ×
@@ -6,9 +6,9 @@ replications).  Cells are independent, so they parallelise trivially —
 what needs care is keeping the results exactly as reproducible as the
 serial loop:
 
-* **Deterministic ordering.**  :func:`parallel_map` always returns
-  results in *input* order (``multiprocessing.Pool.map`` preserves it),
-  so a table built from the returned list is byte-identical whatever
+* **Deterministic ordering.**  Every map here goes through
+  :func:`repro.reliability.run_cells`, which returns outcomes in
+  *input* order, so a table built from them is byte-identical whatever
   ``jobs`` is, and identical to ``jobs=1``.
 * **Determinism per cell.**  Workers receive the cell parameters and
   regenerate the instance from its seed inside the child process —
@@ -29,30 +29,24 @@ function works for parameterised workers and is what
 
 The CLI experiments mode runs every experiment through
 :func:`run_experiments_resilient` (``python -m repro --all --jobs 4``),
-and ``benchmarks/check_counters.py`` uses :func:`parallel_map` to spread
-its counter rows over cores (each row runs inside a single process, so
-its counters are the same at any ``--jobs``).
+the ``sweep`` mode through :func:`solve_cells_resilient`, and the
+solve daemon maps :func:`solve_cell` (via ``serve_cell``) on its own
+pool through the same ``run_cells``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from ..reliability.failures import CellError
 from .harness import get_experiment
 from .instances import default_side
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 __all__ = [
     "SweepCell",
     "cell_key",
     "sweep_cells",
-    "parallel_map",
     "merge_cell_counters",
     "solve_cell",
     "solve_cells_resilient",
@@ -103,70 +97,6 @@ def cell_key(cell: SweepCell) -> str:
 def default_jobs() -> int:
     """A conservative default worker count: physical parallelism, capped."""
     return max(1, min(8, os.cpu_count() or 1))
-
-
-class _ContextWorker:
-    """Wraps a map worker so its exceptions name the failing item.
-
-    Picklable whenever the wrapped worker is, so the pool path gets the
-    same enrichment: an exception crossing the process boundary arrives
-    as a :class:`~repro.reliability.failures.CellError` carrying the
-    item's repr, its input index, and the worker-side traceback —
-    instead of a bare traceback with no cell identity.
-    """
-
-    __slots__ = ("worker",)
-
-    def __init__(self, worker: Callable):
-        self.worker = worker
-
-    def __call__(self, task: tuple[int, object]):
-        index, item = task
-        try:
-            return self.worker(item)
-        except Exception as exc:
-            raise CellError.wrap(item, index, exc) from exc
-
-
-def parallel_map(
-    worker: Callable[[T], R],
-    items: Sequence[T],
-    jobs: int = 1,
-    pool=None,
-) -> list[R]:
-    """``[worker(item) for item in items]``, optionally across processes.
-
-    ``jobs <= 1`` (or fewer than two items) runs serially in-process —
-    no pool, no pickling, identical semantics.  Otherwise a
-    ``multiprocessing.Pool`` of ``min(jobs, len(items))`` workers maps
-    the items; results always come back in input order, so output is
-    independent of scheduling.  ``worker`` must be picklable (a
-    module-level function or a :func:`functools.partial` of one).
-
-    A worker exception aborts the map (fail-fast — this is the strict
-    primitive; see :func:`repro.reliability.run_cells` for the
-    fault-isolated one) but is re-raised as a
-    :class:`~repro.reliability.failures.CellError` naming the failing
-    item and its index, with the original exception chained in-process
-    and its traceback text preserved across the pool boundary.
-
-    ``pool`` optionally supplies an externally managed
-    ``multiprocessing`` pool to map on instead of creating (and tearing
-    down) one per call; the caller owns its lifecycle.  Long-lived
-    multi-threaded processes need this — the solve daemon reuses one
-    forkserver-context pool across batches, because fork()ing a fresh
-    pool out of a threaded process can deadlock the child on locks the
-    fork happened to snapshot mid-held.
-    """
-    items = list(items)
-    wrapped = _ContextWorker(worker)
-    tasks = list(enumerate(items))
-    if jobs <= 1 or len(items) < 2:
-        return [wrapped(task) for task in tasks]
-    if pool is not None:
-        return pool.map(wrapped, tasks)
-    with multiprocessing.Pool(processes=min(jobs, len(items))) as fresh:
-        return fresh.map(wrapped, tasks)
 
 
 def solve_cell(

@@ -10,8 +10,8 @@ the part of the structure that still stands.
 Four pieces, composable and individually testable:
 
 * :mod:`~repro.reliability.failures` — structured
-  :class:`CellFailure` records and the :class:`CellError` wrapper that
-  gives raw worker exceptions a cell identity;
+  :class:`CellFailure` records: which cell failed, how, and with what
+  worker-side traceback;
 * :mod:`~repro.reliability.faults` — deterministic, seeded fault
   injection (:class:`FaultPlan` / :class:`FaultInjector`) at existing
   ``trace()`` sites, powering the chaos test tier;
@@ -19,7 +19,8 @@ Four pieces, composable and individually testable:
   ledger (``repro.reliability/checkpoint/v1``) behind
   ``--checkpoint`` / ``--resume``;
 * :mod:`~repro.reliability.runner` — :func:`run_cells`, the
-  process-isolated retry/timeout/resume engine.
+  process-isolated retry/timeout/resume engine (with in-process and
+  caller-pool engines for cheap and long-lived callers).
 
 See ``docs/robustness.md`` for the failure model and how-to.
 """
@@ -33,7 +34,7 @@ from .checkpoint import (
     repair_trailing_line,
     validate_checkpoint_lines,
 )
-from .failures import FAILURE_KINDS, CellError, CellFailure
+from .failures import FAILURE_KINDS, CellFailure
 from .faults import (
     FAULT_ACTIONS,
     KILL_EXIT_CODE,
@@ -55,7 +56,6 @@ __all__ = [
     "repair_trailing_line",
     "validate_checkpoint_lines",
     "FAILURE_KINDS",
-    "CellError",
     "CellFailure",
     "FAULT_ACTIONS",
     "KILL_EXIT_CODE",

@@ -8,11 +8,6 @@ many* attempts, and with what traceback.  The record crosses process
 boundaries (a worker dies, the parent still knows exactly what was
 lost) and lands in the checkpoint ledger so a resumed sweep can report
 historical failures alongside fresh ones.
-
-:class:`CellError` is the raising-path counterpart: the wrapper
-:func:`repro.experiments.parallel.parallel_map` puts around a worker
-exception so a crashed map names the failing item instead of
-surfacing a bare traceback with no cell identity.
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ from typing import Any, Mapping
 __all__ = [
     "FAILURE_KINDS",
     "CellFailure",
-    "CellError",
 ]
 
 #: How a cell can fail: a worker exception, a per-cell wall-clock
@@ -100,63 +94,3 @@ class CellFailure:
             exitcode=obj.get("exitcode"),
         )
 
-
-class CellError(RuntimeError):
-    """A worker exception enriched with the failing cell's identity.
-
-    Raised by :func:`repro.experiments.parallel.parallel_map` (and the
-    serial fallbacks) in place of the bare worker exception, so a
-    crashed sweep reports *which* item killed it.  The original
-    exception is chained as ``__cause__`` in-process; across a
-    process boundary (``multiprocessing`` pickles exceptions by
-    ``args``) the original type name and worker-side traceback are
-    preserved as attributes instead.
-    """
-
-    def __init__(
-        self,
-        item_repr: str,
-        index: int,
-        error_type: str,
-        message: str,
-        worker_traceback: str = "",
-    ):
-        super().__init__(
-            f"worker failed on item {index} ({item_repr}): "
-            f"{error_type}: {message}"
-        )
-        self.item_repr = item_repr
-        self.index = index
-        self.error_type = error_type
-        self.error_message = message
-        self.worker_traceback = worker_traceback
-
-    @classmethod
-    def wrap(cls, item: object, index: int, exc: BaseException) -> "CellError":
-        """Build the enriched error for ``exc`` raised on ``item``."""
-        import traceback as _tb
-
-        return cls(
-            item_repr=repr(item),
-            index=index,
-            error_type=type(exc).__name__,
-            message=str(exc),
-            worker_traceback="".join(
-                _tb.format_exception(type(exc), exc, exc.__traceback__)
-            ),
-        )
-
-    def __reduce__(self):
-        # Explicit so the five-argument form survives multiprocessing's
-        # pickle round-trip (default exception reduction replays only
-        # ``args``, which here is the formatted message).
-        return (
-            CellError,
-            (
-                self.item_repr,
-                self.index,
-                self.error_type,
-                self.error_message,
-                self.worker_traceback,
-            ),
-        )

@@ -1,8 +1,7 @@
 """Fault-isolated, resumable execution of sweep cells.
 
-:func:`run_cells` is the reliability counterpart of
-:func:`repro.experiments.parallel.parallel_map`: same contract —
-``worker(item)`` over a sequence, results in input order — but built
+:func:`run_cells` is the one way this package maps a worker over
+cells: ``worker(item)`` over a sequence, results in input order, built
 for the failure-as-normal-case regime the studied protocols live in:
 
 * **Fault isolation.**  Each cell runs in its own forked process (one
@@ -27,10 +26,19 @@ for the failure-as-normal-case regime the studied protocols live in:
   ``failures.<kind>``, ``cells.completed``, ``cells.resumed``) and
   structured ``note`` events on every retry and terminal failure.
 
-The in-process engine (``isolate=False``) exists for cheap workers and
-unit tests: same retry/failure semantics minus timeouts and kill
-survival (both need a process boundary, and the engine raises if asked
-for them without one).
+Two lighter engines share the same failure records:
+
+* the in-process engine (``isolate=False``), for cheap workers and
+  unit tests: same retry/failure semantics minus timeouts and kill
+  survival (both need a process boundary, and the engine raises if
+  asked for them without one);
+* the pooled engine (``isolate=False, pool=p``), for a long-lived
+  caller that owns a ``multiprocessing`` pool (the solve daemon): one
+  ``p.map`` over the cells, a worker exception becomes that cell's
+  ``exception`` failure, and no batchmate runs again.  It honours no
+  timeouts, kill-action fault plans or retries, and raises if asked.
+
+Every engine runs an attempt through the one :func:`_attempt`.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ import multiprocessing
 import time
 import traceback as _traceback
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import connection as _mpc
 from typing import Any, Callable, Sequence
 
@@ -191,36 +200,70 @@ def _emit_resumed(count: int) -> None:
         OBS.incr("reliability.cells.resumed", count)
 
 
+# -- one attempt, shared by every engine ------------------------------
+
+def _error(exc: BaseException) -> tuple:
+    """The wire form of a worker exception: type name, message, traceback."""
+    return (
+        "error",
+        type(exc).__name__,
+        str(exc),
+        "".join(_traceback.format_exception(type(exc), exc, exc.__traceback__)),
+    )
+
+
+def _attempt(worker, plan: FaultPlan | None, cell: tuple[Any, str]) -> tuple:
+    """Run one attempt at one ``(item, key)`` cell.
+
+    Returns ``("ok", result)`` or ``("error", type, message,
+    traceback)``; worker ``Exception``s are caught, ``KeyboardInterrupt``
+    et al. propagate.  With a fault plan, a fresh injector scoped to the
+    cell key is attached to the (enabled) process-local registry for
+    this attempt only, so every ``trace()`` site inside the cell is a
+    potential fault point and fault decisions are the same under every
+    engine.
+    """
+    item, key = cell
+    injector = None
+    if plan is not None:
+        injector = plan.injector(scope=key)
+        prev_enabled = OBS.enabled
+        OBS.enable()
+        OBS.add_hook(injector)
+    try:
+        return ("ok", worker(item))
+    except Exception as exc:  # noqa: BLE001 - reported, not suppressed
+        return _error(exc)
+    finally:
+        if injector is not None:
+            OBS.remove_hook(injector)
+            OBS.enabled = prev_enabled
+
+
+def _exception_failure(key: str, attempts: int, message: tuple) -> CellFailure:
+    """The :class:`CellFailure` of an :func:`_attempt` error message."""
+    _, error_type, text, tb = message
+    return CellFailure(
+        key=key, kind="exception", attempts=attempts,
+        error_type=error_type, message=text, traceback=tb,
+    )
+
+
 # -- the isolated engine ----------------------------------------------
 
 def _child_main(conn, worker, item, plan: FaultPlan | None, key: str) -> None:
-    """Worker-process entry: run one cell, report over the pipe.
+    """Worker-process entry: run one attempt, report over the pipe.
 
-    Fault injection is installed before the cell runs: the plan's
-    injector attaches to the (enabled) process-local registry so every
-    ``trace()`` site inside the cell is a potential fault point.  A
-    ``kill`` fault exits here without ever reaching the ``send`` —
-    the parent sees a silent death, exactly like a real crash.
+    A ``kill`` fault exits inside the attempt without ever reaching the
+    ``send`` — the parent sees a silent death, exactly like a real
+    crash.  Anything else that escapes (a ``BaseException`` from the
+    worker, an unpicklable result) is reported as an error.
     """
     try:
-        if plan is not None:
-            injector = plan.injector(scope=key)
-            OBS.enable()
-            OBS.add_hook(injector)
-        result = worker(item)
-        conn.send(("ok", result))
+        conn.send(_attempt(worker, plan, (item, key)))
     except BaseException as exc:  # noqa: BLE001 - reported, not suppressed
         try:
-            conn.send(
-                (
-                    "error",
-                    type(exc).__name__,
-                    str(exc),
-                    "".join(
-                        _traceback.format_exception(type(exc), exc, exc.__traceback__)
-                    ),
-                )
-            )
+            conn.send(_error(exc))
         except Exception:
             pass  # parent will classify the silent death as a crash
     finally:
@@ -335,10 +378,9 @@ class _IsolatedEngine:
                     attempt.attempt, message[1],
                 )
             elif message is not None:
-                _, error_type, text, tb = message
-                self._failed(
-                    pending, attempt, kind="exception",
-                    error_type=error_type, message=text, traceback_=tb,
+                self._retry_or_fail(
+                    pending, attempt,
+                    _exception_failure(attempt.key, attempt.attempt, message),
                 )
             else:
                 exitcode = attempt.proc.exitcode
@@ -367,13 +409,15 @@ class _IsolatedEngine:
             )
 
     def _failed(self, pending, attempt: _Attempt, *, kind: str,
-                error_type: str, message: str, traceback_: str = "",
+                error_type: str, message: str,
                 exitcode: int | None = None) -> None:
-        failure = CellFailure(
+        self._retry_or_fail(pending, attempt, CellFailure(
             key=attempt.key, kind=kind, attempts=attempt.attempt,
-            error_type=error_type, message=message, traceback=traceback_,
-            exitcode=exitcode,
-        )
+            error_type=error_type, message=message, exitcode=exitcode,
+        ))
+
+    def _retry_or_fail(self, pending, attempt: _Attempt,
+                       failure: CellFailure) -> None:
         if attempt.attempt <= self.policy.retries:
             self.retries += 1
             _emit_retry(attempt.key, attempt.attempt, failure)
@@ -415,52 +459,41 @@ def _terminate(proc) -> None:
 
 def _run_inline(worker, tasks, policy: RetryPolicy,
                 plan: FaultPlan | None, on_done, on_failed) -> int:
-    """Same semantics as the isolated engine, minus the process wall.
-
-    Catches worker ``Exception``s only (``KeyboardInterrupt`` et al.
-    propagate); a fresh injector is installed per attempt so fault
-    decisions match the isolated engine's per-cell determinism.
-    """
+    """Same semantics as the isolated engine, minus the process wall."""
     retries = 0
     for index, item, key in tasks:
         attempt = 1
         while True:
-            injector = None
-            if plan is not None:
-                injector = plan.injector(scope=key)
-                prev_enabled = OBS.enabled
-                OBS.enable()
-                OBS.add_hook(injector)
-            try:
-                result = worker(item)
-            except Exception as exc:
-                failure = CellFailure(
-                    key=key, kind="exception", attempts=attempt,
-                    error_type=type(exc).__name__, message=str(exc),
-                    traceback="".join(
-                        _traceback.format_exception(
-                            type(exc), exc, exc.__traceback__
-                        )
-                    ),
-                )
-                if attempt <= policy.retries:
-                    retries += 1
-                    _emit_retry(key, attempt, failure)
-                    delay = policy.delay(key, attempt)
-                    if delay:
-                        time.sleep(delay)
-                    attempt += 1
-                    continue
+            message = _attempt(worker, plan, (item, key))
+            if message[0] == "ok":
+                on_done(index, item, key, attempt, message[1])
+                break
+            failure = _exception_failure(key, attempt, message)
+            if attempt > policy.retries:
                 on_failed(index, item, key, failure)
                 break
-            else:
-                on_done(index, item, key, attempt, result)
-                break
-            finally:
-                if injector is not None:
-                    OBS.remove_hook(injector)
-                    OBS.enabled = prev_enabled
+            retries += 1
+            _emit_retry(key, attempt, failure)
+            delay = policy.delay(key, attempt)
+            if delay:
+                time.sleep(delay)
+            attempt += 1
     return retries
+
+
+# -- the pooled engine ------------------------------------------------
+
+def _run_pooled(pool, worker, tasks, plan: FaultPlan | None,
+                on_done, on_failed) -> None:
+    """One ``pool.map`` over the cells; a failure stays in its slot."""
+    messages = pool.map(
+        partial(_attempt, worker, plan), [(item, key) for _, item, key in tasks]
+    )
+    for (index, item, key), message in zip(tasks, messages):
+        if message[0] == "ok":
+            on_done(index, item, key, 1, message[1])
+        else:
+            on_failed(index, item, key, _exception_failure(key, 1, message))
 
 
 # -- the public entry point -------------------------------------------
@@ -479,13 +512,14 @@ def run_cells(
     encode: Callable[[Any], Any] | None = None,
     decode: Callable[[Any], Any] | None = None,
     isolate: bool = True,
+    pool=None,
 ) -> SweepReport:
     """Run ``worker`` over ``items`` with fault isolation and resume.
 
     Args:
         worker: a picklable callable (module-level function or a
             :func:`functools.partial` of one) when ``isolate=True`` or
-            ``jobs > 1``; any callable otherwise.
+            a ``pool`` is given; any callable otherwise.
         items: the sweep grid, in the order results should come back.
         jobs: maximum concurrently-running cells.
         policy: retry/timeout behaviour (default: no retries, no
@@ -506,6 +540,10 @@ def run_cells(
         isolate: run each attempt in its own forked process.  Required
             for ``policy.timeout`` and kill-action fault plans; the
             default everywhere the CLI is involved.
+        pool: a caller-owned ``multiprocessing`` pool to map the cells
+            on, with ``isolate=False``; the pool's size, not ``jobs``,
+            sets the parallelism.  No timeouts, kill-action fault plans
+            or retries.
 
     Returns:
         A :class:`SweepReport` whose ``outcomes`` align 1:1 with
@@ -514,7 +552,8 @@ def run_cells(
 
     Raises:
         ValueError: on duplicate cell keys, a ledger/grid mismatch, or
-            an ``isolate=False`` request the policy cannot honour.
+            an ``isolate=False`` or ``pool`` request the policy cannot
+            honour.
     """
     policy = policy or RetryPolicy()
     items = list(items)
@@ -527,6 +566,12 @@ def run_cells(
             raise ValueError("per-cell timeouts require isolate=True")
         if faults is not None and faults.has_kill:
             raise ValueError("kill-action fault plans require isolate=True")
+    if pool is not None:
+        if isolate:
+            raise ValueError("a pool runs cells without isolation; "
+                             "pass isolate=False")
+        if policy.retries:
+            raise ValueError("retries are not supported on a pool")
 
     outcomes = [
         CellOutcome(index=i, item=item, key=key)
@@ -579,7 +624,9 @@ def run_cells(
     tasks = [(i, items[i], keys[i]) for i in todo]
     try:
         if tasks:
-            if isolate:
+            if pool is not None:
+                _run_pooled(pool, worker, tasks, faults, on_done, on_failed)
+            elif isolate:
                 engine = _IsolatedEngine(
                     worker, jobs, policy, faults, on_done, on_failed
                 )

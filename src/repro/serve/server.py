@@ -18,16 +18,15 @@ paying the per-invocation rebuild cost of the CLI.  The moving parts:
   enqueueing duplicates.
 * **Batching** (:meth:`SolveServer._batcher`): cache misses enter a
   queue; the batcher collects everything arriving within
-  ``batch_window`` seconds (up to ``batch_max``) and runs the batch
-  through the existing :func:`repro.experiments.parallel.parallel_map`
-  machinery in a worker thread, with ``jobs`` solver processes.
-* **Failure containment** (:func:`solve_batch`): ``parallel_map`` is
-  fail-fast — one bad cell raises a
-  :class:`~repro.reliability.failures.CellError` that would otherwise
-  poison its batchmates.  The daemon catches it, re-runs the batch
-  cell-by-cell, and turns each failing cell's ``CellError`` context
-  into that request's structured error response while the good cells
-  still answer normally.
+  ``batch_window`` seconds (up to ``batch_max``) and solves the batch
+  in a worker thread through :func:`repro.reliability.run_cells` — in
+  this process at ``jobs=1``, else on the daemon's persistent pool of
+  ``jobs`` solver processes.
+* **Failure containment** (:func:`solve_batch`): ``run_cells`` puts a
+  failing cell's :class:`~repro.reliability.failures.CellFailure` in
+  that cell's slot, so a bad request gets its own structured error
+  (exception type, message, item repr, batch index) while every
+  batchmate is solved exactly once and answers normally.
 * **Metrics** (:class:`ServerStats`): always-on request/cache/batch
   tallies and wall/queue/solve/batch-time
   :class:`~repro.obs.metrics.Histogram` distributions.  The ``stats``
@@ -63,7 +62,7 @@ from typing import Mapping
 from ..obs import OBS
 from ..obs.core import Registry
 from ..obs.metrics import Histogram
-from ..reliability.failures import CellError
+from ..reliability.runner import run_cells
 from .cache import ResultCache, request_fingerprint
 from .protocol import (
     REQUEST_OPS,
@@ -84,7 +83,7 @@ __all__ = [
 #: Queue sentinel: drain is complete once the batcher consumes it.
 _STOP = object()
 
-# -- the solve worker (module-level: picklable for parallel_map) ------
+# -- the solve worker (module-level: picklable for the pool) ---------
 
 
 def serve_cell(request: Mapping) -> dict:
@@ -157,43 +156,35 @@ def _warm_worker(_: int) -> None:
     from ..experiments.parallel import solve_cell  # noqa: F401
 
 
-def solve_batch(requests: list[dict], jobs: int, pool=None) -> list[dict]:
-    """Run one batch through ``parallel_map``; failures become data.
+def solve_batch(requests: list[dict], pool=None) -> list[dict]:
+    """Solve one batch; failures become data.
 
     Returns one outcome per request, in order: ``{"ok": summary}`` or
-    ``{"error": {...}, "fallback": True}``.  The happy path is a single
-    :func:`~repro.experiments.parallel.parallel_map` over the batch;
-    when that fail-fast map aborts with a
-    :class:`~repro.reliability.failures.CellError`, the batch is
-    re-run cell-by-cell so each failing request gets *its own* error —
-    carrying the CellError context (exception type, message, item repr,
-    batch index) — and its batchmates still get results.
+    ``{"error": {"type", "message", "item", "index"}}``, where ``item``
+    is the request's repr and ``index`` its batch position.  ``pool``
+    (the daemon's persistent pool at ``jobs > 1``) maps the batch
+    across processes; ``None`` solves it in this process.  Either way
+    a failing request fails alone and every batchmate solves once.
     """
-    from ..experiments.parallel import parallel_map
-
-    try:
-        results = parallel_map(serve_cell, requests, jobs=jobs, pool=pool)
-        return [{"ok": result} for result in results]
-    except CellError:
-        pass
-    outcomes: list[dict] = []
-    for index, request in enumerate(requests):
-        try:
-            outcomes.append({"ok": serve_cell(request)})
-        except Exception as exc:  # noqa: BLE001 - reported to the client
-            err = CellError.wrap(request, index, exc)
-            outcomes.append(
-                {
-                    "error": {
-                        "type": err.error_type,
-                        "message": err.error_message,
-                        "item": err.item_repr,
-                        "index": err.index,
-                    },
-                    "fallback": True,
-                }
-            )
-    return outcomes
+    # Keys are batch positions: with ``cache: false`` two identical
+    # requests can share a batch, so neither repr nor fingerprint is
+    # unique.
+    positions = iter(range(len(requests)))
+    report = run_cells(
+        serve_cell, requests, pool=pool, isolate=False,
+        key_fn=lambda _request: str(next(positions)),
+    )
+    return [
+        {"ok": o.result} if o.ok else {
+            "error": {
+                "type": o.failure.error_type,
+                "message": o.failure.message,
+                "item": repr(o.item),
+                "index": o.index,
+            }
+        }
+        for o in report.outcomes
+    ]
 
 
 # -- configuration and metrics ----------------------------------------
@@ -229,11 +220,11 @@ class ServerStats:
     ops: dict = field(default_factory=dict)        # op -> count
     errors: int = 0
     cells_solved: int = 0
+    cells_failed: int = 0
     coalesced: int = 0
     batches: int = 0
     batch_cells: int = 0
     batch_max: int = 0
-    batch_fallbacks: int = 0
     # Live latency distributions (docs/observability.md §7): wall is
     # solve-request arrival -> response, queue is enqueue -> batch
     # start, solve is the batch solve duration charged to each of its
@@ -261,11 +252,12 @@ class ServerStats:
     def record_queue(self, seconds: float) -> None:
         self.queue_wait.observe(seconds)
 
-    def record_batch(self, size: int, seconds: float, fallback: bool) -> None:
+    def record_batch(self, size: int, seconds: float, failed: int) -> None:
         self.batches += 1
         self.batch_cells += size
         self.batch_max = max(self.batch_max, size)
-        self.batch_fallbacks += 1 if fallback else 0
+        self.cells_solved += size - failed
+        self.cells_failed += failed
         self.batch_solve.observe(seconds)
         # Each cell in the batch waited for the whole batch solve, so
         # the batch duration is every member's solve time.
@@ -280,11 +272,11 @@ class ServerStats:
             "ops": dict(sorted(self.ops.items())),
             "errors": self.errors,
             "cells_solved": self.cells_solved,
+            "cells_failed": self.cells_failed,
             "coalesced": self.coalesced,
             "batches": self.batches,
             "batch_cells": self.batch_cells,
             "batch_max": self.batch_max,
-            "batch_fallbacks": self.batch_fallbacks,
             "cache": cache.stats(),
             "latency": {
                 key: wall[key] for key in ("count", "mean", "p50", "p99", "max")
@@ -313,11 +305,11 @@ class ServerStats:
             "serve.requests": self.requests,
             "serve.errors": self.errors,
             "serve.cells.solved": self.cells_solved,
+            "serve.cells.failed": self.cells_failed,
             "serve.coalesced": self.coalesced,
             "serve.batches": self.batches,
             "serve.batch.size": self.batch_cells,
             "serve.batch.max": self.batch_max,
-            "serve.batch.fallbacks": self.batch_fallbacks,
             "serve.cache.hits": cache.hits,
             "serve.cache.misses": cache.misses,
             "serve.cache.evictions": cache.evictions,
@@ -373,14 +365,13 @@ class SolveServer:
     # -- lifecycle ----------------------------------------------------
 
     def _start_pool(self) -> None:
-        # A persistent pool, created once: the per-batch Pool that
-        # parallel_map would make uses plain fork(), which deadlocks
-        # intermittently out of a threaded process (the child snapshots
-        # locks mid-held).  The forkserver context forks from a
-        # single-threaded helper instead, and reusing one pool also
-        # drops the per-batch setup cost.  Warm-up maps one trivial
-        # task per worker so the children pay their import cost before
-        # the first real request.
+        # A persistent pool, created once: a per-batch Pool would use
+        # plain fork(), which deadlocks intermittently out of a
+        # threaded process (the child snapshots locks mid-held).  The
+        # forkserver context forks from a single-threaded helper
+        # instead, and reusing one pool also drops the per-batch setup
+        # cost.  Warm-up maps one trivial task per worker so the
+        # children pay their import cost before the first real request.
         import multiprocessing
 
         try:
@@ -649,7 +640,7 @@ class SolveServer:
             self.stats.record_queue(max(0.0, t0 - t_enqueue))
         try:
             outcomes = await loop.run_in_executor(
-                None, solve_batch, requests, self.config.jobs, self._pool
+                None, solve_batch, requests, self._pool
             )
         except Exception as exc:  # pragma: no cover - defensive
             outcomes = [
@@ -658,9 +649,8 @@ class SolveServer:
                 for i, req in enumerate(requests)
             ]
         seconds = perf_counter() - t0
-        fallback = any(outcome.get("fallback") for outcome in outcomes)
-        self.stats.record_batch(len(batch), seconds, fallback)
-        self.stats.cells_solved += len(batch)
+        failed = sum(1 for outcome in outcomes if "error" in outcome)
+        self.stats.record_batch(len(batch), seconds, failed)
         for (request, fingerprint, future, _, _), outcome in zip(batch, outcomes):
             if fingerprint is not None:
                 self._inflight.pop(fingerprint, None)
@@ -679,7 +669,7 @@ class SolveServer:
                 "traces": [item[3] for item in batch],
                 "cells": len(batch),
                 "seconds": seconds,
-                "fallback": fallback,
+                "failed": failed,
             },
         )
 

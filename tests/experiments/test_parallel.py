@@ -2,12 +2,11 @@
 
 ``jobs=N`` is only admissible because output is bit-identical to the
 serial loop — same cells, same order, same numbers.  These tests pin
-that on the map primitive, the sweep workers, and the experiment
-runner (using the cheapest registered experiments to keep the forked
-runs fast).
+that on the sweep workers and the experiment runner (using the
+cheapest registered experiments to keep the forked runs fast); the
+map itself is :func:`repro.reliability.run_cells`, pinned in
+``tests/reliability/test_runner.py``.
 """
-
-import pickle
 
 import pytest
 
@@ -17,86 +16,16 @@ from repro.experiments.parallel import (
     cell_key,
     default_jobs,
     merge_cell_counters,
-    parallel_map,
     run_experiments_resilient,
     solve_cell,
     solve_cells_resilient,
     sweep_cells,
 )
-from repro.reliability import CellError
-
-
-def _square(x):
-    """Module-level so it pickles across pool workers."""
-    return x * x
-
-
-def _fail_on_two(x):
-    if x == 2:
-        raise ZeroDivisionError("boom on two")
-    return x
 
 
 class TestParallelMap:
-    def test_serial_semantics(self):
-        assert parallel_map(_square, [3, 1, 2]) == [9, 1, 4]
-        assert parallel_map(_square, []) == []
-
-    def test_parallel_matches_serial_in_order(self):
-        items = list(range(10))
-        assert parallel_map(_square, items, jobs=2) == [
-            _square(x) for x in items
-        ]
-
-    def test_single_item_stays_in_process(self):
-        # len < 2 short-circuits: even unpicklable workers are fine.
-        assert parallel_map(lambda x: x + 1, [41], jobs=4) == [42]
-
     def test_default_jobs_is_sane(self):
         assert default_jobs() >= 1
-
-
-class TestCellErrorContext:
-    """Regression: a worker exception must name the failing cell.
-
-    Before the reliability PR a pool-worker exception surfaced as a
-    bare traceback with no indication of *which* item died; now both
-    the serial and pool paths raise a :class:`CellError` carrying the
-    item repr, its input index, and the worker-side traceback.
-    """
-
-    def test_serial_path_wraps_with_context(self):
-        with pytest.raises(CellError) as excinfo:
-            parallel_map(_fail_on_two, [1, 2, 3])
-        err = excinfo.value
-        assert err.index == 1
-        assert err.item_repr == "2"
-        assert err.error_type == "ZeroDivisionError"
-        assert "boom on two" in str(err)
-        assert "_fail_on_two" in err.worker_traceback
-        assert isinstance(err.__cause__, ZeroDivisionError)
-
-    def test_pool_path_wraps_with_context(self):
-        with pytest.raises(CellError) as excinfo:
-            parallel_map(_fail_on_two, [1, 2, 3], jobs=2)
-        err = excinfo.value
-        assert err.index == 1
-        assert err.item_repr == "2"
-        assert err.error_type == "ZeroDivisionError"
-        assert "_fail_on_two" in err.worker_traceback
-
-    def test_cell_error_survives_pickling_intact(self):
-        try:
-            parallel_map(_fail_on_two, [1, 2, 3])
-        except CellError as err:
-            clone = pickle.loads(pickle.dumps(err))
-            assert clone.index == err.index
-            assert clone.item_repr == err.item_repr
-            assert clone.error_type == err.error_type
-            assert clone.worker_traceback == err.worker_traceback
-            assert str(clone) == str(err)
-        else:  # pragma: no cover
-            pytest.fail("expected CellError")
 
 
 class TestSweepCells:

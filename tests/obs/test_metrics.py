@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from repro.experiments.parallel import parallel_map
 from repro.obs import OBS, Registry
 from repro.obs.metrics import (
     BUCKETS_PER_DECADE,
@@ -17,6 +16,7 @@ from repro.obs.metrics import (
     record_percentile,
     validate_histogram_record,
 )
+from repro.reliability import run_cells
 
 #: One bucket spans this ratio; percentile error is bounded by it.
 BUCKET_RATIO = 10 ** (1 / BUCKETS_PER_DECADE)
@@ -192,12 +192,14 @@ class TestMergeAlgebra:
 
 class TestWorkerMergeEquivalence:
     def test_jobs2_merge_matches_serial(self):
-        # The --jobs contract, end to end: two pool workers observe
+        # The --jobs contract, end to end: two worker processes observe
         # their chunks, export registry state, and the parent's fold
         # must equal one serial histogram over all values.
         values = [2.0**k for k in range(-10, 10)] * 3
         chunks = [values[0::2], values[1::2]]
-        states = parallel_map(_observe_chunk, chunks, jobs=2)
+        report = run_cells(_observe_chunk, chunks, jobs=2)
+        assert report.ok
+        states = report.results
 
         merged = Registry()
         for state in states:

@@ -1,5 +1,7 @@
 """run_cells: fault isolation, retries, timeouts, resume — the contract."""
 
+import multiprocessing
+import pickle
 import time
 
 import pytest
@@ -13,6 +15,23 @@ from repro.reliability import (
 )
 
 
+@pytest.fixture(scope="module")
+def pool():
+    """A 2-worker pool for the pooled engine, shared by the module."""
+    with multiprocessing.get_context("spawn").Pool(2) as shared:
+        yield shared
+
+
+def run_on(engine, request, worker, items, **kwargs):
+    """``run_cells`` on one engine: ``inline``, ``isolated`` or ``pooled``."""
+    if engine == "inline":
+        return run_cells(worker, items, isolate=False, **kwargs)
+    if engine == "pooled":
+        pool = request.getfixturevalue("pool")
+        return run_cells(worker, items, isolate=False, pool=pool, **kwargs)
+    return run_cells(worker, items, jobs=2, **kwargs)
+
+
 @pytest.fixture(autouse=True)
 def _clean_default_registry():
     OBS.disable()
@@ -24,6 +43,12 @@ def _clean_default_registry():
 
 def double(x):
     return x * 2
+
+
+def fail_on_two(x):
+    if x == 2:
+        raise ZeroDivisionError("boom on two")
+    return x
 
 
 def fail_on_odd(x):
@@ -81,8 +106,9 @@ class TestIsolatedEngine:
         report = run_cells(double, [])
         assert report.ok and report.outcomes == []
 
-    def test_exception_fails_only_that_cell(self):
-        report = run_cells(fail_on_odd, [0, 1, 2, 3], jobs=2)
+    @pytest.mark.parametrize("engine", ["isolated", "pooled"])
+    def test_exception_fails_only_that_cell(self, engine, request):
+        report = run_on(engine, request, fail_on_odd, [0, 1, 2, 3])
         assert not report.ok
         assert [o.ok for o in report.outcomes] == [True, False, True, False]
         assert report.results == [0, 4]
@@ -140,11 +166,15 @@ def _traced_boom(x):
 
 
 class TestInlineEngine:
-    def test_matches_isolated_semantics(self):
+    @pytest.mark.parametrize("engine", ["inline", "pooled"])
+    def test_matches_isolated_semantics(self, engine, request):
         isolated = run_cells(fail_on_odd, [0, 1, 2, 3], jobs=2)
-        inline = run_cells(fail_on_odd, [0, 1, 2, 3], isolate=False)
-        assert [o.ok for o in inline.outcomes] == [o.ok for o in isolated.outcomes]
-        assert inline.results == isolated.results
+        other = run_on(engine, request, fail_on_odd, [0, 1, 2, 3])
+        assert [o.ok for o in other.outcomes] == [o.ok for o in isolated.outcomes]
+        assert other.results == isolated.results
+        assert [(f.key, f.kind, f.error_type, f.message) for f in other.failures] == [
+            (f.key, f.kind, f.error_type, f.message) for f in isolated.failures
+        ]
 
     def test_retry_until_success(self):
         _FLAKY_CALLS["count"] = 0
@@ -163,6 +193,71 @@ class TestInlineEngine:
         plan = FaultPlan(specs=(FaultSpec(site="*", action="kill"),))
         with pytest.raises(ValueError, match="isolate=True"):
             run_cells(double, [1], isolate=False, faults=plan)
+
+
+class TestPooledEngine:
+    """The pooled engine rejects what a shared pool cannot honour."""
+
+    def test_rejects_timeout(self, pool):
+        with pytest.raises(ValueError, match="timeouts"):
+            run_cells(double, [1], isolate=False, pool=pool,
+                      policy=RetryPolicy(timeout=1.0))
+
+    def test_rejects_kill_plans(self, pool):
+        plan = FaultPlan(specs=(FaultSpec(site="*", action="kill"),))
+        with pytest.raises(ValueError, match="kill-action"):
+            run_cells(double, [1], isolate=False, pool=pool, faults=plan)
+
+    def test_rejects_retries(self, pool):
+        with pytest.raises(ValueError, match="retries"):
+            run_cells(double, [1], isolate=False, pool=pool,
+                      policy=RetryPolicy(retries=1))
+
+    def test_rejects_isolation(self, pool):
+        with pytest.raises(ValueError, match="isolate=False"):
+            run_cells(double, [1], pool=pool)
+
+    def test_raise_faults_fire_in_pool_workers(self, pool):
+        plan = FaultPlan(specs=(FaultSpec(site="boom", action="raise", scope="*2*"),))
+        report = run_cells(_traced_boom, [1, 2, 3], isolate=False, pool=pool,
+                           faults=plan)
+        assert [o.ok for o in report.outcomes] == [True, False, True]
+        assert report.failures[0].error_type == "InjectedFault"
+        assert report.results == [10, 30]
+
+
+@pytest.mark.parametrize("engine", ["inline", "isolated", "pooled"])
+class TestFailureContext:
+    """A worker exception must name the failing cell, on every engine.
+
+    The failing cell's outcome carries its input index and item, and
+    its :class:`CellFailure` the exception type, message and the
+    worker-side traceback — also after a pickle round-trip.
+    """
+
+    def test_outcome_names_the_failing_cell(self, engine, request):
+        report = run_on(engine, request, fail_on_two, [1, 2, 3])
+        (failed,) = [o for o in report.outcomes if not o.ok]
+        assert failed.index == 1
+        assert failed.item == 2 and repr(failed.item) == "2"
+        assert failed.key == failed.failure.key == "2"
+        assert report.results == [1, 3]
+
+    def test_failure_carries_the_worker_error(self, engine, request):
+        report = run_on(engine, request, fail_on_two, [1, 2, 3])
+        (failure,) = report.failures
+        assert failure.kind == "exception" and failure.attempts == 1
+        assert failure.error_type == "ZeroDivisionError"
+        assert failure.message == "boom on two"
+        assert "fail_on_two" in failure.traceback
+
+    def test_failure_survives_pickling_intact(self, engine, request):
+        report = run_on(engine, request, fail_on_two, [1, 2, 3])
+        outcome = report.outcomes[1]
+        clone = pickle.loads(pickle.dumps(outcome))
+        assert clone.failure == outcome.failure
+        assert (clone.index, clone.item, clone.key) == (1, 2, "2")
+        assert clone.failure.traceback == outcome.failure.traceback
 
 
 class TestCheckpointIntegration:

@@ -1,12 +1,14 @@
 """End-to-end tests for the solve daemon: cache correctness (the
-bit-identity contract), single-flight coalescing, CellError
-propagation, protocol errors, and drain-time obs emission."""
+bit-identity contract), single-flight coalescing, per-request failure
+containment (inline and pooled), protocol errors, and drain-time obs
+emission."""
 
 import json
 import threading
 
 import pytest
 
+from repro import solvers
 from repro.experiments.instances import default_side
 from repro.experiments.parallel import SweepCell, solve_cell
 from repro.obs import OBS
@@ -14,8 +16,12 @@ from repro.serve import (
     ServeClient,
     ServeConfig,
     ServerThread,
+    normalize_request,
+    solve_request,
     validate_response,
 )
+from repro.serve import server as server_module
+from repro.serve.server import serve_cell, solve_batch
 
 
 def canonical(result: dict) -> str:
@@ -140,7 +146,7 @@ class TestErrorPaths:
         assert validate_response(response) == []
         assert response["error"]["type"] == "ValueError"
         assert "disconnected" in response["error"]["message"]
-        # the CellError context came along: which item, at which index
+        # the cell's context came along: which item, at which index
         assert "index" in response["error"]
         assert "edges" in response["error"]["item"]
         # regression: the connection survives the failure
@@ -148,8 +154,9 @@ class TestErrorPaths:
 
     def test_cellerror_in_batch_spares_batchmates(self, server):
         # One bad request (disconnected instance) sharing a batching
-        # window with good ones: parallel_map's fail-fast CellError
-        # must become a structured error for the bad request only.
+        # window with good ones: its failure must become a structured
+        # error for the bad request only, and be counted as a failure,
+        # not as a solved cell.
         with ServerThread(ServeConfig(batch_window=0.4)) as thread:
             responses = {}
             lock = threading.Lock()
@@ -182,7 +189,11 @@ class TestErrorPaths:
             assert responses["bad"]["error"]["type"] == "ValueError"
             assert responses["good-a"]["status"] == "ok"
             assert responses["good-b"]["status"] == "ok"
-            assert thread.server.stats.batch_fallbacks >= 1
+            stats = thread.server.stats
+            assert (stats.cells_solved, stats.cells_failed) == (2, 1)
+            with ServeClient(thread.address, timeout=30) as c:
+                snapshot = c.stats()["stats"]
+            assert (snapshot["cells_solved"], snapshot["cells_failed"]) == (2, 1)
 
     def test_unknown_algorithm_is_request_error(self, client):
         response = client.solve(n=20, seed=1, algorithm="magic")
@@ -216,6 +227,94 @@ class TestErrorPaths:
         assert "instance.n" in response["error"]["message"]
 
 
+def _poisoned_batch(good: int) -> list[dict]:
+    """``good`` spec requests with one disconnected edge instance third."""
+    requests = [solve_request(f"good-{i}", n=20, seed=i) for i in range(good)]
+    requests.insert(2, solve_request("bad", edges=[[0, 1], [2, 3]]))
+    return requests
+
+
+class TestBatchFailures:
+    """A poisoned batch: the bad request fails alone, with its own
+    structured error, and every batchmate is solved exactly once."""
+
+    def test_each_batchmate_solves_once(self, monkeypatch):
+        calls = []
+
+        def counting(request):
+            calls.append(request["id"])
+            return serve_cell(request)
+
+        monkeypatch.setattr(server_module, "serve_cell", counting)
+        requests = [normalize_request(r) for r in _poisoned_batch(7)]
+        outcomes = solve_batch(requests)
+        assert calls == [request["id"] for request in requests]
+        error = outcomes[2]["error"]
+        assert error == {
+            "type": "ValueError",
+            "message": error["message"],
+            "item": repr(requests[2]),
+            "index": 2,
+        }
+        assert "disconnected" in error["message"]
+        for request, outcome in zip(requests, outcomes):
+            if request["id"] != "bad":
+                assert canonical(outcome["ok"]) == canonical(serve_cell(request))
+
+    def test_pooled_batch_answers_each_request(self, monkeypatch):
+        # jobs=2: the batch maps on the daemon's forkserver pool, so no
+        # solve may reach bind_solver in this process.
+        in_daemon = []
+        real_bind = solvers.bind_solver
+
+        def counting_bind(*args, **kwargs):
+            in_daemon.append(args)
+            return real_bind(*args, **kwargs)
+
+        raw = _poisoned_batch(4)
+        responses = {}
+        lock = threading.Lock()
+        barrier = threading.Barrier(len(raw))
+
+        def go(request):
+            with ServeClient(thread.address, timeout=60) as c:
+                barrier.wait()
+                response = c.request(request)
+            with lock:
+                responses[request["id"]] = response
+
+        with ServerThread(ServeConfig(jobs=2, batch_window=0.4)) as thread:
+            monkeypatch.setattr(solvers, "bind_solver", counting_bind)
+            threads = [threading.Thread(target=go, args=(r,)) for r in raw]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            monkeypatch.undo()
+            stats = thread.server.stats
+            assert (stats.cells_solved, stats.cells_failed) == (4, 1)
+        assert in_daemon == []
+        # What the daemon normalized: the request as it crossed the wire.
+        requests = {
+            r["id"]: normalize_request(json.loads(json.dumps(r, sort_keys=True)))
+            for r in raw
+        }
+        bad = responses.pop("bad")
+        assert bad["status"] == "error" and validate_response(bad) == []
+        error = bad["error"]
+        assert set(error) == {"type", "message", "item", "index"}
+        assert error["type"] == "ValueError"
+        assert "disconnected" in error["message"]
+        assert error["item"] == repr(requests["bad"])
+        assert 0 <= error["index"] < len(raw)
+        assert len(responses) == 4
+        for request_id, response in responses.items():
+            assert response["status"] == "ok"
+            assert canonical(response["result"]) == canonical(
+                serve_cell(requests[request_id])
+            )
+
+
 class TestControlAndStats:
     def test_ping_and_stats(self, server, client):
         assert client.ping()["status"] == "ok"
@@ -237,7 +336,7 @@ class TestControlAndStats:
         stats = ServerStats()
         for _ in range(100_005):
             stats.record_latency(0.001)
-        stats.record_batch(3, 0.01, fallback=False)
+        stats.record_batch(3, 0.01, failed=0)
         cache = ResultCache(4)
         latency = stats.snapshot(cache)["latency"]
         assert set(latency) == {"count", "mean", "p50", "p99", "max"}

@@ -64,6 +64,30 @@ class TestGate:
         assert _check(expected, "--cases", "greedy,waf") == 1
         assert "greedy/udg20: ran with no expectation" in capsys.readouterr().err
 
+    def test_raising_row_is_reported_and_others_still_compared(
+        self, tmp_path, rows, monkeypatch, capsys
+    ):
+        real_cases = check_counters._cases
+
+        def cases(fixture, points, graph):
+            table = real_cases(fixture, points, graph)
+
+            def boom():
+                raise RuntimeError("waf exploded")
+
+            return {**table, "waf": boom}
+
+        monkeypatch.setattr(check_counters, "_cases", cases)
+        rows["greedy/udg20"]["counters"]["gain.evaluations"] += 1
+        expected = _write(tmp_path / "e.json", rows)
+        assert _check(expected, "--cases", "waf,greedy") == 1
+        err = capsys.readouterr().err
+        assert "1 of 2 cell(s) failed" in err
+        assert "waf/udg20: exception after 1 attempt(s) (RuntimeError: waf exploded)" in err
+        assert "waf/udg20: expected row did not run" not in err
+        # the row that completed was still compared
+        assert "greedy/udg20: counter 'gain.evaluations'" in err
+
     def test_unknown_names_are_usage_errors(self, capsys):
         assert check_counters.main(["--fixtures", "udg7"]) == 2
         assert "unknown fixture 'udg7'" in capsys.readouterr().err
