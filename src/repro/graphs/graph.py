@@ -13,12 +13,17 @@ queries, induced subgraphs and iteration in deterministic order.
 
 A graph also memoizes one kernel view of itself: the
 :class:`~repro.graphs.indexed.IndexedGraph` that
-:meth:`IndexedGraph.from_graph` builds (or that
-:func:`repro.graphs.udg.unit_disk_graph` seeds from its own rows) is kept in
-the ``_index`` slot, so the connectivity check, the solver's kernel
-build and result validation all share one interning pass.  The
-invalidation contract: every mutator clears the memo, and copies and
-pickles never carry it.
+:meth:`IndexedGraph.from_graph` builds is kept in the ``_index`` slot,
+so the connectivity check, the solver's kernel build and result
+validation all share one interning pass.  The invalidation contract:
+every mutator clears the memo, and copies and pickles never carry it.
+
+:func:`repro.graphs.udg.unit_disk_graph` builds only that view
+(:meth:`Graph._from_index`): ``_adj`` is ``None`` until a read needs
+the dicts, and :meth:`Graph._dicts` builds them from the view.  Until
+then ``len``, iteration, ``in``, ``nodes``, ``neighbors``, ``degree``
+and ``edge_count`` answer from the view, so the solve path never
+builds them; every mutator builds them before it clears the memo.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ class Graph(Generic[N]):
     __slots__ = ("_adj", "_index")
 
     def __init__(self, edges: Iterable[tuple[N, N]] = (), nodes: Iterable[N] = ()):
-        self._adj: dict[N, dict[N, None]] = {}
+        self._adj: dict[N, dict[N, None]] | None = {}
         # The memoized IndexedGraph view (see the module docstring).
         self._index = None
         for node in nodes:
@@ -50,25 +55,34 @@ class Graph(Generic[N]):
             self.add_edge(u, v)
 
     @classmethod
-    def _adopt(cls, adj: dict[N, dict[N, None]], index) -> "Graph[N]":
-        """Wrap a prebuilt adjacency dict and its kernel view without
-        copying either.
+    def _from_index(cls, view) -> "Graph[N]":
+        """The graph whose memoized view is ``view``, with no adjacency
+        dicts yet (see the module docstring).
 
         The bulk path for same-package builders: the caller guarantees
-        that ``adj`` is symmetric and loop-free, and that ``index`` is
-        exactly what :meth:`IndexedGraph.from_graph` would build from it.
+        that ``view`` is symmetric and loop-free.
         """
         graph = cls.__new__(cls)
-        graph._adj = adj
-        graph._index = index
+        graph._adj = None
+        graph._index = view
         return graph
+
+    def _dicts(self) -> dict[N, dict[N, None]]:
+        """The adjacency dicts, built from the view on first use.
+
+        Hot paths inline this as ``self._adj or self._dicts()`` (an
+        empty graph's ``{}`` takes the call and comes back unchanged).
+        """
+        if self._adj is None:
+            self._adj = _adjacency(self._index)
+        return self._adj
 
     # -- copies and pickles never carry the memoized view -----------------
 
     def __getstate__(self):
         # A 1-tuple, never falsy: protocols 0 and 1 drop a falsy state
         # (an empty graph's ``{}``) and would skip ``__setstate__``.
-        return (self._adj,)
+        return (self._dicts(),)
 
     def __setstate__(self, state) -> None:
         (self._adj,) = state
@@ -83,8 +97,9 @@ class Graph(Generic[N]):
 
     def add_node(self, node: N) -> None:
         """Add a node (no-op if already present)."""
-        if node not in self._adj:
-            self._adj[node] = {}
+        adj = self._adj or self._dicts()
+        if node not in adj:
+            adj[node] = {}
             self._index = None
 
     def add_edge(self, u: N, v: N) -> None:
@@ -107,9 +122,10 @@ class Graph(Generic[N]):
         Raises:
             KeyError: if the node is absent.
         """
-        for neighbor in self._adj[node]:
-            del self._adj[neighbor][node]
-        del self._adj[node]
+        adj = self._dicts()
+        for neighbor in adj[node]:
+            del adj[neighbor][node]
+        del adj[node]
         self._index = None
 
     def remove_edge(self, u: N, v: N) -> None:
@@ -118,30 +134,31 @@ class Graph(Generic[N]):
         Raises:
             KeyError: if the edge is absent.
         """
-        del self._adj[u][v]
-        del self._adj[v][u]
+        adj = self._dicts()
+        del adj[u][v]
+        del adj[v][u]
         self._index = None
 
     # -- queries --------------------------------------------------------------
 
     def __contains__(self, node: N) -> bool:
-        return node in self._adj
+        return node in (self._adj if self._adj is not None else self._index)
 
     def __len__(self) -> int:
-        return len(self._adj)
+        return len(self._adj if self._adj is not None else self._index)
 
     def __iter__(self) -> Iterator[N]:
-        return iter(self._adj)
+        return iter(self._adj if self._adj is not None else self._index.nodes)
 
     def nodes(self) -> list[N]:
         """All nodes, in insertion order."""
-        return list(self._adj)
+        return list(self._adj if self._adj is not None else self._index.nodes)
 
     def edges(self) -> list[tuple[N, N]]:
         """Each undirected edge once, as ``(u, v)`` in first-seen order."""
         seen: set[N] = set()
         result: list[tuple[N, N]] = []
-        for u, nbrs in self._adj.items():
+        for u, nbrs in self._dicts().items():
             for v in nbrs:
                 if v not in seen:
                     result.append((u, v))
@@ -149,10 +166,13 @@ class Graph(Generic[N]):
         return result
 
     def edge_count(self) -> int:
+        if self._index is not None:
+            return self._index.edge_count()
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
     def has_edge(self, u: N, v: N) -> bool:
-        return u in self._adj and v in self._adj[u]
+        adj = self._adj or self._dicts()
+        return u in adj and v in adj[u]
 
     def neighbors(self, node: N) -> list[N]:
         """Neighbors of a node, in insertion order.
@@ -160,23 +180,29 @@ class Graph(Generic[N]):
         Raises:
             KeyError: if the node is absent.
         """
-        return list(self._adj[node])
+        if self._adj is not None:
+            return list(self._adj[node])
+        view = self._index
+        nodes = view.nodes
+        return [nodes[i] for i in view.neighbors(view.id_of(node))]
 
     def neighbor_set(self, node: N) -> set[N]:
-        return set(self._adj[node])
+        return set((self._adj or self._dicts())[node])
 
     def degree(self, node: N) -> int:
-        return len(self._adj[node])
+        if self._adj is not None:
+            return len(self._adj[node])
+        return self._index.degree(self._index.id_of(node))
 
     def closed_neighborhood(self, node: N) -> set[N]:
         """The node together with its neighbors (``N[v]``)."""
-        closed = set(self._adj[node])
+        closed = set((self._adj or self._dicts())[node])
         closed.add(node)
         return closed
 
     def max_degree(self) -> int:
         """Maximum degree; 0 for the empty graph."""
-        return max((len(nbrs) for nbrs in self._adj.values()), default=0)
+        return max((len(nbrs) for nbrs in self._dicts().values()), default=0)
 
     # -- derived graphs --------------------------------------------------------
 
@@ -186,22 +212,34 @@ class Graph(Generic[N]):
         Unknown nodes are ignored, matching the set-algebra style the
         CDS algorithms use (``G[I ∪ C]`` with ``C`` still growing).
         """
-        keep = {n for n in nodes if n in self._adj}
+        adj = self._dicts()
+        keep = {n for n in nodes if n in adj}
         sub: Graph[N] = Graph()
-        for n in self._adj:
+        for n in adj:
             if n in keep:
                 sub.add_node(n)
         for u in sub._adj:
-            for v in self._adj[u]:
+            for v in adj[u]:
                 if v in keep:
                     sub._adj[u][v] = None
         return sub
 
     def copy(self) -> "Graph[N]":
         dup: Graph[N] = Graph()
-        for n, nbrs in self._adj.items():
+        for n, nbrs in self._dicts().items():
             dup._adj[n] = dict(nbrs)
         return dup
 
     def __repr__(self) -> str:
         return f"Graph(|V|={len(self)}, |E|={self.edge_count()})"
+
+
+def _adjacency(view) -> dict:
+    """The adjacency dicts of ``view``'s graph: nodes and each neighbor
+    row in the view's order, every entry the view's own node object."""
+    nodes, indptr = view.nodes, view.indptr
+    flat = [nodes[i] for i in view.indices]
+    fromkeys = dict.fromkeys
+    return {
+        node: fromkeys(flat[a:b]) for node, a, b in zip(nodes, indptr, indptr[1:])
+    }

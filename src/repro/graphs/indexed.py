@@ -17,13 +17,15 @@ a flat, integer-indexed view instead:
 :meth:`IndexedGraph.from_graph` is ``O(V + E)`` once per graph: the
 view is memoized on the source :class:`Graph`, so the connectivity
 check, every solver phase and result validation share one interning
-pass (the vectorized UDG builder even seeds the memo straight from its
-CSR rows).  Because the view preserves iteration and adjacency order,
-algorithms on it are bit-identical to their dict-based counterparts,
-just cheaper per step.  The view is a snapshot — mutating the source
-:class:`Graph` afterwards clears the memo but does not update a view
-already handed out — and it is shared, so callers must treat its
-arrays as read-only.
+pass.  :func:`repro.graphs.udg.unit_disk_graph` builds its graph as
+this view alone, straight from its CSR rows: on a UDG the view comes
+first, and the adjacency dicts are derived from it on first use (see
+:mod:`repro.graphs.graph`).  Because the view preserves iteration and
+adjacency order, algorithms on it are bit-identical to their
+dict-based counterparts, just cheaper per step.  The view is a
+snapshot — mutating the source :class:`Graph` afterwards clears the
+memo but does not update a view already handed out — and it is
+shared, so callers must treat its arrays as read-only.
 """
 
 from __future__ import annotations

@@ -108,8 +108,10 @@ def unit_disk_graph(
     from there up only pairs in neighboring buckets of side ``radius``
     — expected time linear in ``n`` for bounded density — with each
     adjacency row in grid scan order (:func:`_grid_edges`).  The
-    graph's memoized :class:`~repro.graphs.indexed.IndexedGraph` view
-    is seeded from the same rows (:func:`_bulk_graph`).  An
+    graph is built as its memoized
+    :class:`~repro.graphs.indexed.IndexedGraph` view alone, from the
+    same rows; its adjacency dicts follow on first use
+    (:func:`_bulk_graph`).  An
     instrumented run records one ``udg.grid.build`` span and the
     ``udg.grid.*`` counters at every ``n``.
 
@@ -148,7 +150,7 @@ def _udg_graph(
         graph = _bulk_graph(pts, indptr, nbr)
     if OBS.enabled:
         OBS.incr("udg.grid.pairs_tested", pairs_tested)
-        OBS.incr("udg.grid.edges_emitted", graph.edge_count())
+        OBS.incr("udg.grid.edges_emitted", nbr.size // 2)
     return graph
 
 
@@ -360,25 +362,19 @@ def _neighbor_rows(
 
 def _bulk_graph(pts: list[Point], indptr: np.ndarray, nbr: np.ndarray) -> Graph[Point]:
     """The :class:`Graph` with CSR rows ``(indptr, nbr)`` over ``pts``,
-    its memoized kernel view seeded from the same rows.
+    built as its memoized kernel view alone (:meth:`Graph._from_index`;
+    the adjacency dicts follow on first use).
 
-    Object-array gathers keep every entry a shared reference: each
-    neighbor id is the one ``int`` object of ``list(range(n))`` that
-    the view interns it to (``nbr.tolist()`` would allocate a fresh
-    ``int`` per adjacency entry), and each neighbor point is the input
-    ``Point`` itself.
+    An object-array gather keeps every neighbor id the one ``int``
+    object of ``list(range(n))`` that the view interns it to
+    (``nbr.tolist()`` would allocate a fresh ``int`` per adjacency
+    entry).
     """
     n = len(pts)
     ids = list(range(n))
-    indptr = indptr.tolist()
     indices = np.fromiter(ids, dtype=object, count=n)[nbr].tolist()
-    neighbors = np.fromiter(pts, dtype=object, count=n)[nbr].tolist()
-    fromkeys = dict.fromkeys
-    adj = {
-        p: fromkeys(neighbors[a:b]) for p, a, b in zip(pts, indptr, indptr[1:])
-    }
-    index = IndexedGraph(tuple(pts), dict(zip(pts, ids)), indptr, indices)
-    return Graph._adopt(adj, index)  # noqa: SLF001 - same-package bulk path
+    index = IndexedGraph(tuple(pts), dict(zip(pts, ids)), indptr.tolist(), indices)
+    return Graph._from_index(index)  # noqa: SLF001 - same-package bulk path
 
 
 def quasi_unit_disk_graph(

@@ -257,8 +257,9 @@ class TestSeededView:
         # Neighbor ids are the n shared ints of the view, not one fresh
         # int object per adjacency entry.
         assert len({id(i) for i in seeded.indices}) <= n
-        graph._index = None
-        fresh = IndexedGraph.from_graph(graph)
+        # The graph has no adjacency dicts of its own to intern; a copy
+        # builds them from the view and carries no memo.
+        fresh = IndexedGraph.from_graph(graph.copy())
         assert fresh is not seeded
         same_view(seeded, fresh)
         assert_same_graph_ordered(graph, grid_oracle(pts)[0])
@@ -294,3 +295,70 @@ def test_solve_path_never_imports_scipy():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.fixture
+def count_dict_builds(monkeypatch):
+    """Count every build of a graph's adjacency dicts from its view."""
+    import repro.graphs.graph as graph_module
+
+    calls = []
+    build = graph_module._adjacency
+
+    def counting(view):
+        calls.append(len(view))
+        return build(view)
+
+    monkeypatch.setattr(graph_module, "_adjacency", counting)
+    return calls
+
+
+class TestSolvePathBuildsNoDicts:
+    """Solves, sweep cells and protocol runs read only the UDG's view:
+    none of them builds its adjacency dicts."""
+
+    @pytest.mark.parametrize("algorithm", ("greedy", "waf"))
+    def test_cli_solve(self, algorithm, tmp_path, capsys, count_dict_builds):
+        from repro.cli import main
+        from repro.graphs import random_connected_udg
+        from repro.io import save_points
+
+        pts, _ = random_connected_udg(3000, 20.0, seed=1)
+        csv = tmp_path / "deploy.csv"
+        save_points(pts, csv)
+        argv = ["solve", str(csv), "--algorithm", algorithm,
+                "--out", str(tmp_path / "result.json"),
+                "--stats-out", str(tmp_path / "rec.json")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert (tmp_path / "result.json").exists()
+        assert (tmp_path / "rec.json").exists()
+        assert count_dict_builds == []
+
+    @pytest.mark.parametrize("algorithm", ("greedy", "waf"))
+    def test_solve_cell(self, algorithm, count_dict_builds):
+        from repro.experiments.parallel import SweepCell, solve_cell
+
+        summary = solve_cell(SweepCell(150, 8.0, 3), algorithm)
+        assert summary["cds_size"] > 0
+        assert count_dict_builds == []
+
+    def test_distributed_protocols(self, count_dict_builds):
+        from repro.distributed.cds_protocol import (
+            distributed_greedy_cds,
+            distributed_waf_cds,
+        )
+        from repro.graphs import random_connected_udg
+
+        _, graph = random_connected_udg(60, 6.0, seed=5)
+        for protocol in (distributed_waf_cds, distributed_greedy_cds):
+            result, _ = protocol(graph)
+            assert result.size > 0
+        assert count_dict_builds == []
+
+    def test_the_counter_sees_a_dict_read(self, count_dict_builds):
+        # The guard is live: the first dict read of a UDG builds once.
+        graph = unit_disk_graph(uniform_points(100, 5.0, 2))
+        graph.has_edge(*graph.nodes()[:2])
+        graph.edges()
+        assert count_dict_builds == [100]
