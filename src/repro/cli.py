@@ -1135,7 +1135,8 @@ def _solve_main(argv: Sequence[str]) -> int:
     session.start()
 
     try:
-        points = load_points(args.deployment)
+        with OBS.time("io.load_points"):
+            points = load_points(args.deployment)
     except (OSError, ValueError) as exc:
         print(f"cannot read deployment: {exc}", file=sys.stderr)
         return 2
@@ -1149,7 +1150,9 @@ def _solve_main(argv: Sequence[str]) -> int:
         # can mean, rejected before any component is chosen.
         print(f"invalid deployment: {exc}", file=sys.stderr)
         return 2
-    if not is_connected(graph):
+    with OBS.time("graphs.is_connected"):
+        connected = is_connected(graph)
+    if not connected:
         # A CDS needs a connected network: solving a component instead
         # would silently change the instance.
         sizes = [len(c) for c in connected_components(graph)]
@@ -1189,7 +1192,9 @@ def _solve_main(argv: Sequence[str]) -> int:
             # no (2,m)-CDS exists, which is an input property, not a bug.
             print(f"{args.algorithm}: {exc}", file=sys.stderr)
             return 2
-    if not result.is_valid(graph):
+    with OBS.time("cds.validate"):
+        valid = result.is_valid(graph)
+    if not valid:
         print(f"{args.algorithm} produced an invalid CDS (bug)", file=sys.stderr)
         return 1
     if args.prune:
@@ -1210,7 +1215,8 @@ def _solve_main(argv: Sequence[str]) -> int:
         print(render_deployment(points, result, width=60))
         print(render_backbone_legend())
     if args.out:
-        save_result(result, args.out)
+        with OBS.time("io.save_result"):
+            save_result(result, args.out)
         print(f"result written to {args.out}")
     session.stop_hooks()
     _emit_obs(

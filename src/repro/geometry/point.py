@@ -37,7 +37,7 @@ __all__ = [
 EPS: float = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Point:
     """An immutable point in the plane.
 
@@ -46,14 +46,15 @@ class Point:
     naturally expressed with reflections and translations
     (e.g. ``v2 = -v1`` in Figure 1).
 
-    Slotted (no per-instance ``__dict__``) and hash-cached: points are
-    the hot per-node object — a 10k-node deployment hashes every point
-    hundreds of times across UDG bucketing, graph interning and CDS
-    set algebra, so ``__hash__`` computes the (unchanged) field-tuple
-    hash once and memoizes it in a slot.  The lexicographic ordering is
-    likewise hand-written (same semantics ``dataclass(order=True)``
-    would generate, minus its two tuple allocations per comparison) —
-    value-sorting all nodes is on the solver hot path.
+    Slotted (no per-instance ``__dict__``) and hashed at construction:
+    points are the hot per-node object — a 10k-node deployment hashes
+    every point hundreds of times across UDG bucketing, graph interning
+    and CDS set algebra, so ``__init__`` (and ``__setstate__``) store
+    the field-tuple hash ``hash((x, y))`` in a slot and ``__hash__``
+    only reads it.  The lexicographic ordering is likewise hand-written
+    (same semantics ``dataclass(order=True)`` would generate, minus its
+    two tuple allocations per comparison) — value-sorting all nodes is
+    on the solver hot path.
     """
 
     __slots__ = ("x", "y", "_hashval")
@@ -61,13 +62,13 @@ class Point:
     x: float
     y: float
 
+    def __init__(self, x: float, y: float) -> None:
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_hashval(self, hash((x, y)))
+
     def __hash__(self) -> int:
-        try:
-            return self._hashval
-        except AttributeError:
-            h = hash((self.x, self.y))
-            object.__setattr__(self, "_hashval", h)
-            return h
+        return self._hashval
 
     # -- lexicographic order (by (x, y), Points only) ----------------------
 
@@ -105,14 +106,13 @@ class Point:
 
     # Manual __slots__ breaks default pickling of frozen instances
     # (setstate would hit the frozen __setattr__); state is the fields
-    # only, so the cache is recomputed lazily after unpickling.
+    # only, so pickled bytes carry no hash and unpickling recomputes it.
 
     def __getstate__(self):
         return (self.x, self.y)
 
     def __setstate__(self, state):
-        object.__setattr__(self, "x", state[0])
-        object.__setattr__(self, "y", state[1])
+        Point.__init__(self, *state)
 
     # -- vector arithmetic -------------------------------------------------
 
@@ -201,6 +201,13 @@ class Point:
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
 
+
+# The slot descriptors' setters get past the frozen ``__setattr__`` as
+# ``object.__setattr__`` does, minus its by-name lookup: a quarter less
+# per construction, and every deployment builds its points one by one.
+_set_x = Point.x.__set__
+_set_y = Point.y.__set__
+_set_hashval = Point._hashval.__set__
 
 ORIGIN = Point(0.0, 0.0)
 

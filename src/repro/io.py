@@ -4,7 +4,20 @@ A downstream user wants to pin down the exact instance a result came
 from.  Deployments (point sets) are stored as two-column CSV; results
 as JSON carrying the algorithm label, the node set and the phase split.
 Round-tripping is exact: coordinates are written with ``repr`` so
-``float`` survives bit-for-bit.
+``float`` survives bit-for-bit.  Any other coordinate (a numpy
+scalar, say, whose ``repr`` names its type) is written as
+``repr(float(v))``; result files keep every ``int`` and ``float``
+subclass as ``json`` writes it.
+
+A result file is byte for byte ``json.dumps(payload, indent=2) + "\n"``,
+but the stdlib only has a C encoder for compact output: with ``indent``
+it encodes in pure Python, a dict per backbone node.  So
+:func:`save_result` writes each Point with two finite ``float``
+coordinates from a fixed template (``float.__repr__`` is what ``json``
+writes for a finite float) and hands every other node, the algorithm
+label and ``meta`` to ``json.dumps``, its newlines shifted to the
+nesting depth (``json`` escapes any newline inside a string, so each
+one it emits is layout).
 """
 
 from __future__ import annotations
@@ -28,7 +41,12 @@ def save_points(points: Iterable[Point], path: str | Path) -> None:
     """Write a deployment as ``x,y`` CSV (with header)."""
     lines = ["x,y"]
     for p in points:
-        lines.append(f"{p.x!r},{p.y!r}")
+        x, y = p.x, p.y
+        if type(x) is not float and type(x) is not int:
+            x = float(x)
+        if type(y) is not float and type(y) is not int:
+            y = float(y)
+        lines.append(f"{x!r},{y!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -56,9 +74,15 @@ def load_points(path: str | Path) -> list[Point]:
     return points
 
 
+def _json_coord(v):
+    """``v`` if ``json`` writes it as a number (any ``int`` or ``float``),
+    else ``float(v)``: numpy scalars other than ``float64`` are not."""
+    return v if isinstance(v, (int, float)) else float(v)
+
+
 def _point_to_obj(node) -> object:
     if isinstance(node, Point):
-        return {"x": node.x, "y": node.y}
+        return {"x": _json_coord(node.x), "y": _json_coord(node.y)}
     return node
 
 
@@ -68,6 +92,34 @@ def _obj_to_node(obj: object):
     if isinstance(obj, list):  # JSON has no tuples
         return tuple(obj)
     return obj
+
+
+#: One Point in a node list, as ``json.dumps(..., indent=2)`` lays it
+#: out two levels deep; ``%r`` of a ``float`` is ``float.__repr__``.
+_POINT = '    {\n      "x": %r,\n      "y": %r\n    }'
+
+
+def _node_list(nodes) -> str:
+    """A node list as ``json.dumps`` writes it for a result's top-level key."""
+    if not nodes:
+        return "[]"
+    items = []
+    for v in nodes:
+        if type(v) is Point:
+            x, y = v.x, v.y
+            # x - x == 0.0 is False for inf and nan, which json spells
+            # Infinity and NaN.
+            if (
+                type(x) is float
+                and type(y) is float
+                and x - x == 0.0
+                and y - y == 0.0
+            ):
+                items.append(_POINT % (x, y))
+                continue
+        obj = json.dumps(_point_to_obj(v), indent=2)
+        items.append("    " + obj.replace("\n", "\n    "))
+    return "[\n" + ",\n".join(items) + "\n  ]"
 
 
 def save_result(result: CDSResult, path: str | Path) -> None:
@@ -83,14 +135,22 @@ def save_result(result: CDSResult, path: str | Path) -> None:
         except TypeError:
             continue
         meta[key] = value
-    payload = {
-        "algorithm": result.algorithm,
-        "nodes": [_point_to_obj(v) for v in sorted(result.nodes)],
-        "dominators": [_point_to_obj(v) for v in result.dominators],
-        "connectors": [_point_to_obj(v) for v in result.connectors],
-        "meta": meta,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    text = "".join(
+        [
+            '{\n  "algorithm": ',
+            json.dumps(result.algorithm),
+            ',\n  "nodes": ',
+            _node_list(sorted(result.nodes)),
+            ',\n  "dominators": ',
+            _node_list(result.dominators),
+            ',\n  "connectors": ',
+            _node_list(result.connectors),
+            ',\n  "meta": ',
+            json.dumps(meta, indent=2).replace("\n", "\n  "),
+            "\n}\n",
+        ]
+    )
+    Path(path).write_text(text)
 
 
 def load_result(path: str | Path) -> CDSResult:

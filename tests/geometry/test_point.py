@@ -1,6 +1,9 @@
 """Unit tests for repro.geometry.point."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -57,7 +60,8 @@ class TestPointArithmetic:
 class TestPointMemoryLayout:
     """``__slots__`` regression guard: Points are allocated by the
     million in UDG deployments, so the layout (no per-instance
-    ``__dict__``, cached hash) must not silently regress."""
+    ``__dict__``, hash computed once at construction and stored in a
+    slot) must not silently regress."""
 
     def test_no_instance_dict(self):
         p = Point(1, 2)
@@ -92,6 +96,68 @@ class TestPointMemoryLayout:
         p = Point(1.0, 2.0)
         q = copy.deepcopy(p)
         assert q == p and hash(q) == hash(p)
+
+    def test_hash_computed_at_construction(self):
+        p = Point(0.25, -4.0)
+        assert p._hashval == hash((0.25, -4.0))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x, y: Point(x, y),
+            lambda x, y: Point(y=y, x=x),
+            lambda x, y: copy.copy(Point(x, y)),
+            lambda x, y: copy.deepcopy(Point(x, y)),
+            lambda x, y: dataclasses.replace(Point(0.0, 0.0), x=x, y=y),
+            lambda x, y: dataclasses.replace(Point(x, 0.0), y=y),
+        ]
+        + [
+            lambda x, y, proto=proto: pickle.loads(pickle.dumps(Point(x, y), proto))
+            for proto in range(pickle.HIGHEST_PROTOCOL + 1)
+        ],
+    )
+    @pytest.mark.parametrize("x, y", [(1.5, -2.0), (3, 4), (-0.0, math.inf)])
+    def test_hash_is_the_field_tuple_hash(self, make, x, y):
+        # hash((x, y)) keeps set and dict iteration orders unchanged.
+        p = make(x, y)
+        assert (p.x, p.y) == (x, y)
+        assert hash(p) == hash((x, y))
+
+    @pytest.mark.parametrize(
+        "proto, expected",
+        [
+            (
+                2,
+                b"\x80\x02crepro.geometry.point\nPoint\nq\x00)\x81q\x01"
+                b"G?\xf8\x00\x00\x00\x00\x00\x00G\xc0\x00\x00\x00\x00"
+                b"\x00\x00\x00\x86q\x02b.",
+            ),
+            (
+                3,
+                b"\x80\x03crepro.geometry.point\nPoint\nq\x00)\x81q\x01"
+                b"G?\xf8\x00\x00\x00\x00\x00\x00G\xc0\x00\x00\x00\x00"
+                b"\x00\x00\x00\x86q\x02b.",
+            ),
+            (
+                4,
+                b"\x80\x04\x95:\x00\x00\x00\x00\x00\x00\x00\x8c\x14"
+                b"repro.geometry.point\x94\x8c\x05Point\x94\x93\x94)\x81\x94"
+                b"G?\xf8\x00\x00\x00\x00\x00\x00G\xc0\x00\x00\x00\x00"
+                b"\x00\x00\x00\x86\x94b.",
+            ),
+            (
+                5,
+                b"\x80\x05\x95:\x00\x00\x00\x00\x00\x00\x00\x8c\x14"
+                b"repro.geometry.point\x94\x8c\x05Point\x94\x93\x94)\x81\x94"
+                b"G?\xf8\x00\x00\x00\x00\x00\x00G\xc0\x00\x00\x00\x00"
+                b"\x00\x00\x00\x86\x94b.",
+            ),
+        ],
+    )
+    def test_pickled_bytes_pinned(self, proto, expected):
+        # serve and sweep ship Points between processes: the state is
+        # the two fields only, never the hash.
+        assert pickle.dumps(Point(1.5, -2.0), protocol=proto) == expected
 
     def test_equality_and_order_semantics_preserved(self):
         assert Point(1, 2) == Point(1.0, 2.0)

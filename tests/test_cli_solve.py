@@ -185,6 +185,24 @@ class TestSolveStats:
         assert obj["results"]["cds_size"] > 0
         assert obj["instance"]["nodes"] == 20
 
+    def test_stats_out_spans_the_io_layers(self, deployment, tmp_path, capsys):
+        from repro.obs.validate import main as validate_main
+
+        rec_file = tmp_path / "rec.json"
+        argv = ["solve", deployment, "--out", str(tmp_path / "r.json")]
+        assert main([*argv, "--stats-out", str(rec_file)]) == 0
+        timings = json.loads(rec_file.read_text())["timings"]
+        # Named as the per-layer rows of BENCHMARK.json, minus "_s".
+        for span in (
+            "io.load_points",
+            "graphs.is_connected",
+            "cds.validate",
+            "io.save_result",
+        ):
+            assert timings[span]["count"] == 1
+            assert timings[span]["seconds"] >= 0
+        assert validate_main([str(rec_file)]) == 0
+
     def test_trace_prints_report(self, deployment, capsys):
         assert main(["solve", deployment, "--trace"]) == 0
         out = capsys.readouterr().out
