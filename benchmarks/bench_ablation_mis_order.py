@@ -1,8 +1,8 @@
 """Ablation — phase-1 MIS order (DESIGN.md section 6).
 
 The guarantees only need *some* 2-hop-separated MIS; this ablation
-measures how the selection order (BFS first-fit of [10], max-degree
-greedy, lexicographic, random) affects |I| and the final CDS size when
+measures how the selection order (BFS first-fit of [10] or
+lexicographic first-fit) affects |I| and the final CDS size when
 phase 2 is the Section IV greedy.
 """
 
@@ -10,18 +10,11 @@ import pytest
 
 from repro.cds import greedy_connectors, steiner_connectors
 from repro.graphs import is_maximal_independent_set
-from repro.mis import (
-    first_fit_mis,
-    lexicographic_mis,
-    max_degree_mis,
-    random_order_mis,
-)
+from repro.mis import first_fit_mis, lexicographic_mis
 
 ORDERS = {
     "bfs-first-fit": lambda g: list(first_fit_mis(g).nodes),
-    "max-degree": max_degree_mis,
     "lexicographic": lexicographic_mis,
-    "random": lambda g: random_order_mis(g, seed=0),
 }
 
 

@@ -18,7 +18,6 @@ from .exact import (
     connected_domination_number,
     gamma_c_lower_bound,
     gamma_mfold_lower_bound,
-    mfold_connected_domination_number,
     minimum_cds,
     minimum_mfold_cds,
 )
@@ -31,7 +30,6 @@ from .mfold import (
 from .prune import prune_cds, prune_result
 from .maintenance import DynamicCDS, RepairStats
 from .weighted import cds_weight, weighted_greedy_cds
-from .dhop import d_hop_ball, d_hop_cds, is_d_hop_cds, is_d_hop_dominating
 from . import bounds
 from .bounds import (
     ALPHA_SLOPE,
@@ -59,7 +57,6 @@ __all__ = [
     "connected_domination_number",
     "gamma_c_lower_bound",
     "gamma_mfold_lower_bound",
-    "mfold_connected_domination_number",
     "minimum_cds",
     "minimum_mfold_cds",
     "augment_biconnected",
@@ -72,10 +69,6 @@ __all__ = [
     "RepairStats",
     "cds_weight",
     "weighted_greedy_cds",
-    "d_hop_ball",
-    "d_hop_cds",
-    "is_d_hop_cds",
-    "is_d_hop_dominating",
     "bounds",
     "ALPHA_SLOPE",
     "GREEDY_RATIO",

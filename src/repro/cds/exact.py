@@ -43,7 +43,6 @@ __all__ = [
     "minimum_cds",
     "minimum_mfold_cds",
     "connected_domination_number",
-    "mfold_connected_domination_number",
     "gamma_c_lower_bound",
     "gamma_mfold_lower_bound",
 ]
@@ -343,7 +342,3 @@ def connected_domination_number(graph: Graph[N]) -> int:
     """``gamma_c(G)``: the size of a minimum CDS."""
     return len(minimum_cds(graph))
 
-
-def mfold_connected_domination_number(graph: Graph[N], m: int) -> int:
-    """``gamma_{c,m}(G)``: the size of a minimum (1,m)-CDS."""
-    return len(minimum_mfold_cds(graph, m))

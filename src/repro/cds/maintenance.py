@@ -2,9 +2,9 @@
 
 The paper constructs a CDS once, but its setting — wireless *ad hoc*
 networks — is defined by churn: nodes join, die, and move.  This
-extension maintains a valid CDS across single-node updates with local
-repairs, falling back to a full rebuild only when churn has eroded the
-backbone's quality.
+extension maintains a valid CDS across single-node joins and leaves
+with local repairs, falling back to a full rebuild only when churn has
+eroded the backbone's quality.
 
 Repair rules (each preserves the CDS invariant, proven in the
 docstrings and enforced by validation in tests):
@@ -207,48 +207,6 @@ class DynamicCDS:
         return self._after_update(
             RepairStats(action=action, promoted=tuple(promoted), demoted=(node,))
         )
-
-    def move_node(self, node: N, new_neighbors: Iterable[N]) -> RepairStats:
-        """A node moved: replace its link set atomically.
-
-        Models position-driven churn in a mobile network — the node
-        stays, its radio neighborhood changes.  The repair re-dominates
-        orphans and reconnects backbone fragments exactly as a
-        backbone leave does; a moving backbone node keeps its backbone
-        membership (its new links may already suffice).
-
-        Raises:
-            ValueError: if the node is unknown, a neighbor is unknown,
-                or the move would disconnect the topology.
-        """
-        if node not in self._graph:
-            raise ValueError(f"unknown node {node!r}")
-        nbrs = [u for u in dict.fromkeys(new_neighbors) if u != node]
-        for u in nbrs:
-            if u not in self._graph:
-                raise ValueError(f"unknown neighbor {u!r}")
-        candidate = self._graph.copy()
-        for u in candidate.neighbors(node):
-            candidate.remove_edge(node, u)
-        for u in nbrs:
-            candidate.add_edge(node, u)
-        if not is_connected(candidate):
-            raise ValueError("move would disconnect the network")
-        self._graph = candidate
-
-        promoted: list[N] = []
-        for orphan in undominated_nodes(self._graph, self._backbone):
-            self._backbone.add(orphan)
-            promoted.append(orphan)
-        fragments = connected_components(self._graph.subgraph(self._backbone))
-        if len(fragments) > 1:
-            connectors = steiner_connectors(self._graph, self._backbone)
-            self._backbone.update(connectors)
-            promoted.extend(connectors)
-        if promoted:
-            self.repair_count += 1
-        action = "reconnected" if promoted else "none"
-        return self._after_update(RepairStats(action=action, promoted=tuple(promoted)))
 
     def rebuild(self) -> RepairStats:
         """Discard the maintained backbone and rebuild from scratch."""

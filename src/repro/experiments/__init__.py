@@ -6,11 +6,9 @@ from .harness import (
     all_experiments,
     experiment,
     get_experiment,
-    run_recorded,
 )
 from .parallel import (
     SweepCell,
-    default_jobs,
     solve_cell,
     sweep_cells,
 )
@@ -21,9 +19,7 @@ __all__ = [
     "all_experiments",
     "experiment",
     "get_experiment",
-    "run_recorded",
     "SweepCell",
-    "default_jobs",
     "solve_cell",
     "sweep_cells",
 ]

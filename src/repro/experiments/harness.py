@@ -26,7 +26,6 @@ __all__ = [
     "experiment",
     "get_experiment",
     "all_experiments",
-    "run_recorded",
 ]
 
 
@@ -186,37 +185,6 @@ def all_experiments() -> dict[str, tuple[str, Callable[..., ExperimentResult]]]:
     """All registered experiments keyed by id."""
     _load_all_modules()
     return dict(_REGISTRY)
-
-
-def run_recorded(experiment_id: str, **kwargs):
-    """Run one experiment under instrumentation and also return its
-    :class:`~repro.obs.RunRecord`.
-
-    The default registry is reset, enabled for the duration of the run
-    (restored afterwards), and snapshotted into a record whose
-    ``algorithm`` is ``"experiment:<ID>"`` and whose ``results`` carry
-    the pass/fail outcome and table shapes.  ``kwargs`` are forwarded to
-    the experiment function and echoed into ``instance``.
-    """
-    from ..obs import OBS, RunRecord
-
-    fn = get_experiment(experiment_id)
-    experiment_id = fn.experiment_id  # canonical casing
-    with OBS.capture() as reg:
-        with reg.time(f"experiment.{experiment_id}"):
-            result = fn(**kwargs)
-        record = RunRecord.from_registry(
-            reg,
-            algorithm=f"experiment:{experiment_id}",
-            instance={"experiment": experiment_id, **kwargs},
-            results={
-                "passed": result.passed,
-                "tables": len(result.tables),
-                "rows": sum(len(t.rows) for t in result.tables),
-            },
-            meta={"title": result.title},
-        )
-    return result, record
 
 
 def _load_all_modules() -> None:

@@ -36,7 +36,6 @@ pool through the same ``run_cells``.
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -51,7 +50,6 @@ __all__ = [
     "solve_cell",
     "solve_cells_resilient",
     "run_experiments_resilient",
-    "default_jobs",
 ]
 
 
@@ -92,11 +90,6 @@ def sweep_cells(
 def cell_key(cell: SweepCell) -> str:
     """The cell's stable identity string (checkpoint ledger key)."""
     return f"n={cell.n};side={cell.side!r};seed={cell.seed}"
-
-
-def default_jobs() -> int:
-    """A conservative default worker count: physical parallelism, capped."""
-    return max(1, min(8, os.cpu_count() or 1))
 
 
 def solve_cell(

@@ -11,10 +11,7 @@ from .point import (
     EPS,
     ORIGIN,
     Point,
-    almost_equal,
-    centroid,
     distance,
-    distance_squared,
     max_pairwise_distance,
     midpoint,
     min_pairwise_distance,
@@ -22,25 +19,18 @@ from .point import (
 )
 from .predicates import (
     angle_at,
-    angle_between,
-    angular_separations,
     convex_hull,
     diameter,
-    is_ccw,
-    is_collinear,
     is_convex_polygon,
     orientation,
     point_in_polygon,
-    polygon_area,
 )
 from .disks import (
-    Disk,
     circle_circle_intersection,
     disk_union_area,
     in_disk,
     in_neighborhood,
     points_in_neighborhood,
-    unit_disk,
 )
 from .arcs import Arc, ArcPolygon, arc_between, chord_length
 from .packing import (
@@ -48,7 +38,6 @@ from .packing import (
     disk_candidates,
     greedy_independent_subset,
     grid_candidates,
-    independence_violations,
     is_independent,
     max_independent_subset,
     max_independent_subset_size,
@@ -95,34 +84,24 @@ __all__ = [
     "EPS",
     "ORIGIN",
     "Point",
-    "almost_equal",
-    "centroid",
     "distance",
-    "distance_squared",
     "max_pairwise_distance",
     "midpoint",
     "min_pairwise_distance",
     "pairwise_distances",
     # predicates
     "angle_at",
-    "angle_between",
-    "angular_separations",
     "convex_hull",
     "diameter",
-    "is_ccw",
-    "is_collinear",
     "is_convex_polygon",
     "orientation",
     "point_in_polygon",
-    "polygon_area",
     # disks
-    "Disk",
     "circle_circle_intersection",
     "disk_union_area",
     "in_disk",
     "in_neighborhood",
     "points_in_neighborhood",
-    "unit_disk",
     # arcs
     "Arc",
     "ArcPolygon",
@@ -133,7 +112,6 @@ __all__ = [
     "disk_candidates",
     "greedy_independent_subset",
     "grid_candidates",
-    "independence_violations",
     "is_independent",
     "max_independent_subset",
     "max_independent_subset_size",

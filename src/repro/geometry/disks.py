@@ -11,14 +11,11 @@ circle–circle intersection (used pervasively in the appendix, e.g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .point import EPS, Point
 
 __all__ = [
-    "Disk",
-    "unit_disk",
     "in_disk",
     "in_neighborhood",
     "circle_circle_intersection",
@@ -26,37 +23,6 @@ __all__ = [
     "disk_union_area_grid",
     "points_in_neighborhood",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class Disk:
-    """A closed disk with ``center`` and ``radius``."""
-
-    center: Point
-    radius: float = 1.0
-
-    def contains(self, p: Point, tol: float = EPS) -> bool:
-        """Closed-disk membership with tolerance ``tol``."""
-        return self.center.distance_to(p) <= self.radius + tol
-
-    def contains_strict(self, p: Point, tol: float = EPS) -> bool:
-        """Open-disk membership (strictly inside, with tolerance)."""
-        return self.center.distance_to(p) < self.radius - tol
-
-    def boundary_point(self, angle: float) -> Point:
-        """The boundary point at the given polar angle."""
-        return Point(
-            self.center.x + self.radius * math.cos(angle),
-            self.center.y + self.radius * math.sin(angle),
-        )
-
-    def area(self) -> float:
-        return math.pi * self.radius * self.radius
-
-
-def unit_disk(center: Point) -> Disk:
-    """``D_center`` in the paper's notation."""
-    return Disk(center, 1.0)
 
 
 def in_disk(p: Point, center: Point, radius: float = 1.0, tol: float = EPS) -> bool:

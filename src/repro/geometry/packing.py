@@ -23,7 +23,6 @@ from .disks import in_disk, in_neighborhood
 __all__ = [
     "WEGNER_RADIUS2_CAPACITY",
     "is_independent",
-    "independence_violations",
     "phi",
     "greedy_independent_subset",
     "max_independent_subset",
@@ -55,22 +54,6 @@ def is_independent(points: Sequence[Point], tol: float = EPS) -> bool:
             if dx * dx + dy * dy <= threshold_sq:
                 return False
     return True
-
-
-def independence_violations(
-    points: Sequence[Point], tol: float = EPS
-) -> list[tuple[int, int, float]]:
-    """All index pairs at distance <= 1, with their distances.
-
-    Useful in tests to report *which* pair broke a construction.
-    """
-    violations: list[tuple[int, int, float]] = []
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            d = points[i].distance_to(points[j])
-            if d <= 1.0 + tol:
-                violations.append((i, j, d))
-    return violations
 
 
 def phi(n: int) -> int:

@@ -16,19 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "EPS",
     "Point",
     "distance",
-    "distance_squared",
     "midpoint",
-    "centroid",
     "pairwise_distances",
     "min_pairwise_distance",
     "max_pairwise_distance",
-    "almost_equal",
 ]
 
 #: Default absolute tolerance for geometric comparisons.  The paper's
@@ -151,9 +148,6 @@ class Point:
         """Euclidean length of the vector from the origin."""
         return math.hypot(self.x, self.y)
 
-    def norm_squared(self) -> float:
-        return self.x * self.x + self.y * self.y
-
     def distance_to(self, other: "Point") -> float:
         """Euclidean distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -217,23 +211,8 @@ def distance(a: Point, b: Point) -> float:
     return a.distance_to(b)
 
 
-def distance_squared(a: Point, b: Point) -> float:
-    dx, dy = a.x - b.x, a.y - b.y
-    return dx * dx + dy * dy
-
-
 def midpoint(a: Point, b: Point) -> Point:
     return Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-
-
-def centroid(points: Iterable[Point]) -> Point:
-    """Arithmetic mean of a non-empty collection of points."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("centroid of an empty point set is undefined")
-    sx = sum(p.x for p in pts)
-    sy = sum(p.y for p in pts)
-    return Point(sx / len(pts), sy / len(pts))
 
 
 def pairwise_distances(points: Sequence[Point]) -> Iterator[float]:
@@ -251,8 +230,3 @@ def min_pairwise_distance(points: Sequence[Point]) -> float:
 def max_pairwise_distance(points: Sequence[Point]) -> float:
     """Largest pairwise distance (the *diameter*); 0 for < 2 points."""
     return max(pairwise_distances(points), default=0.0)
-
-
-def almost_equal(a: Point, b: Point, tol: float = EPS) -> bool:
-    """Whether two points coincide up to ``tol`` in each coordinate."""
-    return abs(a.x - b.x) <= tol and abs(a.y - b.y) <= tol

@@ -2,11 +2,8 @@
 
 These are the primitive tests the paper's appendix reasons with:
 orientation of point triples, interior angles of convex quadrilaterals
-(Lemma 11), angular separation of independent neighbors (used in the
-proof of Lemma 2: four independent points around ``o`` have adjacent
-angular separations strictly between 60 and 180 degrees), and the
-diameter of finite point sets (arc-polygon diameter reduces to vertex-set
-diameter).
+(Lemma 11), and the diameter of finite point sets (arc-polygon diameter
+reduces to vertex-set diameter).
 """
 
 from __future__ import annotations
@@ -18,15 +15,10 @@ from .point import EPS, Point, max_pairwise_distance
 
 __all__ = [
     "orientation",
-    "is_ccw",
-    "is_collinear",
     "angle_at",
-    "angle_between",
-    "angular_separations",
     "is_convex_polygon",
     "convex_hull",
     "diameter",
-    "polygon_area",
     "point_in_polygon",
 ]
 
@@ -38,16 +30,6 @@ def orientation(a: Point, b: Point, c: Point) -> float:
     (near) zero for collinear points.
     """
     return (b - a).cross(c - a)
-
-
-def is_ccw(a: Point, b: Point, c: Point, tol: float = EPS) -> bool:
-    """Whether ``a -> b -> c`` makes a strict counterclockwise turn."""
-    return orientation(a, b, c) > tol
-
-
-def is_collinear(a: Point, b: Point, c: Point, tol: float = EPS) -> bool:
-    """Whether the three points are collinear up to ``tol``."""
-    return abs(orientation(a, b, c)) <= tol
 
 
 def angle_at(vertex: Point, a: Point, b: Point) -> float:
@@ -62,30 +44,6 @@ def angle_at(vertex: Point, a: Point, b: Point) -> float:
         raise ValueError("angle undefined when a side has zero length")
     cosine = max(-1.0, min(1.0, u.dot(v) / (nu * nv)))
     return math.acos(cosine)
-
-
-def angle_between(u: Point, v: Point) -> float:
-    """Unsigned angle between two vectors, in ``[0, pi]``."""
-    return angle_at(Point(0.0, 0.0), u, v)
-
-
-def angular_separations(center: Point, points: Sequence[Point]) -> list[float]:
-    """Adjacent angular gaps (radians) of ``points`` as seen from ``center``.
-
-    The points are sorted by polar angle around ``center``; the returned
-    list contains one gap per adjacent pair, including the wrap-around
-    gap, so it always sums to ``2*pi`` (for two or more points).
-
-    The proof of Lemma 2 uses the fact that independent points within
-    unit distance of ``center`` have all adjacent separations > 60
-    degrees: this helper lets tests verify that property numerically.
-    """
-    if len(points) < 2:
-        return []
-    angles = sorted(center.angle_to(p) for p in points)
-    gaps = [angles[i + 1] - angles[i] for i in range(len(angles) - 1)]
-    gaps.append(2.0 * math.pi - (angles[-1] - angles[0]))
-    return gaps
 
 
 def is_convex_polygon(vertices: Sequence[Point], tol: float = EPS) -> bool:
@@ -149,18 +107,6 @@ def diameter(points: Sequence[Point]) -> float:
     if len(pts) > 64:
         pts = convex_hull(pts) or pts
     return max_pairwise_distance(pts)
-
-
-def polygon_area(vertices: Sequence[Point]) -> float:
-    """Unsigned area of a simple polygon (shoelace formula)."""
-    n = len(vertices)
-    if n < 3:
-        return 0.0
-    total = 0.0
-    for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        total += a.cross(b)
-    return abs(total) / 2.0
 
 
 def point_in_polygon(p: Point, vertices: Sequence[Point], tol: float = EPS) -> bool:

@@ -33,8 +33,6 @@ from .traversal import (
     bfs_tree,
     dfs_tree,
     connected_components,
-    eccentricity,
-    indexed_bfs_tree,
     induced_is_connected,
     is_connected,
     shortest_path_lengths,
@@ -49,9 +47,7 @@ from .generators import (
     clustered_points,
     corridor_points,
     largest_component_udg,
-    perturbed_grid_points,
     random_connected_udg,
-    uniform_disk_points,
     uniform_points,
 )
 from .properties import (
@@ -67,8 +63,6 @@ from .properties import (
     undominated_nodes,
 )
 from .metrics import TopologyStats, clustering_coefficient, graph_diameter, topology_stats
-from .mobility import MobilityModel, RandomWalk, RandomWaypoint, topology_events
-from .convert import from_networkx, to_networkx
 
 __all__ = [
     "Graph",
@@ -95,8 +89,6 @@ __all__ = [
     "bfs_tree",
     "dfs_tree",
     "connected_components",
-    "eccentricity",
-    "indexed_bfs_tree",
     "induced_is_connected",
     "is_connected",
     "shortest_path_lengths",
@@ -107,9 +99,7 @@ __all__ = [
     "clustered_points",
     "corridor_points",
     "largest_component_udg",
-    "perturbed_grid_points",
     "random_connected_udg",
-    "uniform_disk_points",
     "uniform_points",
     "blocks",
     "cut_vertices",
@@ -125,14 +115,8 @@ __all__ = [
     "m_deficient_nodes",
     "survives_node_removal",
     "undominated_nodes",
-    "from_networkx",
-    "to_networkx",
     "TopologyStats",
     "clustering_coefficient",
     "graph_diameter",
     "topology_stats",
-    "MobilityModel",
-    "RandomWalk",
-    "RandomWaypoint",
-    "topology_events",
 ]

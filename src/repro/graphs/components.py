@@ -85,10 +85,6 @@ class UnionFind(Generic[T]):
         """Whether two elements are in the same set."""
         return self.find(a) == self.find(b)
 
-    def set_size(self, element: T) -> int:
-        """Size of the set containing ``element``."""
-        return self._size[self.find(element)]
-
     def sets(self) -> list[list[T]]:
         """All disjoint sets, each as a list, in first-seen root order."""
         by_root: dict[T, list[T]] = {}

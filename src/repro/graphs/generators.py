@@ -1,20 +1,19 @@
 """Random deployment generators.
 
 Every empirical experiment in the reproduction runs over *instance
-families*: points scattered in a square (the standard random UDG
-model), clustered deployments (sensor clumps), corridors (long thin
-areas that stress the connector phase), perturbed grids, and unit-
-spaced chains (the paper's Figure 2 worst-case family).  All
-generators take an explicit ``random.Random`` seed so instances are
-reproducible, and all return plain point lists — build the topology
-with :func:`repro.graphs.unit_disk_graph`.
+families*: points scattered in a square (the standard random UDG model),
+clustered deployments (sensor clumps), corridors (long thin areas that
+stress the connector phase), and unit-spaced chains (the paper's
+Figure 2 worst-case family).  All generators take an explicit
+``random.Random`` seed so instances are reproducible, and all return
+plain point lists — build the topology with
+:func:`repro.graphs.unit_disk_graph`.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .traversal import is_connected  # noqa: F401 - perfbench's traced runs wrap
 from .udg import (
     GRID_SMALL_N,
     _check_coords,
-    _coords,
     _dense_rows,
     _grid_edges,
     _neighbor_rows,
@@ -38,10 +36,8 @@ from .udg import (
 
 __all__ = [
     "uniform_points",
-    "uniform_disk_points",
     "clustered_points",
     "corridor_points",
-    "perturbed_grid_points",
     "chain_points",
     "random_connected_udg",
     "largest_component_udg",
@@ -79,19 +75,6 @@ def uniform_points(n: int, side: float, seed: int | random.Random = 0) -> list[P
     return _points(_uniform_coords(n, side, _rng(seed)))
 
 
-def uniform_disk_points(
-    n: int, radius: float, seed: int | random.Random = 0
-) -> list[Point]:
-    """``n`` points uniform in a disk of ``radius`` around the origin."""
-    rng = _rng(seed)
-    pts: list[Point] = []
-    for _ in range(n):
-        r = radius * math.sqrt(rng.random())
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        pts.append(Point.polar(r, theta))
-    return pts
-
-
 def clustered_points(
     n: int,
     side: float,
@@ -125,21 +108,6 @@ def corridor_points(
     """
     rng = _rng(seed)
     return [Point(rng.uniform(0.0, length), rng.uniform(0.0, width)) for _ in range(n)]
-
-
-def perturbed_grid_points(
-    rows: int, cols: int, spacing: float, jitter: float, seed: int | random.Random = 0
-) -> list[Point]:
-    """A ``rows x cols`` grid with uniform jitter in each coordinate."""
-    rng = _rng(seed)
-    return [
-        Point(
-            c * spacing + rng.uniform(-jitter, jitter),
-            r * spacing + rng.uniform(-jitter, jitter),
-        )
-        for r in range(rows)
-        for c in range(cols)
-    ]
 
 
 def chain_points(n: int, spacing: float = 1.0) -> list[Point]:
@@ -225,30 +193,29 @@ def random_connected_udg(
     side: float,
     seed: int | random.Random = 0,
     max_attempts: int = 200,
-    point_factory: Callable[[int, float, random.Random], Sequence[Point]] | None = None,
 ) -> tuple[list[Point], Graph[Point]]:
     """A connected random UDG, by rejection sampling.
 
-    Draws deployments (uniform square by default) until the UDG is
-    connected.  ``side`` should be modest relative to ``sqrt(n)`` or
-    connectivity becomes rare: at the benchmark fixture densities a
-    connected deployment takes 48 draws on average at ``n = 60, side =
-    6.2``, 3.7 at ``n = 150, side = 8.0`` and 2.0 at ``n = 1000, side =
-    18.0`` (256 seeds each), and a ``ValueError`` after
-    ``max_attempts`` failures signals a hopeless density rather than
-    looping forever.
+    Draws deployments of ``n`` points uniform in the ``side x side``
+    square until the UDG is connected.  ``side`` should be modest
+    relative to ``sqrt(n)`` or connectivity becomes rare: at the
+    benchmark fixture densities a connected deployment takes 48 draws on
+    average at ``n = 60, side = 6.2``, 3.7 at ``n = 150, side = 8.0``
+    and 2.0 at ``n = 1000, side = 18.0`` (256 seeds each), and a
+    ``ValueError`` after ``max_attempts`` failures signals a hopeless
+    density rather than looping forever.
 
-    Each draw is validated like every UDG builder's input (non-finite
-    or duplicate coordinates raise ``ValueError`` on that draw) and
-    tested for connectivity on coordinate arrays.  ``Point`` objects
-    (default path) and the ``Graph`` are made for the accepted draw
-    only: on a 2-vCPU VM a draw costs 0.12 ms on average at ``n = 60``
-    (0.6-0.7 ms as a full ``unit_disk_graph`` build and connectivity
-    test), 0.60 ms at 150 (1.2-1.4) and 3.2 ms at 1000 (7-10).
-    The result is what drawing ``uniform_points(n, side, rng)`` (or
-    calling ``point_factory(n, side, rng)``) until ``is_connected(
-    unit_disk_graph(pts))`` would return: the same points, the same
-    adjacency insertion order and the same ``rng`` state afterwards.
+    Each draw is validated like every UDG builder's input (non-finite or
+    duplicate coordinates raise ``ValueError`` on that draw) and tested
+    for connectivity on coordinate arrays.  ``Point`` objects and the
+    ``Graph`` are made for the accepted draw only: on a 2-vCPU VM a draw
+    costs 0.12 ms on average at ``n = 60`` (0.6-0.7 ms as a full
+    ``unit_disk_graph`` build and connectivity test), 0.60 ms at 150
+    (1.2-1.4) and 3.2 ms at 1000 (7-10).  The result is what drawing
+    ``uniform_points(n, side, rng)`` until
+    ``is_connected(unit_disk_graph(pts))`` would return: the same
+    points, the same adjacency insertion order and the same ``rng``
+    state afterwards.
 
     When :data:`repro.obs.OBS` is enabled the accepted build reports
     the ``udg.grid.build`` span and ``udg.grid.*`` counters
@@ -261,19 +228,13 @@ def random_connected_udg(
     try:
         for _ in range(max_attempts):
             draws += 1
-            if point_factory is None:
-                coords = _uniform_coords(n, side, rng)
-                xs, ys = coords[:, 0], coords[:, 1]
-                _check_coords(xs, ys)
-            else:
-                pts = list(point_factory(n, side, rng))
-                xs, ys = _coords(pts)
-                _check_coords(xs, ys, pts)
+            coords = _uniform_coords(n, side, rng)
+            xs, ys = coords[:, 0], coords[:, 1]
+            _check_coords(xs, ys)
             rows = _connected_rows(xs, ys)
             if rows is None:
                 continue
-            if point_factory is None:
-                pts = _points(coords)
+            pts = _points(coords)
             # The test's rows are the builder's own below GRID_SMALL_N
             # (all-pairs order) and from DENSE_TEST_N up (grid order);
             # in between the builder emits in grid order, so its rows

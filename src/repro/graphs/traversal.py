@@ -23,11 +23,9 @@ __all__ = [
     "bfs_order",
     "bfs_tree",
     "dfs_tree",
-    "indexed_bfs_tree",
     "connected_components",
     "is_connected",
     "shortest_path_lengths",
-    "eccentricity",
     "induced_is_connected",
 ]
 
@@ -61,13 +59,6 @@ class BFSTree(Generic[N]):
                 kids[self.parent[child]].append(child)
         return kids
 
-    def path_to_root(self, node: N) -> list[N]:
-        """The tree path from ``node`` up to (and including) the root."""
-        path = [node]
-        while path[-1] != self.root:
-            path.append(self.parent[path[-1]])
-        return path
-
 
 def bfs_order(graph: Graph[N], root: N) -> list[N]:
     """Nodes of ``root``'s component in BFS order."""
@@ -95,31 +86,6 @@ def bfs_tree(graph: Graph[N], root: N) -> BFSTree[N]:
                 order.append(v)
                 queue.append(v)
     return BFSTree(root=root, order=tuple(order), parent=parent, depth=depth)
-
-
-def indexed_bfs_tree(index: IndexedGraph[N], root: N) -> BFSTree[N]:
-    """BFS spanning tree computed on the CSR kernel.
-
-    Produces a :class:`BFSTree` bit-identical to
-    ``bfs_tree(graph, root)`` on the source graph — the kernel preserves
-    iteration and adjacency order — while the traversal itself runs on
-    flat integer arrays (no per-step hash lookups).
-
-    Raises:
-        KeyError: if ``root`` is not in the indexed graph.
-    """
-    nodes = index.nodes
-    order_ids, parent_ids, depth_ids = index.bfs(index.id_of(root))
-    parent = {
-        nodes[v]: nodes[parent_ids[v]] for v in order_ids if parent_ids[v] >= 0
-    }
-    depth = {nodes[v]: depth_ids[v] for v in order_ids}
-    return BFSTree(
-        root=root,
-        order=tuple(nodes[v] for v in order_ids),
-        parent=parent,
-        depth=depth,
-    )
 
 
 def dfs_tree(graph: Graph[N], root: N) -> BFSTree[N]:
@@ -184,8 +150,3 @@ def induced_is_connected(graph: Graph[N], nodes: Iterable[N]) -> bool:
 def shortest_path_lengths(graph: Graph[N], source: N) -> dict[N, int]:
     """Hop distances from ``source`` to every reachable node."""
     return dict(bfs_tree(graph, source).depth)
-
-
-def eccentricity(graph: Graph[N], node: N) -> int:
-    """Largest hop distance from ``node`` within its component."""
-    return max(bfs_tree(graph, node).depth.values())

@@ -53,6 +53,10 @@ def save_points(points: Iterable[Point], path: str | Path) -> None:
 def load_points(path: str | Path) -> list[Point]:
     """Read a deployment written by :func:`save_points`.
 
+    A field with a digit-group underscore (``0_5``) is malformed:
+    ``float()`` would read it as another number, and :func:`save_points`
+    never writes one.
+
     Raises:
         ValueError: on a malformed file.
     """
@@ -67,6 +71,8 @@ def load_points(path: str | Path) -> list[Point]:
         parts = line.split(",")
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected two columns")
+        if "_" in line:
+            raise ValueError(f"{path}:{lineno}: underscore in a coordinate: {line!r}")
         try:
             points.append(Point(float(parts[0]), float(parts[1])))
         except ValueError as exc:

@@ -1,16 +1,13 @@
-"""Alternative MIS selection orders.
+"""Lexicographic first-fit MIS.
 
-The ablation experiments compare phase-1 choices: the BFS first-fit
-order of [10] against max-degree greedy (each pick dominates as many
-new nodes as possible), lexicographic first-fit, and random orders.
-The approximation guarantees of Sections III-IV only need *some* MIS
-with 2-hop separation; these variants quantify how much the order
-matters in practice.
+A maximal independent set that needs no spanning tree.  Its size is at
+most ``alpha``, so the ``gamma_c`` lower bounds of
+:mod:`repro.cds.exact` and :mod:`repro.analysis.ratios` feed it to
+Corollary 7.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Hashable, TypeVar
 
 from ..graphs.graph import Graph
@@ -18,53 +15,9 @@ from .first_fit import first_fit_mis_in_order
 
 N = TypeVar("N", bound=Hashable)
 
-__all__ = ["max_degree_mis", "lexicographic_mis", "random_order_mis", "min_degree_mis"]
+__all__ = ["lexicographic_mis"]
 
 
 def lexicographic_mis(graph: Graph[N]) -> list[N]:
     """First-fit MIS over the sorted node order."""
     return first_fit_mis_in_order(graph, sorted(graph.nodes()))
-
-
-def random_order_mis(graph: Graph[N], seed: int | random.Random = 0) -> list[N]:
-    """First-fit MIS over a shuffled node order."""
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    order = list(graph.nodes())
-    rng.shuffle(order)
-    return first_fit_mis_in_order(graph, order)
-
-
-def _greedy_by_degree(graph: Graph[N], prefer_max: bool) -> list[N]:
-    """Greedy MIS repeatedly taking an extreme-degree node of the
-    residual graph and deleting its closed neighborhood."""
-    remaining = graph.copy()
-    chosen: list[N] = []
-    while len(remaining) > 0:
-        if prefer_max:
-            pick = max(remaining.nodes(), key=lambda v: (remaining.degree(v),))
-        else:
-            pick = min(remaining.nodes(), key=lambda v: (remaining.degree(v),))
-        chosen.append(pick)
-        for u in remaining.neighbors(pick):
-            remaining.remove_node(u)
-        remaining.remove_node(pick)
-    return chosen
-
-
-def max_degree_mis(graph: Graph[N]) -> list[N]:
-    """Greedy MIS preferring high-degree nodes.
-
-    Each pick dominates many nodes, so the resulting dominating set
-    tends to be *small* — the Chvátal-flavored heuristic.
-    """
-    return _greedy_by_degree(graph, prefer_max=True)
-
-
-def min_degree_mis(graph: Graph[N]) -> list[N]:
-    """Greedy MIS preferring low-degree nodes.
-
-    The classical heuristic for *large* independent sets — useful as an
-    adversarial phase-1 choice when probing the packing bounds, since
-    Theorem 6 caps |I| regardless of how the MIS was found.
-    """
-    return _greedy_by_degree(graph, prefer_max=False)

@@ -23,7 +23,6 @@ from .record import (
     SCHEMA_ID,
     RunRecord,
     assert_valid_run_record,
-    records_to_csv,
     validate_run_record,
 )
 # Lazy so ``python -m repro.obs.report`` (and the other runnable
@@ -87,7 +86,6 @@ __all__ = [
     "SCHEMA_ID",
     "RunRecord",
     "assert_valid_run_record",
-    "records_to_csv",
     "validate_run_record",
     *sorted(_LAZY),
 ]

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .core import Registry
 
@@ -27,7 +27,6 @@ __all__ = [
     "RunRecord",
     "validate_run_record",
     "assert_valid_run_record",
-    "records_to_csv",
 ]
 
 #: Version tag embedded in every record; bump on breaking shape change.
@@ -267,43 +266,3 @@ def assert_valid_run_record(obj: object) -> None:
     if errors:
         raise ValueError("invalid RunRecord: " + "; ".join(errors))
 
-
-def records_to_csv(records: Iterable[RunRecord]) -> str:
-    """Flatten records to CSV — one row per record.
-
-    Columns are the union of all counter names (``counter.<name>``) and
-    timer names (``timing.<name>.seconds``), after the fixed identity
-    columns; missing cells are left empty.  Handy for spreadsheet-level
-    comparison of runs.
-    """
-    records = list(records)
-    counter_names = sorted({n for r in records for n in r.counters})
-    timer_names = sorted({n for r in records for n in r.timings})
-    header = (
-        ["algorithm", "seed", "instance", "results"]
-        + [f"counter.{n}" for n in counter_names]
-        + [f"timing.{n}.seconds" for n in timer_names]
-    )
-    lines = [",".join(header)]
-    for r in records:
-        row = [
-            _csv_cell(r.algorithm),
-            "" if r.seed is None else str(r.seed),
-            _csv_cell(json.dumps(r.instance, sort_keys=True)),
-            _csv_cell(json.dumps(r.results, sort_keys=True)),
-        ]
-        row += [
-            str(r.counters[n]) if n in r.counters else "" for n in counter_names
-        ]
-        row += [
-            f"{r.timings[n]['seconds']:.9f}" if n in r.timings else ""
-            for n in timer_names
-        ]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _csv_cell(text: str) -> str:
-    if any(c in text for c in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text

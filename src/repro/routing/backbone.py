@@ -113,21 +113,3 @@ class BackboneRouter:
         if not values:
             raise ValueError("no pairs given")
         return sum(values) / len(values)
-
-    def load_profile(self, flows: Iterable[tuple[N, N]]) -> dict:
-        """Forwarding load per node for a set of unicast flows.
-
-        Each flow is routed with :meth:`route`; every node on the path
-        except the final receiver counts one forwarding.  The profile
-        quantifies the concentration a small backbone implies — the
-        motivation for energy rotation (see :mod:`repro.energy`).
-
-        Returns:
-            node -> forwarding count, for every node with load > 0.
-        """
-        load: dict = {}
-        for source, target in flows:
-            path = self.route(source, target)
-            for hop in path[:-1]:
-                load[hop] = load.get(hop, 0) + 1
-        return load

@@ -11,10 +11,10 @@ from repro.cds import (
 from repro.graphs import (
     Graph,
     chain_points,
-    from_networkx,
     is_connected_dominating_set,
     unit_disk_graph,
 )
+from tests.nx_bridge import from_networkx
 
 
 class TestKnownOptima:

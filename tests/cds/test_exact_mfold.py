@@ -7,7 +7,6 @@ import pytest
 from repro.cds import (
     gamma_c_lower_bound,
     gamma_mfold_lower_bound,
-    mfold_connected_domination_number,
     mfold_greedy_cds,
     minimum_cds,
     minimum_mfold_cds,
@@ -66,11 +65,6 @@ class TestMinimumMfoldCds:
         with pytest.raises(ValueError):
             minimum_mfold_cds(Graph(edges=[(0, 1)]), 0)
 
-    def test_number_helper(self):
-        g = Graph(edges=[(i, (i + 1) % 5) for i in range(5)])
-        assert mfold_connected_domination_number(g, 2) == len(
-            minimum_mfold_cds(g, 2)
-        )
 
 
 class TestGammaMfoldLowerBound:

@@ -14,7 +14,6 @@ from repro.experiments.instances import default_side
 from repro.experiments.parallel import (
     SweepCell,
     cell_key,
-    default_jobs,
     merge_cell_counters,
     run_experiments_resilient,
     solve_cell,
@@ -23,9 +22,6 @@ from repro.experiments.parallel import (
 )
 
 
-class TestParallelMap:
-    def test_default_jobs_is_sane(self):
-        assert default_jobs() >= 1
 
 
 class TestSweepCells:

@@ -5,41 +5,15 @@ import math
 import pytest
 
 from repro.geometry import (
-    Disk,
     Point,
-    almost_equal,
     circle_circle_intersection,
     disk_union_area,
     in_disk,
     in_neighborhood,
     points_in_neighborhood,
-    unit_disk,
 )
 
 
-class TestDisk:
-    def test_contains_closed(self):
-        d = Disk(Point(0, 0), 1.0)
-        assert d.contains(Point(1, 0))
-        assert d.contains(Point(0.5, 0.5))
-        assert not d.contains(Point(1.1, 0))
-
-    def test_contains_strict(self):
-        d = Disk(Point(0, 0), 1.0)
-        assert d.contains_strict(Point(0.5, 0))
-        assert not d.contains_strict(Point(1.0, 0))
-
-    def test_boundary_point(self):
-        d = Disk(Point(1, 1), 2.0)
-        p = d.boundary_point(0.0)
-        assert almost_equal(p, Point(3, 1))
-
-    def test_area(self):
-        assert math.isclose(Disk(Point(0, 0), 2.0).area(), 4 * math.pi)
-
-    def test_unit_disk_notation(self):
-        d = unit_disk(Point(3, 4))
-        assert d.radius == 1.0 and d.center == Point(3, 4)
 
 
 class TestNeighborhood:
@@ -76,7 +50,7 @@ class TestCircleIntersection:
     def test_tangent_circles_one_point(self):
         pts = circle_circle_intersection(Point(0, 0), 1.0, Point(2, 0), 1.0)
         assert len(pts) == 1
-        assert almost_equal(pts[0], Point(1, 0), tol=1e-9)
+        assert pts[0].distance_to(Point(1, 0)) <= 1e-9
 
     def test_disjoint_circles_no_point(self):
         assert circle_circle_intersection(Point(0, 0), 1.0, Point(3, 0), 1.0) == []
@@ -91,7 +65,7 @@ class TestCircleIntersection:
     def test_internally_tangent(self):
         pts = circle_circle_intersection(Point(0, 0), 2.0, Point(1, 0), 1.0)
         assert len(pts) == 1
-        assert almost_equal(pts[0], Point(2, 0), tol=1e-9)
+        assert pts[0].distance_to(Point(2, 0)) <= 1e-9
 
 
 class TestDiskUnionArea:

@@ -10,7 +10,6 @@ from repro.geometry import (
     disk_candidates,
     greedy_independent_subset,
     grid_candidates,
-    independence_violations,
     is_independent,
     max_independent_subset,
     max_independent_subset_size,
@@ -34,13 +33,6 @@ class TestIsIndependent:
         assert is_independent([])
         assert is_independent([Point(0, 0)])
 
-    def test_violations_report_pairs(self):
-        pts = [Point(0, 0), Point(0.5, 0), Point(3, 3)]
-        v = independence_violations(pts)
-        assert len(v) == 1
-        i, j, d = v[0]
-        assert (i, j) == (0, 1)
-        assert math.isclose(d, 0.5)
 
 
 class TestPhi:

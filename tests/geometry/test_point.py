@@ -8,13 +8,9 @@ import pickle
 import pytest
 
 from repro.geometry import (
-    EPS,
     ORIGIN,
     Point,
-    almost_equal,
-    centroid,
     distance,
-    distance_squared,
     max_pairwise_distance,
     midpoint,
     min_pairwise_distance,
@@ -177,8 +173,6 @@ class TestPointMetrics:
     def test_norm(self):
         assert Point(3, 4).norm() == 5
 
-    def test_norm_squared(self):
-        assert Point(3, 4).norm_squared() == 25
 
     def test_distance_to(self):
         assert Point(0, 0).distance_to(Point(3, 4)) == 5
@@ -200,11 +194,11 @@ class TestPointMetrics:
 
     def test_rotated_quarter_turn(self):
         r = Point(1, 0).rotated(math.pi / 2)
-        assert almost_equal(r, Point(0, 1), tol=1e-12)
+        assert r.distance_to(Point(0, 1)) <= 1e-12
 
     def test_rotated_about_center(self):
         r = Point(2, 0).rotated(math.pi, about=Point(1, 0))
-        assert almost_equal(r, Point(0, 0), tol=1e-12)
+        assert r.distance_to(Point(0, 0)) <= 1e-12
 
     def test_angle(self):
         assert math.isclose(Point(0, 1).angle(), math.pi / 2)
@@ -225,19 +219,10 @@ class TestModuleHelpers:
     def test_distance(self):
         assert distance(Point(0, 0), Point(0, 2)) == 2
 
-    def test_distance_squared(self):
-        assert distance_squared(Point(0, 0), Point(3, 4)) == 25
 
     def test_midpoint(self):
         assert midpoint(Point(0, 0), Point(2, 4)) == Point(1, 2)
 
-    def test_centroid(self):
-        c = centroid([Point(0, 0), Point(2, 0), Point(1, 3)])
-        assert almost_equal(c, Point(1, 1))
-
-    def test_centroid_empty_raises(self):
-        with pytest.raises(ValueError):
-            centroid([])
 
     def test_pairwise_distances_count(self):
         pts = [Point(0, 0), Point(1, 0), Point(0, 1)]
@@ -256,7 +241,3 @@ class TestModuleHelpers:
 
     def test_max_pairwise_distance_degenerate(self):
         assert max_pairwise_distance([]) == 0.0
-
-    def test_almost_equal_tolerance(self):
-        assert almost_equal(Point(0, 0), Point(EPS / 2, 0))
-        assert not almost_equal(Point(0, 0), Point(1e-3, 0))

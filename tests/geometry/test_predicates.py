@@ -7,16 +7,11 @@ import pytest
 from repro.geometry import (
     Point,
     angle_at,
-    angle_between,
-    angular_separations,
     convex_hull,
     diameter,
-    is_ccw,
-    is_collinear,
     is_convex_polygon,
     orientation,
     point_in_polygon,
-    polygon_area,
 )
 
 
@@ -30,13 +25,6 @@ class TestOrientation:
     def test_collinear_zero(self):
         assert orientation(Point(0, 0), Point(1, 1), Point(2, 2)) == 0
 
-    def test_is_ccw(self):
-        assert is_ccw(Point(0, 0), Point(1, 0), Point(1, 1))
-        assert not is_ccw(Point(0, 0), Point(1, 1), Point(1, 0))
-
-    def test_is_collinear(self):
-        assert is_collinear(Point(0, 0), Point(1, 2), Point(2, 4))
-        assert not is_collinear(Point(0, 0), Point(1, 2), Point(2, 5))
 
 
 class TestAngles:
@@ -52,24 +40,6 @@ class TestAngles:
         with pytest.raises(ValueError):
             angle_at(Point(0, 0), Point(0, 0), Point(1, 0))
 
-    def test_angle_between_vectors(self):
-        assert math.isclose(angle_between(Point(1, 0), Point(0, 2)), math.pi / 2)
-
-    def test_angular_separations_sum_to_two_pi(self):
-        center = Point(0, 0)
-        pts = [Point.polar(1.0, t) for t in (0.1, 1.0, 2.5, 4.0)]
-        gaps = angular_separations(center, pts)
-        assert math.isclose(sum(gaps), 2 * math.pi)
-
-    def test_angular_separations_few_points(self):
-        assert angular_separations(Point(0, 0), [Point(1, 0)]) == []
-
-    def test_angular_separations_values(self):
-        center = Point(0, 0)
-        pts = [Point.polar(1.0, t) for t in (0.0, math.pi / 2, math.pi)]
-        gaps = sorted(angular_separations(center, pts))
-        assert math.isclose(gaps[0], math.pi / 2)
-        assert math.isclose(gaps[2], math.pi)
 
     def test_independent_points_in_disk_have_wide_separations(self):
         # The Lemma 2 proof's observation: independent points within a
@@ -79,7 +49,9 @@ class TestAngles:
         center = Point(0, 0)
         pts = [Point.polar(0.99, t) for t in (0.0, 1.3, 2.6, 3.9, 5.2)]
         assert is_independent(pts)
-        gaps = angular_separations(center, pts)
+        angles = sorted(center.angle_to(p) for p in pts)
+        gaps = [b - a for a, b in zip(angles, angles[1:])]
+        gaps.append(2.0 * math.pi - (angles[-1] - angles[0]))
         assert all(g > math.pi / 3 for g in gaps)
 
 
@@ -134,16 +106,6 @@ class TestDiameter:
 
 
 class TestPolygon:
-    def test_area_unit_square(self):
-        sq = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
-        assert math.isclose(polygon_area(sq), 1.0)
-
-    def test_area_orientation_invariant(self):
-        sq = [Point(0, 0), Point(0, 1), Point(1, 1), Point(1, 0)]
-        assert math.isclose(polygon_area(sq), 1.0)
-
-    def test_area_degenerate(self):
-        assert polygon_area([Point(0, 0), Point(1, 1)]) == 0.0
 
     def test_point_in_polygon_interior(self):
         sq = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]

@@ -35,12 +35,6 @@ class TestUnionFind:
         uf.add(1)
         assert uf.set_count == 1
 
-    def test_set_size(self):
-        uf = UnionFind(range(5))
-        uf.union(0, 1)
-        uf.union(1, 2)
-        assert uf.set_size(2) == 3
-        assert uf.set_size(3) == 1
 
     def test_sets_partition(self):
         uf = UnionFind(range(6))

@@ -3,7 +3,8 @@
 import networkx as nx
 import pytest
 
-from repro.graphs import Graph, from_networkx, to_networkx
+from repro.graphs import Graph
+from tests.nx_bridge import from_networkx, to_networkx
 
 
 class TestToNetworkx:

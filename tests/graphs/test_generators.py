@@ -13,9 +13,7 @@ from repro.graphs import (
     corridor_points,
     is_connected,
     largest_component_udg,
-    perturbed_grid_points,
     random_connected_udg,
-    uniform_disk_points,
     uniform_points,
     unit_disk_graph,
 )
@@ -35,10 +33,6 @@ class TestPointGenerators:
     def test_uniform_seeds_differ(self):
         assert uniform_points(10, 3.0, seed=1) != uniform_points(10, 3.0, seed=2)
 
-    def test_disk_points_inside(self):
-        pts = uniform_disk_points(100, 2.0, seed=0)
-        assert all(p.norm() <= 2.0 + 1e-9 for p in pts)
-
     def test_clustered_count(self):
         pts = clustered_points(30, 5.0, clusters=3, seed=0)
         assert len(pts) == 30
@@ -50,14 +44,6 @@ class TestPointGenerators:
     def test_corridor_bounds(self):
         pts = corridor_points(40, 10.0, 1.0, seed=0)
         assert all(0 <= p.x <= 10 and 0 <= p.y <= 1 for p in pts)
-
-    def test_perturbed_grid_count(self):
-        pts = perturbed_grid_points(3, 4, spacing=1.0, jitter=0.1, seed=0)
-        assert len(pts) == 12
-
-    def test_perturbed_grid_zero_jitter_is_grid(self):
-        pts = perturbed_grid_points(2, 2, spacing=2.0, jitter=0.0, seed=0)
-        assert set(pts) == {Point(0, 0), Point(2, 0), Point(0, 2), Point(2, 2)}
 
     def test_chain_points(self):
         pts = chain_points(4, spacing=1.0)
@@ -86,17 +72,14 @@ class TestConnectedUDG:
             random_connected_udg(5, 100.0, seed=0, max_attempts=5)
 
 
-def oracle_connected_udg(n, side, rng, max_attempts=200, point_factory=None):
+def oracle_connected_udg(n, side, rng, max_attempts=200):
     """The sampler as a plain per-draw loop: ``uniform_points``' stream
     written out, a full UDG build and ``is_connected`` on every draw."""
     for _ in range(max_attempts):
-        if point_factory is None:
-            pts = [
-                Point(rng.uniform(0.0, side), rng.uniform(0.0, side))
-                for _ in range(n)
-            ]
-        else:
-            pts = list(point_factory(n, side, rng))
+        pts = [
+            Point(rng.uniform(0.0, side), rng.uniform(0.0, side))
+            for _ in range(n)
+        ]
         graph = unit_disk_graph(pts)
         if is_connected(graph):
             return pts, graph
@@ -128,16 +111,6 @@ def assert_same(n, side, seed, **kwargs):
 SIZES = [0, 1, 2, 31, 32, 33, 60, 150, DENSE_TEST_N - 1, DENSE_TEST_N,
          DENSE_TEST_N + 1, 1000]
 
-#: The non-default deployment families, as ``point_factory`` callables.
-FACTORIES = {
-    "disk": lambda n, side, rng: uniform_disk_points(n, side / 2, rng),
-    "clustered": lambda n, side, rng: clustered_points(n, side, 3, 0.8, rng),
-    "corridor": lambda n, side, rng: corridor_points(n, side * 2, side / 4, rng),
-    "grid": lambda n, side, rng: perturbed_grid_points(
-        math.isqrt(n), math.isqrt(n), 0.9, 0.2, rng
-    ),
-}
-
 
 class TestSamplerMatchesPerDrawLoop:
     """Bit-identity with the per-draw ``unit_disk_graph`` +
@@ -162,19 +135,6 @@ class TestSamplerMatchesPerDrawLoop:
     def test_exhaustion_message(self):
         message, _ = assert_same(30, 20.0, 1, max_attempts=5)
         assert message == "no connected deployment of 30 nodes in side=20.0 after 5 tries"
-
-    @pytest.mark.parametrize("family", sorted(FACTORIES))
-    @pytest.mark.parametrize("n", [25, 49, 100])
-    def test_point_factories(self, family, n):
-        for seed in range(2):
-            assert_same(n, 4.0, seed, point_factory=FACTORIES[family])
-
-    def test_duplicate_draw_raises_on_the_same_draw(self):
-        def stacked(n, side, rng):  # every point on one of 3 heads
-            return clustered_points(n, side, 3, 0.0, rng)
-
-        message, _ = assert_same(30, 4.0, 0, point_factory=stacked)
-        assert message == "duplicate points in UDG input"
 
     @pytest.mark.parametrize("side", [0.0, -0.0])
     def test_default_path_duplicates(self, side):

@@ -12,7 +12,6 @@ from repro.graphs import Graph, IndexedGraph, IntUnionFind
 from repro.graphs.traversal import (
     bfs_tree,
     connected_components,
-    indexed_bfs_tree,
     is_connected,
 )
 
@@ -91,11 +90,6 @@ class TestTraversal:
                 if node != root:
                     assert index.node_at(parent[i]) == tree.parent[node]
 
-    def test_indexed_bfs_tree_is_bit_identical(self, udg_suite):
-        for _, graph in udg_suite:
-            index = IndexedGraph.from_graph(graph)
-            root = next(iter(graph))
-            assert indexed_bfs_tree(index, root) == bfs_tree(graph, root)
 
     def test_connected_components_match(self):
         graph = Graph(edges=[(0, 1), (1, 2), (3, 4)])

@@ -3,12 +3,13 @@
 import networkx as nx
 import pytest
 
-from repro.graphs import Graph, from_networkx, to_networkx
+from repro.graphs import Graph
 from repro.graphs.metrics import (
     clustering_coefficient,
     graph_diameter,
     topology_stats,
 )
+from tests.nx_bridge import to_networkx
 
 
 class TestDiameter:

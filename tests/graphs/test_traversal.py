@@ -7,7 +7,6 @@ from repro.graphs import (
     bfs_order,
     bfs_tree,
     connected_components,
-    eccentricity,
     induced_is_connected,
     is_connected,
     shortest_path_lengths,
@@ -39,13 +38,6 @@ class TestBFSTree:
         assert sorted(kids[0]) == [1, 2, 3, 4, 5]
         assert all(kids[i] == [] for i in range(1, 6))
 
-    def test_path_to_root(self, path5):
-        tree = bfs_tree(path5, 0)
-        assert tree.path_to_root(4) == [4, 3, 2, 1, 0]
-
-    def test_path_to_root_of_root(self, path5):
-        tree = bfs_tree(path5, 0)
-        assert tree.path_to_root(0) == [0]
 
     def test_covers_component_only(self):
         g = Graph(edges=[(0, 1), (2, 3)])
@@ -96,9 +88,6 @@ class TestDistances:
         d = shortest_path_lengths(cycle6, 0)
         assert d == {0: 0, 1: 1, 5: 1, 2: 2, 4: 2, 3: 3}
 
-    def test_eccentricity(self, path5):
-        assert eccentricity(path5, 0) == 4
-        assert eccentricity(path5, 2) == 2
 
 
 class TestDFSTree:

@@ -8,7 +8,6 @@ import pytest
 from repro.geometry import Point
 from repro.graphs import (
     quasi_unit_disk_graph,
-    random_connected_udg,
     unit_disk_graph,
     unit_disk_graph_naive,
     uniform_points,
@@ -142,8 +141,7 @@ class TestNonFiniteRejected:
 
 
 class TestCoordinateArrayCheck:
-    """Every builder and the deployment sampler validate through one
-    coordinate-array check, which raises exactly the errors the former
+    """Every builder validates through one coordinate-array check, which raises exactly the errors the former
     per-``Point`` check (``_checked_points``) raised."""
 
     CASES = {
@@ -179,15 +177,6 @@ class TestCoordinateArrayCheck:
         expected = self.MESSAGES[case]
         for builder in BUILDERS:
             assert outcome(lambda: builder(pts)) == expected, builder.__name__
-        sampled = outcome(
-            lambda: random_connected_udg(
-                len(pts), 1.0, seed=0, max_attempts=1,
-                point_factory=lambda n, side, rng: list(pts),
-            )
-        )
-        if case == "empty":  # valid, but no graph without nodes is connected
-            expected = "no connected deployment of 0 nodes in side=1.0 after 1 tries"
-        assert sampled == expected
 
 
 class TestGridSmallNDispatch:

@@ -15,8 +15,8 @@ from repro.graphs import (
     bfs_tree,
     is_connected,
     random_connected_udg,
-    to_networkx,
 )
+from tests.nx_bridge import to_networkx
 
 
 class TestAgainstNetworkx:

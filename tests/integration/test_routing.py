@@ -94,36 +94,3 @@ class TestStretch:
             path = router.route(s, t)
             true = shortest_path_lengths(g, s)[t]
             assert len(path) - 1 >= true
-
-
-class TestLoadProfile:
-    def test_backbone_carries_interior_load(self, small_udg):
-        _, g = small_udg
-        router = make_router(g)
-        nodes = sorted(g.nodes())
-        rng = random.Random(5)
-        flows = [tuple(rng.sample(nodes, 2)) for _ in range(30)]
-        load = router.load_profile(flows)
-        # Every flow contributes at least one forwarding (its source).
-        assert sum(load.values()) >= len(flows)
-        # Interior forwarding happens only on backbone nodes.
-        for node, count in load.items():
-            if node not in router.backbone:
-                # Non-backbone nodes only forward as flow sources.
-                source_count = sum(1 for s, _ in flows if s == node)
-                assert count <= source_count
-
-    def test_load_concentrates_on_backbone(self, medium_udg):
-        _, g = medium_udg
-        router = make_router(g)
-        nodes = sorted(g.nodes())
-        rng = random.Random(6)
-        flows = [tuple(rng.sample(nodes, 2)) for _ in range(60)]
-        load = router.load_profile(flows)
-        backbone_load = sum(c for v, c in load.items() if v in router.backbone)
-        total = sum(load.values())
-        assert backbone_load >= 0.5 * total
-
-    def test_empty_flows(self, path5):
-        router = BackboneRouter(path5, [1, 2, 3])
-        assert router.load_profile([]) == {}

@@ -2,17 +2,13 @@
 
 import networkx as nx
 
-from repro.graphs import (
-    Graph,
-    from_networkx,
-    is_independent_set,
-    to_networkx,
-)
+from repro.graphs import Graph, is_independent_set
 from repro.mis import (
     independence_number,
     lexicographic_mis,
     maximum_independent_set,
 )
+from tests.nx_bridge import from_networkx
 
 
 class TestKnownGraphs:

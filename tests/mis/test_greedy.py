@@ -1,12 +1,7 @@
-"""Unit tests for the alternative MIS orders."""
+"""Unit tests for the lexicographic first-fit MIS."""
 
 from repro.graphs import is_maximal_independent_set
-from repro.mis import (
-    lexicographic_mis,
-    max_degree_mis,
-    min_degree_mis,
-    random_order_mis,
-)
+from repro.mis import lexicographic_mis
 
 
 class TestLexicographic:
@@ -16,48 +11,3 @@ class TestLexicographic:
     def test_is_mis(self, small_udg):
         _, g = small_udg
         assert is_maximal_independent_set(g, lexicographic_mis(g))
-
-
-class TestRandomOrder:
-    def test_is_mis(self, small_udg):
-        _, g = small_udg
-        for seed in range(5):
-            assert is_maximal_independent_set(g, random_order_mis(g, seed=seed))
-
-    def test_deterministic_per_seed(self, small_udg):
-        _, g = small_udg
-        assert random_order_mis(g, seed=3) == random_order_mis(g, seed=3)
-
-    def test_seeds_vary(self, medium_udg):
-        _, g = medium_udg
-        results = {tuple(sorted(map(tuple, random_order_mis(g, seed=s)))) for s in range(10)}
-        assert len(results) > 1
-
-
-class TestDegreeGreedy:
-    def test_max_degree_is_mis(self, small_udg):
-        _, g = small_udg
-        assert is_maximal_independent_set(g, max_degree_mis(g))
-
-    def test_min_degree_is_mis(self, small_udg):
-        _, g = small_udg
-        assert is_maximal_independent_set(g, min_degree_mis(g))
-
-    def test_star_center_first_for_max_degree(self, star_graph):
-        mis = max_degree_mis(star_graph)
-        assert mis == [0]
-
-    def test_star_leaves_for_min_degree(self, star_graph):
-        mis = min_degree_mis(star_graph)
-        assert 0 not in mis
-        assert len(mis) == 5
-
-    def test_min_degree_tends_larger(self, udg_suite):
-        # On UDGs, low-degree-first generally finds independent sets at
-        # least as large as high-degree-first (checked in aggregate to
-        # avoid flakiness on individual instances).
-        total_min = total_max = 0
-        for _, g in udg_suite:
-            total_min += len(min_degree_mis(g))
-            total_max += len(max_degree_mis(g))
-        assert total_min >= total_max

@@ -1,21 +1,17 @@
-"""Interop with networkx.
+"""networkx bridge for the tests that use networkx as an oracle.
 
-The library's algorithms run on :class:`repro.graphs.Graph`; networkx
-is used only for cross-validation in tests (connectivity, domination,
-independence) and for users who want to feed results into the wider
-Python graph ecosystem.  The import is deferred so the core library
-works without networkx installed.
+The library's algorithms run on :class:`repro.graphs.Graph`; these two
+conversions let a test cross-check connectivity, domination,
+independence and distances against networkx.
 """
 
 from __future__ import annotations
 
 from typing import Any, Hashable, TypeVar
 
-from .graph import Graph
+from repro.graphs import Graph
 
 N = TypeVar("N", bound=Hashable)
-
-__all__ = ["to_networkx", "from_networkx"]
 
 
 def to_networkx(graph: Graph[N]) -> Any:

@@ -11,7 +11,6 @@ from repro.obs import (
     Registry,
     RunRecord,
     assert_valid_run_record,
-    records_to_csv,
     render_record,
     render_report,
     validate_run_record,
@@ -211,28 +210,6 @@ class TestHistogramSection:
         assert any("latency" in e for e in validate_run_record(obj))
 
 
-class TestCSV:
-    def test_union_of_columns(self):
-        a = make_record()
-        b = make_record(
-            algorithm="waf",
-            counters={"waf.coverage_evaluations": 5},
-            timings={},
-            seed=None,
-        )
-        csv = records_to_csv([a, b])
-        lines = csv.strip().splitlines()
-        assert len(lines) == 3
-        header = lines[0].split(",")
-        assert "counter.gain.evaluations" in header
-        assert "counter.waf.coverage_evaluations" in header
-        # b has no gain counters: its cell is empty.
-        b_row = lines[2].split(",")
-        assert b_row[header.index("counter.gain.evaluations")] == ""
-
-    def test_cells_with_commas_are_quoted(self):
-        csv = records_to_csv([make_record()])
-        assert '"{""n"": 20' in csv
 
 
 class TestRendering:

@@ -1,6 +1,6 @@
 """Property-based tests for dynamic CDS maintenance.
 
-The invariant: after any legal sequence of joins, leaves and moves, the
+The invariant: after any legal sequence of joins and leaves, the
 maintained backbone is a valid CDS of the current topology.
 """
 
@@ -20,7 +20,7 @@ def churn_scripts(draw):
     events = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["join", "leave", "move"]),
+                st.sampled_from(["join", "leave"]),
                 st.integers(min_value=0, max_value=10**6),
             ),
             max_size=25,
@@ -37,17 +37,6 @@ def apply_event(dynamic: DynamicCDS, kind: str, salt: int) -> None:
             dynamic.remove_node(rng.choice(nodes))
         except ValueError:
             pass  # would disconnect: the radio layer keeps the node
-        return
-    if kind == "move" and len(nodes) > 4:
-        mover = rng.choice(nodes)
-        anchor = rng.choice(nodes)
-        new_neighbors = [anchor] + [
-            v for v in dynamic.graph.neighbors(anchor) if v != mover
-        ]
-        try:
-            dynamic.move_node(mover, [v for v in new_neighbors if v != mover])
-        except ValueError:
-            pass
         return
     # join
     base = rng.choice(nodes)

@@ -225,15 +225,6 @@ class TestSolveStats:
         assert obj["algorithm"] == "experiment:LEM"
         assert obj["results"]["failed"] == []
 
-    def test_run_recorded_helper(self):
-        from repro.experiments import run_recorded
-        from repro.obs import validate_run_record
-
-        result, record = run_recorded("LEM")
-        assert result.passed
-        assert record.results["passed"] is True
-        assert record.timings["experiment.LEM"]["count"] == 1
-        assert validate_run_record(record.to_json_obj()) == []
 
 
 class TestParallelStats:

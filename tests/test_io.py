@@ -81,6 +81,31 @@ class TestPointsRoundtrip:
         with pytest.raises(ValueError):
             load_points(path)
 
+    @pytest.mark.parametrize("row", ["0_5,0", "1,2_0", "1_000.5,3", "1e1_0,0"])
+    def test_underscore_numerals_rejected(self, tmp_path, row):
+        # float() reads "0_5" as 5.0: the deployment would be silently
+        # changed, not rejected.
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,y\n0,0\n{row}\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: underscore"):
+            load_points(path)
+
+    def test_underscore_numeral_is_a_cli_input_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y\n0,0\n0_5,0\n")
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("cannot read deployment: ")
+
+    def test_roundtrip_bytes_unchanged(self, tmp_path):
+        pts, _ = random_connected_udg(40, 5.0, seed=3)
+        pts += [Point(-0.0, 1e-300), Point(5e20, -7.0), Point(1.5, 2.0)]
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_points(pts, first)
+        save_points(load_points(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
 
 class TestResultRoundtrip:
     def test_point_node_result(self, tmp_path):
