@@ -32,6 +32,16 @@ class BFSNode(NodeProcess):
         if self.node_id == self.root:
             ctx.broadcast("explore", level=0)
 
+    def on_messages(self, ctx: Context, messages: list) -> None:
+        # A node with a level ignores every later wave, so most inboxes
+        # (the echoes from its own children) cost one test.
+        if self.level is None:
+            self._offers += [
+                (message.payload["level"], message.sender)
+                for message in messages
+                if message.kind == "explore"
+            ]
+
     def on_message(self, ctx: Context, message: Message) -> None:
         if message.kind == "explore" and self.level is None:
             self._offers.append((message.payload["level"], message.sender))

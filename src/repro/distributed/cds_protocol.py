@@ -342,6 +342,15 @@ class _FloodNode(NodeProcess):
         if self.node_id == self.origin:
             ctx.broadcast("flood", value=self.value)
 
+    def on_messages(self, ctx: Context, messages: list) -> None:
+        # Only the first ``flood`` in arrival order counts; a node that
+        # already holds the value skips its inbox unread.
+        if self.value is None:
+            for message in messages:
+                if message.kind == "flood":
+                    self.on_message(ctx, message)
+                    return
+
     def on_message(self, ctx: Context, message: Message) -> None:
         if message.kind == "flood" and self.value is None:
             self.value = message.payload["value"]

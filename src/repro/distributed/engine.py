@@ -24,13 +24,16 @@ bit-identical (pinned by the randomized lockstep suite in
   reference engine's dict order restricted to the active nodes).
   Senders are included so a transmission nobody hears — a lone node
   broadcasting into the void — still wakes its own round tick, exactly
-  as the tick-everyone engine would.
+  as the tick-everyone engine would.  When no process class of the run
+  overrides :meth:`~repro.distributed.simulator.NodeProcess.on_round`
+  (flooding, convergecast, the WAF connector phase), the tick pass and
+  its sort are skipped outright; the active set is still counted.
 * **Kernel-backed topology.**  Neighbor lookup and ``send()``
   validation run on the shared
   :class:`~repro.distributed.simulator.RadioTopology` (interned
   :mod:`repro.graphs.backend` kernel, cached receiver tuples, O(1)
-  adjacency membership), and one ``Context`` per node is reused for
-  every callback.
+  adjacency membership), and one ``Context`` per node per run is
+  reused for every callback of that run.
 
 :func:`make_simulator` is the protocols' one construction point.  It
 always builds a :class:`BatchedSimulator`; the reference engine is a
@@ -40,8 +43,8 @@ module's ``BatchedSimulator`` name for ``Simulator``.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Hashable, Mapping
+from collections import defaultdict, deque
+from typing import Callable, Hashable
 
 from ..graphs.graph import Graph
 from ..obs import OBS
@@ -57,45 +60,15 @@ from .simulator import (
 __all__ = ["BatchedSimulator", "make_simulator"]
 
 
-class BatchedSimulator:
+class BatchedSimulator(Simulator):
     """Run one protocol over a fixed topology, batched per round.
 
-    Drop-in for :class:`~repro.distributed.simulator.Simulator`: same
-    constructor, same ``run`` contract, same ``metrics`` /
-    ``processes`` / ``round`` surface, bit-identical results.  See the
-    module docstring for what is different inside the loop.
+    Drop-in for :class:`~repro.distributed.simulator.Simulator`: it
+    inherits the constructor and the ``metrics`` / ``processes`` /
+    ``round`` surface and overrides only :meth:`run`, with
+    bit-identical results.  See the module docstring for what is
+    different inside the loop.
     """
-
-    def __init__(
-        self,
-        graph: Graph,
-        factory: Callable[[Hashable], NodeProcess],
-        *,
-        topology: RadioTopology | None = None,
-        record_rounds: bool = False,
-    ):
-        self.graph = graph
-        self.topology = topology if topology is not None else RadioTopology(graph)
-        self.processes: dict[Hashable, NodeProcess] = {
-            v: factory(v) for v in graph.nodes()
-        }
-        self.metrics = SimMetrics()
-        self.round = 0
-        self.round_log: list[tuple[int, int]] | None = (
-            [] if record_rounds else None
-        )
-        self._queue: deque[tuple[Hashable, tuple, str, Mapping[str, Any]]] = deque()
-        self._active_requests: set[Hashable] = set()
-        self._contexts: dict[Hashable, Context] = {
-            v: Context(self, v) for v in self.processes
-        }
-
-    def _enqueue(
-        self, sender: Hashable, receivers: tuple, kind: str, payload: Mapping[str, Any]
-    ) -> None:
-        self._queue.append((sender, receivers, kind, payload))
-        self.metrics.transmissions += 1
-        self.metrics.by_kind[kind] += 1
 
     def run(self, max_rounds: int = 10_000) -> SimMetrics:
         """Execute until quiescence or ``max_rounds``.
@@ -107,14 +80,21 @@ class BatchedSimulator:
                 a protocol that fails to quiesce is a bug, not a result.
         """
         processes = self.processes
-        contexts = self._contexts
+        contexts = {v: Context(self, v) for v in processes}
         metrics = self.metrics
         order_of = self.topology.order_of
         ordered = list(processes)  # dense-id order == dict order
+        # The tick pass runs only if some process class overrides the
+        # no-op ``on_round``; the active set is counted either way.
+        ticking = any(
+            cls.on_round is not NodeProcess.on_round
+            for cls in set(map(type, processes.values()))
+        )
         node_rounds = 0
         deliver_batches = 0
         for node_id, proc in processes.items():
             proc.on_start(contexts[node_id])
+        self._count_sent()
         queue = self._queue
         while queue or self._active_requests:
             if self.round >= max_rounds:
@@ -134,19 +114,15 @@ class BatchedSimulator:
             # Group this round's deliveries into per-node inboxes, in
             # global queue order — each inbox ends up in exactly the
             # arrival order the per-message engine would produce.
-            inboxes: dict[Hashable, list[Message]] = {}
+            inboxes: defaultdict[Hashable, list[Message]] = defaultdict(list)
             senders: set[Hashable] = set()
             receptions = 0
             for sender, receivers, kind, payload in inflight:
                 senders.add(sender)
-                msg = Message(sender=sender, kind=kind, payload=payload)
+                msg = Message(sender, kind, payload)
                 receptions += len(receivers)
                 for r in receivers:
-                    box = inboxes.get(r)
-                    if box is None:
-                        inboxes[r] = [msg]
-                    else:
-                        box.append(msg)
+                    inboxes[r].append(msg)
             metrics.receptions += receptions
             deliver_batches += len(inboxes)
             for node_id, box in inboxes.items():
@@ -156,17 +132,19 @@ class BatchedSimulator:
                 senders.update(requested)
             senders.update(inboxes)
             node_rounds += len(senders)
-            if len(senders) == len(ordered):
-                active = ordered
-            else:
-                active = sorted(senders, key=order_of.__getitem__)
-            for node_id in active:
-                processes[node_id].on_round(contexts[node_id])
+            if ticking:
+                if len(senders) == len(ordered):
+                    active = ordered
+                else:
+                    active = sorted(senders, key=order_of.__getitem__)
+                for node_id in active:
+                    processes[node_id].on_round(contexts[node_id])
+            self._count_sent()
             if self.round_log is not None:
                 self.round_log.append(
                     (metrics.transmissions, metrics.receptions)
                 )
-        Simulator._mirror_totals(self)
+        self._mirror_totals()
         if OBS.enabled:
             OBS.incr("sim.batch.node_rounds", node_rounds)
             OBS.incr("sim.batch.deliver_batches", deliver_batches)

@@ -32,6 +32,17 @@ class LeaderNode(NodeProcess):
         ctx.broadcast("leader-id", best=self.best)
         self._dirty = False
 
+    def on_messages(self, ctx: Context, messages: list) -> None:
+        # One pass over the inbox, the same strict-``<`` updates as
+        # ``on_message`` applied in arrival order.
+        best = self.best
+        for message in messages:
+            candidate = message.payload["best"]
+            if candidate < best:
+                best = candidate
+                self._dirty = True
+        self.best = best
+
     def on_message(self, ctx: Context, message: Message) -> None:
         candidate = message.payload["best"]
         if candidate < self.best:

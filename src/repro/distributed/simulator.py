@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Hashable, Mapping, TypeVar
 
 from ..graphs.graph import Graph
@@ -61,13 +62,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Message:
-    """A delivered message: who sent it, its kind tag, and its payload."""
+    """A delivered message: who sent it, its kind tag, and its payload.
+
+    Frozen and slotted, with the generated ``==``, ``hash``, ``repr``
+    and pickling.  ``__init__`` is hand-written: the engines build one
+    message per transmission, and storing through the slot descriptors'
+    setters costs about a third of the generated ``__init__``'s
+    ``object.__setattr__`` calls.
+    """
 
     sender: Hashable
     kind: str
     payload: Mapping[str, Any]
+
+    def __init__(
+        self, sender: Hashable, kind: str, payload: Mapping[str, Any]
+    ) -> None:
+        _set_sender(self, sender)
+        _set_kind(self, kind)
+        _set_payload(self, payload)
+
+
+# The slot descriptors' setters get past the frozen ``__setattr__`` as
+# ``object.__setattr__`` does, minus its by-name lookup.
+_set_sender = Message.sender.__set__
+_set_kind = Message.kind.__set__
+_set_payload = Message.payload.__set__
 
 
 @dataclass
@@ -155,9 +177,11 @@ class RadioTopology:
 class Context:
     """The API a node process sees during a callback.
 
-    One context per node is created up front and reused for every
-    callback of the run — a context is pure plumbing (simulator +
-    node id), so per-delivery allocation bought nothing.
+    One context per node is created when a run starts and reused for
+    every callback of that run — a context is pure plumbing (simulator
+    + node id), so per-delivery allocation bought nothing.  The
+    simulator does not keep its contexts, so simulator and contexts
+    form no reference cycle and are freed as soon as they are dropped.
     """
 
     __slots__ = ("_sim", "_node_id")
@@ -193,15 +217,13 @@ class Context:
         """
         if not self._sim.topology.can_reach(self._node_id, to):
             raise ValueError(f"{self._node_id!r} cannot reach non-neighbor {to!r}")
-        self._sim._enqueue(self._node_id, (to,), kind, payload)
+        self._sim._queue.append((self._node_id, (to,), kind, payload))
 
     def broadcast(self, kind: str, **payload: Any) -> None:
         """Local broadcast to all neighbors: one transmission."""
-        self._sim._enqueue(
-            self._node_id,
-            self._sim.topology.receivers[self._node_id],
-            kind,
-            payload,
+        sim = self._sim
+        sim._queue.append(
+            (self._node_id, sim.topology.receivers[self._node_id], kind, payload)
         )
 
     def stay_active(self) -> None:
@@ -291,20 +313,22 @@ class Simulator:
         )
         self._queue: deque[tuple[Hashable, tuple, str, Mapping[str, Any]]] = deque()
         self._active_requests: set[Hashable] = set()
-        self._contexts: dict[Hashable, Context] = {
-            v: Context(self, v) for v in self.processes
-        }
 
-    def _enqueue(
-        self, sender: Hashable, receivers: tuple, kind: str, payload: Mapping[str, Any]
-    ) -> None:
-        # ``receivers`` is either the cached (immutable) receiver tuple
-        # or a single-element unicast tuple, and ``payload`` is the
-        # fresh kwargs dict of the send call — neither needs a
-        # defensive copy.
-        self._queue.append((sender, receivers, kind, payload))
-        self.metrics.transmissions += 1
-        self.metrics.by_kind[kind] += 1
+    def _count_sent(self) -> None:
+        """Count the transmissions of the current round in one step.
+
+        ``Context.send``/``broadcast`` only append ``(sender, receivers,
+        kind, payload)`` to ``_queue`` — ``receivers`` is the cached
+        receiver tuple or a one-element unicast tuple and ``payload``
+        the call's fresh kwargs dict, so neither needs a defensive copy.
+        The queue then holds exactly what was sent since the round
+        began, so both engines call this after ``on_start`` and at the
+        end of each round, before ``round_log`` reads the totals.
+        """
+        queue = self._queue
+        if queue:
+            self.metrics.transmissions += len(queue)
+            self.metrics.by_kind.update(map(itemgetter(2), queue))
 
     def _mirror_totals(self) -> None:
         if OBS.enabled:
@@ -324,9 +348,10 @@ class Simulator:
             RuntimeError: if the round cap is hit with work remaining —
                 a protocol that fails to quiesce is a bug, not a result.
         """
-        contexts = self._contexts
+        contexts = {v: Context(self, v) for v in self.processes}
         for node_id, proc in self.processes.items():
             proc.on_start(contexts[node_id])
+        self._count_sent()
         while self._queue or self._active_requests:
             if self.round >= max_rounds:
                 raise RuntimeError(
@@ -339,13 +364,14 @@ class Simulator:
             self._queue.clear()
             # Deliver everything sent last round.
             for sender, receivers, kind, payload in inflight:
-                msg = Message(sender=sender, kind=kind, payload=payload)
+                msg = Message(sender, kind, payload)
                 for r in receivers:
                     self.metrics.receptions += 1
                     self.processes[r].on_message(contexts[r], msg)
             # Round tick.
             for node_id, proc in self.processes.items():
                 proc.on_round(contexts[node_id])
+            self._count_sent()
             if self.round_log is not None:
                 self.round_log.append(
                     (self.metrics.transmissions, self.metrics.receptions)

@@ -65,7 +65,6 @@ from ..obs.metrics import Histogram
 from ..reliability.runner import run_cells
 from .cache import ResultCache, request_fingerprint
 from .protocol import (
-    REQUEST_OPS,
     RESPONSE_SCHEMA_ID,
     normalize_request,
 )

@@ -153,7 +153,7 @@ class TestConditionalVariants:
 
     def test_theorem6_capped_variant_on_chains(self):
         from repro.analysis.bounds_check import check_theorem6_variants
-        from repro.analysis import empirical_max_packing, points_near
+        from repro.analysis import empirical_max_packing
         from repro.graphs import chain_points
 
         centers = chain_points(5, 1.0)

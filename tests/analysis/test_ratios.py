@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.analysis import GammaEstimate, estimate_gamma_c, measure_ratio
+from repro.analysis import estimate_gamma_c, measure_ratio
 from repro.cds import connected_domination_number, greedy_connector_cds, waf_cds
-from repro.graphs import Graph
 
 
 class TestEstimateGammaC:

@@ -1,7 +1,5 @@
 """Unit tests for the Guha–Khuller baseline."""
 
-import math
-
 import pytest
 
 from repro.baselines import guha_khuller_cds

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from repro.cds.maintenance import DynamicCDS, RepairStats
+from repro.cds.maintenance import DynamicCDS
 from repro.geometry import Point
-from repro.graphs import Graph, random_connected_udg, unit_disk_graph
+from repro.graphs import Graph, random_connected_udg
 
 
 class TestConstruction:

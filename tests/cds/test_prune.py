@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cds import prune_cds, prune_result, waf_cds
-from repro.graphs import Graph, is_connected_dominating_set
+from repro.graphs import is_connected_dominating_set
 
 
 class TestPruneCDS:

@@ -8,7 +8,6 @@ from repro.cds.exact import connected_domination_number
 from repro.graphs import (
     Graph,
     chain_points,
-    is_connected_dominating_set,
     is_maximal_independent_set,
     unit_disk_graph,
 )

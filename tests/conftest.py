@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.geometry import Point
 from repro.graphs import Graph, random_connected_udg
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the batched round engine and its scheduling contract."""
 
+import gc
+
 import pytest
 
 from repro.distributed import (
@@ -9,9 +11,15 @@ from repro.distributed import (
     SimMetrics,
     Simulator,
     build_bfs_tree,
+    distributed_greedy_cds,
+    distributed_join,
+    distributed_waf_cds,
+    elect_leader,
     elect_mis,
     make_simulator,
+    run_traffic,
 )
+from repro.geometry import Point
 from repro.obs import OBS
 from repro.graphs import Graph
 from repro.graphs.backend import adjacency_rows, build_kernel
@@ -192,6 +200,145 @@ class TestActiveSet:
         for engine in ENGINE_CLASSES:
             with pytest.raises(RuntimeError, match="did not quiesce"):
                 engine(path5, Chatty).run(max_rounds=10)
+
+
+class Relay(NodeProcess):
+    """A flood that relays on reception and never overrides ``on_round``,
+    so the batched engine skips its tick pass."""
+
+    def __init__(self, node_id, origin):
+        super().__init__(node_id)
+        self.seen = node_id == origin
+
+    def on_start(self, ctx):
+        if self.seen:
+            ctx.broadcast("flood")
+
+    def on_message(self, ctx, message):
+        if not self.seen:
+            self.seen = True
+            ctx.broadcast("flood")
+
+
+class TickingRelay(Relay):
+    """The same flood with a no-op ``on_round`` override."""
+
+    def on_round(self, ctx):
+        pass
+
+
+class DelayedRelay(Relay):
+    """Relays in the round tick instead, logging each acting tick."""
+
+    def __init__(self, node_id, origin, log):
+        super().__init__(node_id, origin)
+        self.log = log
+        self.pending = False
+
+    def on_message(self, ctx, message):
+        if not self.seen:
+            self.seen = self.pending = True
+
+    def on_round(self, ctx):
+        if self.pending:
+            self.pending = False
+            self.log.setdefault(self.node_id, []).append(ctx.round)
+            ctx.broadcast("flood")
+
+
+class TestTickSkip:
+    def test_skipped_ticks_still_count_node_rounds(self, small_udg):
+        _, g = small_udg
+        origin = next(iter(g.nodes()))
+        counters = []
+        for cls in (Relay, TickingRelay):
+            with OBS.capture() as registry:
+                BatchedSimulator(g, lambda v: cls(v, origin)).run()
+            counters.append(registry.counters())
+        skipped, ticked = counters
+        assert skipped["sim.batch.node_rounds"] >= len(g)
+        assert skipped["sim.batch.node_rounds"] == ticked["sim.batch.node_rounds"]
+        assert skipped == ticked
+
+    def test_mixed_factory_matches_reference(self, small_udg):
+        _, g = small_udg
+        nodes = list(g.nodes())
+        origin = nodes[0]
+        delayed = set(nodes[1::3])
+        runs = {}
+        for engine in ENGINE_CLASSES:
+            log = {}
+
+            def factory(v, log=log):
+                if v in delayed:
+                    return DelayedRelay(v, origin, log)
+                return Relay(v, origin)
+
+            sim = engine(g, factory, record_rounds=True)
+            metrics = sim.run()
+            assert all(p.seen for p in sim.processes.values())
+            runs[engine] = (metrics, sim.round_log, log)
+        batched, reference = runs[BatchedSimulator], runs[Simulator]
+        assert batched[2], "no delayed relay ever acted"
+        assert batched == reference
+
+
+class TestNoCyclicGarbage:
+    def test_pipelines_leave_no_cyclic_garbage(self, small_udg):
+        # Every simulator must be freed by reference counting alone: a
+        # simulator <-> context cycle would leave each run's processes,
+        # messages and inboxes to the cyclic collector.
+        _, g = small_udg
+        nodes = list(g.nodes())
+        joiner = Point(nodes[0].x + 0.1, nodes[0].y + 0.1)
+        g2 = Graph(nodes=nodes + [joiner])
+        for u, v in g.edges():
+            g2.add_edge(u, v)
+        g2.add_edge(joiner, nodes[0])
+        flows = [(nodes[0], nodes[-1]), (nodes[1], nodes[-2])]
+        gc.collect()
+        gc.disable()
+        try:
+            leader, _ = elect_leader(g)
+            build_bfs_tree(g, leader)
+            distributed_waf_cds(g)
+            greedy, _ = distributed_greedy_cds(g)
+            run_traffic(g, sorted(greedy.nodes), flows)
+            distributed_join(g2, joiner, frozenset(greedy.nodes))
+            del leader, greedy
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestCounting:
+    def test_round_log_includes_the_rounds_own_sends(self, path5):
+        class PingPong(NodeProcess):
+            def __init__(self, node_id):
+                super().__init__(node_id)
+                self.pinged = False
+
+            def on_start(self, ctx):
+                if self.node_id == 0:
+                    ctx.send(1, "ping")
+
+            def on_message(self, ctx, message):
+                if message.kind == "ping":
+                    self.pinged = True
+
+            def on_round(self, ctx):
+                if self.pinged:
+                    self.pinged = False
+                    ctx.broadcast("pong")
+
+        for engine in ENGINE_CLASSES:
+            sim = engine(path5, PingPong, record_rounds=True)
+            metrics = sim.run()
+            # Round 1 delivers the ping and sends the pong; round 2
+            # delivers the pong to nodes 0 and 2.
+            assert sim.round_log == [(2, 1), (2, 3)], engine
+            assert metrics.by_kind == {"ping": 1, "pong": 1}, engine
+            assert list(metrics.by_kind) == ["ping", "pong"], engine
 
 
 class TestContextReuse:

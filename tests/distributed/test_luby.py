@@ -1,7 +1,5 @@
 """Tests for Luby's randomized distributed MIS."""
 
-import pytest
-
 from repro.distributed import build_bfs_tree, elect_mis
 from repro.distributed.luby import luby_mis
 from repro.graphs import Graph, is_maximal_independent_set

@@ -1,9 +1,11 @@
 """Unit tests for the synchronous message-passing simulator."""
 
+import dataclasses
+import pickle
+
 import pytest
 
-from repro.distributed import Context, Message, NodeProcess, SimMetrics, Simulator
-from repro.graphs import Graph
+from repro.distributed import Message, NodeProcess, SimMetrics, Simulator
 
 
 class Echo(NodeProcess):
@@ -136,3 +138,38 @@ class TestContext:
         Simulator(path5, Tagger).run()
         assert len(got) == 1
         assert got[0] == Message(sender=1, kind="tag", payload={"value": 42})
+
+
+class TestMessage:
+    def test_frozen(self):
+        message = Message(1, "tag", {"value": 42})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            message.kind = "other"
+        assert not hasattr(message, "__dict__")
+
+    def test_keyword_and_positional_construction_equal(self):
+        by_keyword = Message(sender=1, kind="tag", payload={"value": 42})
+        by_position = Message(1, "tag", {"value": 42})
+        assert by_keyword == by_position
+        assert (by_position.sender, by_position.kind, by_position.payload) == (
+            1,
+            "tag",
+            {"value": 42},
+        )
+        assert by_position != Message(2, "tag", {"value": 42})
+
+    def test_hash_and_repr(self):
+        # The generated field-tuple hash; a dict payload stays unhashable.
+        assert hash(Message(1, "tag", ())) == hash((1, "tag", ()))
+        with pytest.raises(TypeError):
+            hash(Message(1, "tag", {"value": 42}))
+        assert repr(Message(1, "tag", {"value": 42})) == (
+            "Message(sender=1, kind='tag', payload={'value': 42})"
+        )
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        message = Message(1, "tag", {"value": 42})
+        again = pickle.loads(pickle.dumps(message, protocol=protocol))
+        assert again == message
+        assert type(again) is Message

@@ -6,7 +6,6 @@ import pytest
 
 from repro.cds import greedy_connector_cds
 from repro.distributed.traffic import run_traffic
-from repro.graphs import Graph
 
 
 def labeled(fixture):

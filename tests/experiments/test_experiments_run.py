@@ -4,8 +4,6 @@ These are the reproduction's acceptance tests: an experiment failing
 means a paper claim did not hold on our implementation.
 """
 
-import pytest
-
 from repro.experiments import get_experiment
 
 

@@ -48,7 +48,6 @@ class TestFromNetworkx:
     def test_random_geometric_cross_check(self):
         # networkx's own random geometric graph agrees with our UDG
         # builder on the same points.
-        from repro.geometry import Point
         from repro.graphs import unit_disk_graph, uniform_points
 
         pts = uniform_points(50, 4.0, seed=11)

@@ -14,7 +14,6 @@ from repro.experiments.instances import int_labeled
 from repro.graphs import (
     bfs_tree,
     is_connected,
-    random_connected_udg,
 )
 from tests.nx_bridge import to_networkx
 

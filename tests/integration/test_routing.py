@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.cds import greedy_connector_cds, waf_cds
-from repro.graphs import Graph, shortest_path_lengths
+from repro.graphs import shortest_path_lengths
 from repro.routing import BackboneRouter
 
 

@@ -18,7 +18,6 @@ from repro.distributed import (
 from repro.graphs import (
     Graph,
     bfs_tree,
-    is_connected,
     is_maximal_independent_set,
 )
 from repro.mis import first_fit_mis_in_order

@@ -8,7 +8,6 @@ from repro.graphs import (
     UnionFind,
     bfs_tree,
     connected_components,
-    is_connected,
     is_dominating_set,
     is_maximal_independent_set,
     unit_disk_graph,

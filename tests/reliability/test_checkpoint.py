@@ -1,7 +1,5 @@
 """The checkpoint ledger: durable, schema-checked, crash-tolerant."""
 
-import json
-
 import pytest
 
 from repro.reliability import (

@@ -4,8 +4,6 @@ Failure injection and boundary inputs across the public API — the
 behaviors a downstream user hits first when they misuse the library.
 """
 
-import math
-
 import pytest
 
 from repro.cds import (

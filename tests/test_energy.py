@@ -3,7 +3,7 @@
 import pytest
 
 from repro.energy import EnergyModel, simulate_epochs
-from repro.graphs import Graph, random_connected_udg
+from repro.graphs import random_connected_udg
 
 
 class TestEnergyModel:

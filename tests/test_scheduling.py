@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cds import greedy_connector_cds
-from repro.graphs import Graph, chain_points, random_connected_udg, unit_disk_graph
+from repro.graphs import chain_points, unit_disk_graph
 from repro.scheduling import (
     broadcast_schedule_length,
     distance2_coloring,
