@@ -574,8 +574,11 @@ def _experiments_main(argv: Sequence[str]) -> int:
     results = []
     worker_logs = []
     # One runner for every layout: in this process for a plain --jobs 1
-    # run, one forked process per attempt under --jobs N or any
-    # reliability flag.  Each experiment records its own counters,
+    # run, on at most N long-lived forked workers under --jobs N or any
+    # reliability flag.  A worker runs experiment after experiment (one
+    # that crashes, times out or raises a BaseException is replaced),
+    # so an experiment must leave no process-global state behind that
+    # changes a later one.  Each experiment records its own counters,
     # spans, event log and memory peaks; this process merges the
     # payloads the same way whether they were computed now or resumed
     # from the ledger.
@@ -814,7 +817,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="cells running concurrently (each in its own process)",
+        help="cells running concurrently (each on its own worker process)",
     )
     _add_reliability_flags(parser)
     _add_obs_flags(parser)

@@ -12,7 +12,8 @@ serial loop:
   ``jobs`` is, and identical to ``jobs=1``.
 * **Determinism per cell.**  Workers receive the cell parameters and
   regenerate the instance from its seed inside the child process —
-  nothing depends on which worker runs which cell.
+  nothing depends on which worker runs which cell, nor on which cells
+  ran on that worker before.
 * **Instrumentation is captured in the child, merged in the parent.**
   The :data:`repro.obs.OBS` registry is process-local; a child's
   counters never reach the parent by themselves.  Workers that want
@@ -30,8 +31,8 @@ function works for parameterised workers and is what
 The CLI experiments mode runs every experiment through
 :func:`run_experiments_resilient` (``python -m repro --all --jobs 4``),
 the ``sweep`` mode through :func:`solve_cells_resilient`, and the
-solve daemon maps :func:`solve_cell` (via ``serve_cell``) on its own
-pool through the same ``run_cells``.
+solve daemon runs :func:`solve_cell` (via ``serve_cell``) on its own
+worker set through the same ``run_cells``.
 """
 
 from __future__ import annotations
@@ -177,11 +178,15 @@ def solve_cells_resilient(
     """Map :func:`solve_cell` over a grid, fault-isolated: failures
     become data.
 
-    Runs the grid through :func:`repro.reliability.run_cells` (one
-    forked process per attempt): a cell that raises, stalls past the
-    policy's timeout, or dies outright yields a structured
+    Runs the grid through :func:`repro.reliability.run_cells` on at
+    most ``jobs`` long-lived forked workers: a cell that raises, stalls
+    past the policy's timeout, or dies outright yields a structured
     :class:`~repro.reliability.failures.CellFailure` in its slot while
-    every other cell completes.  With ``checkpoint=...`` progress is
+    every other cell completes.  A worker runs cell after cell and is
+    replaced only after a crash, a timeout or a ``BaseException``, so
+    a cell shares process-global state with the earlier cells on its
+    worker; :func:`solve_cell` leaves none behind that changes a
+    result.  With ``checkpoint=...`` progress is
     journalled per cell; ``resume=True`` re-runs only the missing
     cells and the merged results/counters are bit-identical to an
     uninterrupted run.  Returns the
@@ -284,9 +289,12 @@ def run_experiments_resilient(
     journal and resume the batch.
 
     With ``jobs > 1`` or any of ``policy`` / ``faults`` /
-    ``checkpoint``, each attempt runs in its own forked process;
-    otherwise the experiments run in this process (the inline engine),
-    where a profiler around the call sees them.
+    ``checkpoint``, the experiments run on at most ``jobs`` long-lived
+    forked workers, each running experiment after experiment (one that
+    crashes, times out or raises a ``BaseException`` is replaced), so
+    an experiment must leave no process-global state behind that
+    changes a later one; otherwise they run in this process (the
+    inline engine), where a profiler around the call sees them.
 
     Returns the :class:`~repro.reliability.runner.SweepReport`; its
     successful outcomes carry :func:`_run_experiment_worker_record`

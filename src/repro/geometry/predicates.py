@@ -9,6 +9,7 @@ reduces to vertex-set diameter).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 from .point import EPS, Point, max_pairwise_distance
@@ -30,6 +31,31 @@ def orientation(a: Point, b: Point, c: Point) -> float:
     (near) zero for collinear points.
     """
     return (b - a).cross(c - a)
+
+
+#: Shewchuk's ``ccwerrboundA``: when ``|det|`` exceeds this times
+#: ``|left| + |right|``, the float orientation determinant has the exact
+#: sign (J. R. Shewchuk, "Adaptive Precision Floating-Point Arithmetic and
+#: Fast Robust Geometric Predicates", 1997).
+_ORIENT_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+
+
+def _orientation_sign(a: Point, b: Point, c: Point) -> int:
+    """Exact sign of :func:`orientation`: ``1`` counterclockwise, ``-1``
+    clockwise, ``0`` exactly collinear.
+
+    The float determinant decides whenever its error bound allows; only
+    near-collinear triples fall back to exact rational arithmetic.
+    """
+    left = (b.x - a.x) * (c.y - a.y)
+    right = (b.y - a.y) * (c.x - a.x)
+    det = left - right
+    if abs(det) <= _ORIENT_ERRBOUND * (abs(left) + abs(right)):
+        ax, ay = Fraction(a.x), Fraction(a.y)
+        det = (Fraction(b.x) - ax) * (Fraction(c.y) - ay) - (
+            Fraction(b.y) - ay
+        ) * (Fraction(c.x) - ax)
+    return (det > 0) - (det < 0)
 
 
 def angle_at(vertex: Point, a: Point, b: Point) -> float:
@@ -70,11 +96,11 @@ def is_convex_polygon(vertices: Sequence[Point], tol: float = EPS) -> bool:
 def convex_hull(points: Sequence[Point]) -> list[Point]:
     """Convex hull in counterclockwise order (Andrew's monotone chain).
 
-    Collinear points on the hull boundary are discarded.  Collinearity
-    is relative to the edge lengths (a turn of at most ``EPS`` radians,
-    roughly), so a short hull edge is never mistaken for a straight
-    one.  For fewer than three distinct points the distinct points are
-    returned sorted.
+    Collinear points on the hull boundary are discarded.  Turns are
+    decided by the exact :func:`_orientation_sign`, so no tolerance can
+    mistake a short or nearly flat hull edge for a straight one and
+    drop a vertex.  For fewer than three distinct points the distinct
+    points are returned sorted.
     """
     pts = sorted(set(points))
     if len(pts) <= 2:
@@ -84,8 +110,7 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
         hull: list[Point] = []
         for p in seq:
             while len(hull) >= 2:
-                a, b = hull[-2], hull[-1]
-                if orientation(a, b, p) > EPS * a.distance_to(b) * a.distance_to(p):
+                if _orientation_sign(hull[-2], hull[-1], p) > 0:
                     break
                 hull.pop()
             hull.append(p)

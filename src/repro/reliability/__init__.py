@@ -19,8 +19,9 @@ Four pieces, composable and individually testable:
   ledger (``repro.reliability/checkpoint/v1``) behind
   ``--checkpoint`` / ``--resume``;
 * :mod:`~repro.reliability.runner` — :func:`run_cells`, the
-  process-isolated retry/timeout/resume engine (with in-process and
-  caller-pool engines for cheap and long-lived callers).
+  process-isolated retry/timeout/resume engine over long-lived worker
+  processes (a :class:`WorkerSet`, per call or caller-owned), with an
+  in-process engine for cheap workers.
 
 See ``docs/robustness.md`` for the failure model and how-to.
 """
@@ -45,7 +46,7 @@ from .faults import (
     det_unit,
     parse_fault_spec,
 )
-from .runner import CellOutcome, RetryPolicy, SweepReport, run_cells
+from .runner import CellOutcome, RetryPolicy, SweepReport, WorkerSet, run_cells
 
 __all__ = [
     "CHECKPOINT_SCHEMA_ID",
@@ -68,5 +69,6 @@ __all__ = [
     "CellOutcome",
     "RetryPolicy",
     "SweepReport",
+    "WorkerSet",
     "run_cells",
 ]

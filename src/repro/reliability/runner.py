@@ -4,12 +4,14 @@
 cells: ``worker(item)`` over a sequence, results in input order, built
 for the failure-as-normal-case regime the studied protocols live in:
 
-* **Fault isolation.**  Each cell runs in its own forked process (one
-  process per attempt, never a shared pool), so an exception, a hang,
-  or an outright ``kill -9`` of one cell cannot take down the sweep.
-  A cell that cannot produce a result yields a structured
+* **Fault isolation.**  Cells run on at most ``jobs`` long-lived forked
+  workers (a :class:`WorkerSet`), so an exception, a hang, or an
+  outright ``kill -9`` of one cell yields a structured
   :class:`~repro.reliability.failures.CellFailure` in its slot instead
-  of crashing the run.
+  of crashing the run.  A worker serves on after an ``Exception``; one
+  that crashed, overran or raised a ``BaseException`` is replaced.  A
+  cell must leave no process-global state behind (a cache, a global,
+  ``random``'s state): later cells on its worker would see it.
 * **Per-cell timeouts.**  ``RetryPolicy.timeout`` bounds each
   attempt's wall clock; an overdue worker is terminated (SIGTERM, then
   SIGKILL) and recorded as a ``timeout`` failure or retried.
@@ -26,29 +28,26 @@ for the failure-as-normal-case regime the studied protocols live in:
   ``failures.<kind>``, ``cells.completed``, ``cells.resumed``) and
   structured ``note`` events on every retry and terminal failure.
 
-Two lighter engines share the same failure records:
-
-* the in-process engine (``isolate=False``), for cheap workers and
-  unit tests: same retry/failure semantics minus timeouts and kill
-  survival (both need a process boundary, and the engine raises if
-  asked for them without one);
-* the pooled engine (``isolate=False, pool=p``), for a long-lived
-  caller that owns a ``multiprocessing`` pool (the solve daemon): one
-  ``p.map`` over the cells, a worker exception becomes that cell's
-  ``exception`` failure, and no batchmate runs again.  It honours no
-  timeouts, kill-action fault plans or retries, and raises if asked.
+A long-lived caller (the solve daemon) owns a :class:`WorkerSet` and
+passes it as ``pool=``.  The in-process engine (``isolate=False``), for
+cheap workers and unit tests, has the same retry/failure semantics
+minus timeouts and kill survival (both need a process boundary, and
+the engine raises if asked for them without one).
 
 Every engine runs an attempt through the one :func:`_attempt`.
 """
 
 from __future__ import annotations
 
+import importlib
 import multiprocessing
+import os
+import signal
 import time
 import traceback as _traceback
 from dataclasses import dataclass
-from functools import partial
 from multiprocessing import connection as _mpc
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Sequence
 
 from ..obs import OBS
@@ -60,6 +59,7 @@ __all__ = [
     "RetryPolicy",
     "CellOutcome",
     "SweepReport",
+    "WorkerSet",
     "run_cells",
 ]
 
@@ -251,26 +251,69 @@ def _exception_failure(key: str, attempts: int, message: tuple) -> CellFailure:
 
 # -- the isolated engine ----------------------------------------------
 
-def _child_main(conn, worker, item, plan: FaultPlan | None, key: str) -> None:
-    """Worker-process entry: run one attempt, report over the pipe.
+def _worker_main(conn, preload: tuple[str, ...]) -> None:
+    """Worker-process entry: run ``(worker, plan, cell)`` tasks, replying
+    ``(message, stays)``; after a ``BaseException`` it does not stay and
+    exits.  A ``kill`` fault exits without replying, like a real crash.
+    SIGINT is ignored: on Ctrl-C the parent stops its workers itself."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for name in preload:
+        importlib.import_module(name)
+    parent = os.getppid()
+    while True:
+        # Siblings hold the parent's pipe ends: its death shows as a new ppid.
+        while not conn.poll(1.0):
+            if os.getppid() != parent:
+                return
+        task = conn.recv()
+        try:
+            reply, stays = _attempt(*task), True
+        except BaseException as exc:  # noqa: BLE001 - reported, then exit
+            reply, stays = _error(exc), False
+        try:
+            conn.send((reply, stays))
+        except Exception as exc:  # noqa: BLE001 - the result did not pickle
+            conn.send((_error(exc), stays))
+        if not stays:
+            return
 
-    A ``kill`` fault exits inside the attempt without ever reaching the
-    ``send`` — the parent sees a silent death, exactly like a real
-    crash.  Anything else that escapes (a ``BaseException`` from the
-    worker, an unpicklable result) is reported as an error.
+
+class WorkerSet:
+    """At most ``size`` worker processes that run cell after cell.
+
+    ``run_cells`` starts one per call on the default context (``fork``
+    on Linux: workers inherit the caller's imports); a long-lived caller
+    passes its own as ``pool=``, one call at a time, and a threaded one
+    uses ``"forkserver"``.  Workers import ``preload`` as they start.
     """
-    try:
-        conn.send(_attempt(worker, plan, (item, key)))
-    except BaseException as exc:  # noqa: BLE001 - reported, not suppressed
-        try:
-            conn.send(_error(exc))
-        except Exception:
-            pass  # parent will classify the silent death as a crash
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
+
+    def __init__(self, size: int, context: str | None = None,
+                 preload: Sequence[str] = ()):
+        self.size = size
+        self.preload = tuple(preload)
+        self._ctx = multiprocessing.get_context(context)
+        self._idle: list[tuple[Any, Any]] = []  # (process, pipe end)
+
+    def start(self) -> None:
+        """Start workers until ``size`` of them are idle."""
+        while len(self._idle) < self.size:
+            self._idle.append(self._start_worker())
+
+    def close(self) -> None:
+        """Stop the idle workers (between cells, nothing is lost)."""
+        idle, self._idle = self._idle, []
+        for proc, _ in idle:
+            proc.terminate()  # all at once: they exit in parallel
+        for proc, conn in idle:
+            _retire(proc, conn)
+
+    def _start_worker(self) -> tuple[Any, Any]:
+        conn, child_conn = self._ctx.Pipe()
+        proc = self._ctx.Process(target=_worker_main, daemon=True,
+                                 args=(child_conn, self.preload))
+        proc.start()
+        child_conn.close()
+        return proc, conn
 
 
 @dataclass
@@ -285,25 +328,24 @@ class _Attempt:
 
 
 class _IsolatedEngine:
-    """Process-per-attempt scheduler: spawn, watch, reap, retry.
+    """Scheduler over a :class:`WorkerSet`: dispatch, watch, reap, retry.
 
-    At most ``jobs`` workers run at once; completions are handled as
-    they arrive (``multiprocessing.connection.wait``), deadlines are
+    At most ``workers.size`` cells run at once; completions are handled
+    as they arrive (``multiprocessing.connection.wait``), deadlines are
     checked every tick, and retry backoff is honoured without blocking
     the loop.  Output slots are keyed by input index so ordering never
     depends on scheduling.
     """
 
-    def __init__(self, worker, jobs: int, policy: RetryPolicy,
+    def __init__(self, worker, workers: WorkerSet, policy: RetryPolicy,
                  plan: FaultPlan | None, on_done, on_failed):
         self.worker = worker
-        self.jobs = max(1, jobs)
+        self.workers = workers
         self.policy = policy
         self.plan = plan
         self.on_done = on_done          # (index, item, key, attempts, result)
         self.on_failed = on_failed      # (index, item, key, failure)
         self.retries = 0
-        self._ctx = multiprocessing.get_context()
 
     def run(self, tasks: Sequence[tuple[int, Any, str]]) -> None:
         pending: list[tuple[float, int, Any, str, int]] = [
@@ -313,8 +355,7 @@ class _IsolatedEngine:
         running: dict[Any, _Attempt] = {}
         try:
             while pending or running:
-                now = time.monotonic()
-                self._spawn_ready(pending, running, now)
+                self._dispatch_ready(pending, running)
                 if not running:
                     # Only backoff-delayed work left: sleep to the
                     # earliest ready time.
@@ -324,97 +365,85 @@ class _IsolatedEngine:
                 self._reap(pending, running)
         finally:
             for attempt in running.values():
-                _terminate(attempt.proc)
-                _close(attempt.conn)
+                _retire(attempt.proc, attempt.conn, terminate=True)
 
     # -- scheduling ---------------------------------------------------
 
-    def _spawn_ready(self, pending, running, now) -> None:
+    def _dispatch_ready(self, pending, running) -> None:
         # Scan from the end (input order); skip entries still backing off.
+        now = time.monotonic()
         i = len(pending) - 1
-        while i >= 0 and len(running) < self.jobs:
+        while i >= 0 and len(running) < self.workers.size:
             ready_at, index, item, key, attempt = pending[i]
             if ready_at <= now:
                 pending.pop(i)
-                self._spawn(running, index, item, key, attempt)
+                self._dispatch(running, index, item, key, attempt)
             i -= 1
 
-    def _spawn(self, running, index, item, key, attempt) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_child_main,
-            args=(child_conn, self.worker, item, self.plan, key),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        deadline = (
-            time.monotonic() + self.policy.timeout
-            if self.policy.timeout is not None
-            else None
-        )
-        running[parent_conn] = _Attempt(
+    def _dispatch(self, running, index, item, key, attempt) -> None:
+        task = ForkingPickler.dumps((self.worker, self.plan, (item, key)))
+        idle = self.workers._idle
+        while True:
+            proc, conn = idle.pop() if idle else self._spawn()
+            try:
+                conn.send_bytes(task)  # pickled first: only OSError here
+                break
+            except OSError:  # died while idle: replaced, no cell charged
+                _retire(proc, conn)
+        timeout = self.policy.timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
+        running[conn] = _Attempt(
             index=index, item=item, key=key, attempt=attempt,
-            proc=proc, conn=parent_conn, deadline=deadline,
+            proc=proc, conn=conn, deadline=deadline,
         )
+
+    def _spawn(self) -> tuple[Any, Any]:
+        """Start one worker."""
+        return self.workers._start_worker()
 
     # -- completion / failure handling --------------------------------
 
     def _reap(self, pending, running) -> None:
-        ready = _mpc.wait(list(running), timeout=_POLL_SECONDS)
-        for conn in ready:
+        finished = []
+        for conn in _mpc.wait(list(running), timeout=_POLL_SECONDS):
             attempt = running.pop(conn)
-            message = None
             try:
-                if conn.poll():
-                    message = conn.recv()
+                message, stays = conn.recv()
             except (EOFError, OSError):
-                message = None
-            _join(attempt.proc)
-            _close(conn)
-            if message is not None and message[0] == "ok":
-                self.on_done(
-                    attempt.index, attempt.item, attempt.key,
-                    attempt.attempt, message[1],
-                )
-            elif message is not None:
-                self._retry_or_fail(
-                    pending, attempt,
-                    _exception_failure(attempt.key, attempt.attempt, message),
-                )
+                message, stays = None, False
+            if stays:
+                self.workers._idle.append((attempt.proc, conn))
             else:
-                exitcode = attempt.proc.exitcode
-                self._failed(
-                    pending, attempt, kind="crash", error_type="WorkerCrash",
-                    message=(
-                        f"worker died without reporting "
-                        f"(exitcode {exitcode})"
-                    ),
-                    exitcode=exitcode,
-                )
+                _retire(attempt.proc, conn)
+            finished.append((attempt, message))
+        # Hand the freed workers their next cells before journalling the
+        # finished ones, so no worker waits on the ledger's fsync.
+        self._dispatch_ready(pending, running)
+        for attempt, message in finished:
+            if message is None:
+                code = attempt.proc.exitcode
+                self._retry_or_fail(pending, attempt, CellFailure(
+                    key=attempt.key, kind="crash", attempts=attempt.attempt,
+                    error_type="WorkerCrash", exitcode=code,
+                    message=f"worker died without reporting (exitcode {code})"))
+            elif message[0] == "ok":
+                self.on_done(attempt.index, attempt.item, attempt.key,
+                             attempt.attempt, message[1])
+            else:
+                self._retry_or_fail(pending, attempt, _exception_failure(
+                    attempt.key, attempt.attempt, message))
         if self.policy.timeout is None:
             return
         now = time.monotonic()
         for conn in [c for c, a in running.items() if a.deadline is not None
                      and a.deadline <= now]:
             attempt = running.pop(conn)
-            _terminate(attempt.proc)
-            _close(conn)
-            self._failed(
-                pending, attempt, kind="timeout", error_type="TimeoutError",
-                message=(
-                    f"cell exceeded the per-attempt timeout of "
-                    f"{self.policy.timeout}s"
-                ),
-            )
-
-    def _failed(self, pending, attempt: _Attempt, *, kind: str,
-                error_type: str, message: str,
-                exitcode: int | None = None) -> None:
-        self._retry_or_fail(pending, attempt, CellFailure(
-            key=attempt.key, kind=kind, attempts=attempt.attempt,
-            error_type=error_type, message=message, exitcode=exitcode,
-        ))
+            _retire(attempt.proc, conn, terminate=True)
+            self._retry_or_fail(pending, attempt, CellFailure(
+                key=attempt.key, kind="timeout", attempts=attempt.attempt,
+                error_type="TimeoutError",
+                message=f"cell exceeded the per-attempt timeout of "
+                        f"{self.policy.timeout}s"))
 
     def _retry_or_fail(self, pending, attempt: _Attempt,
                        failure: CellFailure) -> None:
@@ -432,27 +461,18 @@ class _IsolatedEngine:
             self.on_failed(attempt.index, attempt.item, attempt.key, failure)
 
 
-def _close(conn) -> None:
-    try:
-        conn.close()
-    except OSError:  # pragma: no cover - already closed
-        pass
-
-
-def _join(proc, timeout: float = 10.0) -> None:
-    proc.join(timeout)
-    if proc.is_alive():  # pragma: no cover - defensive
-        _terminate(proc)
-
-
-def _terminate(proc) -> None:
-    if proc is None or not proc.is_alive():
-        return
-    proc.terminate()
-    proc.join(_TERM_GRACE_SECONDS)
-    if proc.is_alive():  # pragma: no cover - SIGTERM ignored
-        proc.kill()
-        proc.join()
+def _retire(proc, conn, terminate: bool = False) -> None:
+    """Close a worker's pipe and wait for it to exit; ``terminate`` one
+    that may still run (SIGTERM, then SIGKILL after a grace period)."""
+    if not terminate:
+        proc.join(10.0)
+    if proc.is_alive():
+        proc.terminate()
+        proc.join(_TERM_GRACE_SECONDS)
+        if proc.is_alive():  # pragma: no cover - SIGTERM ignored
+            proc.kill()
+            proc.join()
+    conn.close()
 
 
 # -- the in-process engine --------------------------------------------
@@ -481,21 +501,6 @@ def _run_inline(worker, tasks, policy: RetryPolicy,
     return retries
 
 
-# -- the pooled engine ------------------------------------------------
-
-def _run_pooled(pool, worker, tasks, plan: FaultPlan | None,
-                on_done, on_failed) -> None:
-    """One ``pool.map`` over the cells; a failure stays in its slot."""
-    messages = pool.map(
-        partial(_attempt, worker, plan), [(item, key) for _, item, key in tasks]
-    )
-    for (index, item, key), message in zip(tasks, messages):
-        if message[0] == "ok":
-            on_done(index, item, key, 1, message[1])
-        else:
-            on_failed(index, item, key, _exception_failure(key, 1, message))
-
-
 # -- the public entry point -------------------------------------------
 
 def run_cells(
@@ -518,10 +523,10 @@ def run_cells(
 
     Args:
         worker: a picklable callable (module-level function or a
-            :func:`functools.partial` of one) when ``isolate=True`` or
-            a ``pool`` is given; any callable otherwise.
+            :func:`functools.partial` of one) when ``isolate=True`` (so
+            are the items); any callable otherwise.
         items: the sweep grid, in the order results should come back.
-        jobs: maximum concurrently-running cells.
+        jobs: maximum concurrently-running cells (and worker processes).
         policy: retry/timeout behaviour (default: no retries, no
             timeout).
         faults: a :class:`~repro.reliability.faults.FaultPlan` to
@@ -537,13 +542,12 @@ def run_cells(
             when checkpointing).
         decode: inverse of ``encode``, applied to ledger payloads when
             resuming (default: identity).
-        isolate: run each attempt in its own forked process.  Required
-            for ``policy.timeout`` and kill-action fault plans; the
-            default everywhere the CLI is involved.
-        pool: a caller-owned ``multiprocessing`` pool to map the cells
-            on, with ``isolate=False``; the pool's size, not ``jobs``,
-            sets the parallelism.  No timeouts, kill-action fault plans
-            or retries.
+        isolate: run the cells in worker processes.  Required for
+            ``policy.timeout`` and kill-action fault plans; the default
+            everywhere the CLI is involved.
+        pool: a caller-owned :class:`WorkerSet` to run the cells on
+            instead of a set started for this call; its size, not
+            ``jobs``, sets the parallelism.
 
     Returns:
         A :class:`SweepReport` whose ``outcomes`` align 1:1 with
@@ -551,9 +555,9 @@ def run_cells(
         ``failure`` — never neither, never both.
 
     Raises:
-        ValueError: on duplicate cell keys, a ledger/grid mismatch, or
-            an ``isolate=False`` or ``pool`` request the policy cannot
-            honour.
+        ValueError: on duplicate cell keys, a ledger/grid mismatch, an
+            ``isolate=False`` request the policy cannot honour, or a
+            ``pool`` with ``isolate=False``.
     """
     policy = policy or RetryPolicy()
     items = list(items)
@@ -566,12 +570,9 @@ def run_cells(
             raise ValueError("per-cell timeouts require isolate=True")
         if faults is not None and faults.has_kill:
             raise ValueError("kill-action fault plans require isolate=True")
-    if pool is not None:
-        if isolate:
-            raise ValueError("a pool runs cells without isolation; "
-                             "pass isolate=False")
-        if policy.retries:
-            raise ValueError("retries are not supported on a pool")
+        if pool is not None:
+            raise ValueError("a pool runs cells in its worker processes; "
+                             "pass isolate=True")
 
     outcomes = [
         CellOutcome(index=i, item=item, key=key)
@@ -624,13 +625,16 @@ def run_cells(
     tasks = [(i, items[i], keys[i]) for i in todo]
     try:
         if tasks:
-            if pool is not None:
-                _run_pooled(pool, worker, tasks, faults, on_done, on_failed)
-            elif isolate:
+            if isolate:
+                workers = pool or WorkerSet(max(1, jobs))
                 engine = _IsolatedEngine(
-                    worker, jobs, policy, faults, on_done, on_failed
+                    worker, workers, policy, faults, on_done, on_failed
                 )
-                engine.run(tasks)
+                try:
+                    engine.run(tasks)
+                finally:
+                    if pool is None:
+                        workers.close()
                 retries = engine.retries
             else:
                 retries = _run_inline(

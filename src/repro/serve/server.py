@@ -20,8 +20,8 @@ paying the per-invocation rebuild cost of the CLI.  The moving parts:
   queue; the batcher collects everything arriving within
   ``batch_window`` seconds (up to ``batch_max``) and solves the batch
   in a worker thread through :func:`repro.reliability.run_cells` — in
-  this process at ``jobs=1``, else on the daemon's persistent pool of
-  ``jobs`` solver processes.
+  this process at ``jobs=1``, else on the daemon's persistent worker
+  set of ``jobs`` solver processes.
 * **Failure containment** (:func:`solve_batch`): ``run_cells`` puts a
   failing cell's :class:`~repro.reliability.failures.CellFailure` in
   that cell's slot, so a bad request gets its own structured error
@@ -62,7 +62,7 @@ from typing import Mapping
 from ..obs import OBS
 from ..obs.core import Registry
 from ..obs.metrics import Histogram
-from ..reliability.runner import run_cells
+from ..reliability.runner import WorkerSet, run_cells
 from .cache import ResultCache, request_fingerprint
 from .protocol import (
     RESPONSE_SCHEMA_ID,
@@ -82,7 +82,11 @@ __all__ = [
 #: Queue sentinel: drain is complete once the batcher consumes it.
 _STOP = object()
 
-# -- the solve worker (module-level: picklable for the pool) ---------
+#: Imported by each daemon worker as it starts, before any request.
+_WORKER_PRELOAD = ("repro.serve.server", "repro.experiments.parallel",
+                   "repro.baselines", "repro.distributed.solvers")
+
+# -- the solve worker (module-level: picklable for the workers) -------
 
 
 def serve_cell(request: Mapping) -> dict:
@@ -150,27 +154,23 @@ def _solve_edges(instance: Mapping, algorithm: str, kernel: str | None) -> dict:
     return summary
 
 
-def _warm_worker(_: int) -> None:
-    """Pool warm-up task: pay the child-side import cost up front."""
-    from ..experiments.parallel import solve_cell  # noqa: F401
-
-
-def solve_batch(requests: list[dict], pool=None) -> list[dict]:
+def solve_batch(requests: list[dict], pool: WorkerSet | None = None) -> list[dict]:
     """Solve one batch; failures become data.
 
     Returns one outcome per request, in order: ``{"ok": summary}`` or
     ``{"error": {"type", "message", "item", "index"}}``, where ``item``
     is the request's repr and ``index`` its batch position.  ``pool``
-    (the daemon's persistent pool at ``jobs > 1``) maps the batch
-    across processes; ``None`` solves it in this process.  Either way
-    a failing request fails alone and every batchmate solves once.
+    (the daemon's worker set at ``jobs > 1``) runs the batch across
+    processes; ``None`` solves it in this process.  Either way a
+    failing request fails alone, even one that kills its worker, and
+    every batchmate solves once.
     """
     # Keys are batch positions: with ``cache: false`` two identical
     # requests can share a batch, so neither repr nor fingerprint is
     # unique.
     positions = iter(range(len(requests)))
     report = run_cells(
-        serve_cell, requests, pool=pool, isolate=False,
+        serve_cell, requests, pool=pool, isolate=pool is not None,
         key_fn=lambda _request: str(next(positions)),
     )
     return [
@@ -364,21 +364,15 @@ class SolveServer:
     # -- lifecycle ----------------------------------------------------
 
     def _start_pool(self) -> None:
-        # A persistent pool, created once: a per-batch Pool would use
-        # plain fork(), which deadlocks intermittently out of a
-        # threaded process (the child snapshots locks mid-held).  The
-        # forkserver context forks from a single-threaded helper
-        # instead, and reusing one pool also drops the per-batch setup
-        # cost.  Warm-up maps one trivial task per worker so the
-        # children pay their import cost before the first real request.
+        # Started once, from the forkserver: plain fork() out of this
+        # threaded process deadlocks intermittently (the child snapshots
+        # locks mid-held); the forkserver forks from a single thread.
         import multiprocessing
 
-        try:
-            context = multiprocessing.get_context("forkserver")
-        except ValueError:  # pragma: no cover - platform without forkserver
-            context = multiprocessing.get_context("spawn")
-        self._pool = context.Pool(processes=self.config.jobs)
-        self._pool.map(_warm_worker, range(self.config.jobs), chunksize=1)
+        methods = multiprocessing.get_all_start_methods()
+        context = "forkserver" if "forkserver" in methods else "spawn"
+        self._pool = WorkerSet(self.config.jobs, context, _WORKER_PRELOAD)
+        self._pool.start()
 
     async def start(self) -> None:
         if self.config.jobs > 1:
@@ -435,7 +429,6 @@ class SolveServer:
             await asyncio.sleep(0.01)
         if self._pool is not None:
             self._pool.close()
-            self._pool.join()
             self._pool = None
 
     def emit_obs(self) -> None:

@@ -27,6 +27,34 @@ coords = st.floats(
 ).map(lambda v: round(v, 6))
 points = st.builds(Point, coords, coords)
 
+#: Perpendicular offsets from a line, down to far below EPS: the scale at
+#: which a tolerance-based turn test mistakes a hull vertex for a
+#: collinear one.
+OFFSETS = [0.0] + [s * 10.0**-k for k in range(4, 13) for s in (1, -1)]
+
+
+@st.composite
+def near_collinear_sets(draw):
+    """3-12 points along one line, in clusters around 2-3 anchors: each
+    point sits a step of 1e-4 down to 1e-12 (or none) along the line
+    from its anchor and is pushed off the line by another such step.
+    Clusters at the ends make nearly reversed hull turns (spikes); on a
+    (nearly) vertical line such a spike is not first in x order, which
+    is what a monotone chain can drop."""
+    x0, y0 = draw(coords), draw(coords)
+    angle = draw(st.one_of(st.sampled_from([0.0, math.pi / 2]),
+                           st.floats(min_value=0.0, max_value=math.pi)))
+    dx, dy = math.cos(angle), math.sin(angle)
+    anchors = draw(st.lists(st.floats(min_value=-5.0, max_value=5.0),
+                            min_size=2, max_size=3))
+    steps = st.sampled_from(OFFSETS)
+    pts = []
+    for _ in range(draw(st.integers(min_value=3, max_value=12))):
+        t = draw(st.sampled_from(anchors)) + draw(steps)
+        off = draw(steps)
+        pts.append(Point(x0 + t * dx - off * dy, y0 + t * dy + off * dx))
+    return pts
+
 
 class TestPointProperties:
     @given(points, points)
@@ -51,9 +79,13 @@ class TestPointProperties:
 
 
 class TestHullProperties:
-    @given(st.lists(points, min_size=3, max_size=30))
+    @given(st.one_of(st.lists(points, min_size=3, max_size=30),
+                     near_collinear_sets()))
     # A short hull edge: an absolute area test once dropped (0, 2e-5).
     @example([Point(0, 0), Point(0, 2e-5), Point(0, -1), Point(2e-5, 0)])
+    # A nearly flat turn: a tolerance relative to the edge lengths once
+    # dropped (0, 0).
+    @example([Point(0, 0), Point(0, 1), Point(0, 6.1e-05), Point(-6.1e-05, 2)])
     def test_hull_contains_all_points(self, pts):
         hull = convex_hull(pts)
         if len(hull) < 3:

@@ -1,34 +1,47 @@
 """run_cells: fault isolation, retries, timeouts, resume — the contract."""
 
-import multiprocessing
+import os
 import pickle
+import signal
 import time
+from contextlib import closing
+from functools import partial
 
 import pytest
 
+from repro.experiments.parallel import (
+    cell_key,
+    merge_cell_counters,
+    solve_cell,
+    sweep_cells,
+)
 from repro.obs import OBS
 from repro.reliability import (
     FaultPlan,
     FaultSpec,
     RetryPolicy,
+    WorkerSet,
     run_cells,
 )
 
 
 @pytest.fixture(scope="module")
 def pool():
-    """A 2-worker pool for the pooled engine, shared by the module."""
-    with multiprocessing.get_context("spawn").Pool(2) as shared:
+    """A caller-owned 2-worker set, as the solve daemon keeps one: on
+    the forkserver context and shared by the module's tests."""
+    with closing(WorkerSet(2, context="forkserver")) as shared:
+        shared.start()
         yield shared
 
 
 def run_on(engine, request, worker, items, **kwargs):
-    """``run_cells`` on one engine: ``inline``, ``isolated`` or ``pooled``."""
+    """``run_cells`` on one engine: ``inline``, ``isolated`` or ``pooled``
+    (isolated, on the caller-owned set)."""
     if engine == "inline":
         return run_cells(worker, items, isolate=False, **kwargs)
     if engine == "pooled":
         pool = request.getfixturevalue("pool")
-        return run_cells(worker, items, isolate=False, pool=pool, **kwargs)
+        return run_cells(worker, items, pool=pool, **kwargs)
     return run_cells(worker, items, jobs=2, **kwargs)
 
 
@@ -61,6 +74,28 @@ def sleep_on_two(x):
     if x == 2:
         time.sleep(5.0)
     return x
+
+
+def my_pid(_x):
+    return os.getpid()
+
+
+def raise_with_pid(x):
+    if x % 2:
+        raise ValueError(f"pid {os.getpid()}")
+    return os.getpid()
+
+
+def unfit_on_request(x):
+    """Ends its worker on request: ``kill`` exits silently, ``hang``
+    sleeps past any test timeout, ``base`` raises a ``BaseException``."""
+    if x == "kill":
+        os._exit(3)
+    if x == "hang":
+        time.sleep(30.0)
+    if x == "base":
+        raise SystemExit(4)
+    return os.getpid()
 
 
 _FLAKY_CALLS = {"count": 0}
@@ -196,34 +231,151 @@ class TestInlineEngine:
 
 
 class TestPooledEngine:
-    """The pooled engine rejects what a shared pool cannot honour."""
+    """A caller-owned worker set honours what the isolated engine does,
+    and keeps serving across calls after a worker is lost."""
 
-    def test_rejects_timeout(self, pool):
-        with pytest.raises(ValueError, match="timeouts"):
-            run_cells(double, [1], isolate=False, pool=pool,
-                      policy=RetryPolicy(timeout=1.0))
+    def test_timeout_replaces_the_worker(self, pool):
+        report = run_cells(sleep_on_two, [1, 2, 3], pool=pool,
+                           policy=RetryPolicy(timeout=1.0))
+        assert [o.ok for o in report.outcomes] == [True, False, True]
+        assert report.failures[0].kind == "timeout"
+        assert run_cells(double, [1, 2, 3], pool=pool).results == [2, 4, 6]
 
-    def test_rejects_kill_plans(self, pool):
-        plan = FaultPlan(specs=(FaultSpec(site="*", action="kill"),))
-        with pytest.raises(ValueError, match="kill-action"):
-            run_cells(double, [1], isolate=False, pool=pool, faults=plan)
+    def test_kill_faults_crash_only_their_cell(self, pool):
+        plan = FaultPlan(specs=(FaultSpec(site="boom", action="kill", scope="*2*"),))
+        report = run_cells(_traced_boom, [1, 2, 3], pool=pool, faults=plan)
+        assert [o.ok for o in report.outcomes] == [True, False, True]
+        assert (report.failures[0].kind, report.failures[0].exitcode) == ("crash", 137)
+        assert report.results == [10, 30]
 
-    def test_rejects_retries(self, pool):
-        with pytest.raises(ValueError, match="retries"):
-            run_cells(double, [1], isolate=False, pool=pool,
-                      policy=RetryPolicy(retries=1))
+    def test_retries_rerun_on_the_pool(self, pool):
+        plan = FaultPlan(specs=(FaultSpec(site="boom", action="raise", scope="*2*"),))
+        report = run_cells(_traced_boom, [1, 2, 3], pool=pool, faults=plan,
+                           policy=RetryPolicy(retries=1))
+        assert report.retries == 1
+        assert report.outcomes[1].attempts == 2
+        assert report.results == [10, 30]
 
-    def test_rejects_isolation(self, pool):
-        with pytest.raises(ValueError, match="isolate=False"):
-            run_cells(double, [1], pool=pool)
+    def test_rejects_isolate_false(self, pool):
+        with pytest.raises(ValueError, match="isolate=True"):
+            run_cells(double, [1], isolate=False, pool=pool)
 
     def test_raise_faults_fire_in_pool_workers(self, pool):
         plan = FaultPlan(specs=(FaultSpec(site="boom", action="raise", scope="*2*"),))
-        report = run_cells(_traced_boom, [1, 2, 3], isolate=False, pool=pool,
-                           faults=plan)
+        report = run_cells(_traced_boom, [1, 2, 3], pool=pool, faults=plan)
         assert [o.ok for o in report.outcomes] == [True, False, True]
         assert report.failures[0].error_type == "InjectedFault"
         assert report.results == [10, 30]
+
+    def test_worker_death_mid_batch_fails_only_its_cell(self, pool):
+        # A forkserver multiprocessing.Pool hangs a batch for good when
+        # one of its workers dies; the worker set fails that one cell.
+        batch = ["a", "kill", "b", "c"]
+        report = run_cells(unfit_on_request, batch, pool=pool)
+        assert [o.ok for o in report.outcomes] == [True, False, True, True]
+        (failure,) = report.failures
+        assert (failure.key, failure.kind, failure.exitcode) == ("'kill'", "crash", 3)
+        following = run_cells(unfit_on_request, ["d", "e", "f"], pool=pool)
+        assert following.ok and len(following.results) == 3
+
+
+def _wait_until_exited(pid, timeout=10.0):
+    """Block until every thread of process ``pid`` has exited, so its
+    files are closed.  A forkserver worker has a native thread besides
+    its main one (numpy's BLAS pool), which outlives the main thread."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            states = []
+            for tid in os.listdir(f"/proc/{pid}/task"):
+                with open(f"/proc/{pid}/task/{tid}/stat") as fh:
+                    states.append(fh.read().rsplit(")", 1)[1].split()[0])
+        except FileNotFoundError:
+            return  # reaped
+        if all(state in ("Z", "X") for state in states):
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"worker {pid} still running")
+
+
+class TestWorkerLifecycle:
+    """Workers outlive their cells: an ``Exception`` keeps its worker,
+    anything that leaves a worker unfit to serve replaces it."""
+
+    def test_clean_sweep_runs_on_jobs_workers(self):
+        report = run_cells(my_pid, list(range(24)), jobs=2)
+        assert report.ok and len(set(report.results)) == 2
+
+    def test_raising_cell_stays_on_its_worker(self):
+        report = run_cells(raise_with_pid, [0, 1, 2, 3, 4], jobs=1)
+        pids = {str(p) for p in report.results}
+        pids |= {f.message.split()[-1] for f in report.failures}
+        assert len(report.failures) == 2 and len(pids) == 1
+
+    def test_unfit_workers_are_replaced(self):
+        items = ["a", "kill", "b", "hang", "c", "base", "d"]
+        report = run_cells(unfit_on_request, items, jobs=1,
+                           policy=RetryPolicy(timeout=2.0))
+        assert [o.ok for o in report.outcomes] == [
+            True, False, True, False, True, False, True,
+        ]
+        assert [(f.kind, f.error_type) for f in report.failures] == [
+            ("crash", "WorkerCrash"), ("timeout", "TimeoutError"),
+            ("exception", "SystemExit"),
+        ]
+        assert len(set(report.results)) == 4  # a new worker after each
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                        reason="reads process states from /proc")
+    @pytest.mark.parametrize("context", ["fork", "forkserver"])
+    def test_worker_killed_while_idle_costs_no_attempt(self, context):
+        with closing(WorkerSet(1, context=context)) as workers:
+            (first,) = run_cells(my_pid, [0], pool=workers).results
+            os.kill(first, signal.SIGKILL)
+            _wait_until_exited(first)
+            report = run_cells(my_pid, [1, 2], pool=workers)
+        assert report.ok and [o.attempts for o in report.outcomes] == [1, 1]
+        assert first not in report.results
+
+
+GRID = sweep_cells([20, 30], [0, 1, 2, 3], side=None)
+
+#: Raises in phase 2 of about half the cells, on every attempt.
+RAISE_PLAN = FaultPlan(
+    seed=3, specs=(FaultSpec(site="greedy.phase2", action="raise", rate=0.5),)
+)
+
+
+class TestEngineEquivalence:
+    """The isolated engine at jobs=2 and the inline engine give the same
+    sweep: results, merged counters, retries, failures and ledger."""
+
+    @staticmethod
+    def _sweep(tmp_path, name, faults, **kwargs):
+        path = tmp_path / f"{name}.jsonl"
+        report = run_cells(
+            partial(solve_cell, algorithm="greedy", kernel=None, m=None),
+            GRID, jobs=2, faults=faults, key_fn=cell_key,
+            label="solve:greedy:auto", checkpoint=str(path),
+            policy=RetryPolicy(retries=2) if faults else None, **kwargs,
+        )
+        return report, path.read_bytes().splitlines(keepends=True)
+
+    @pytest.mark.parametrize("faults", [None, RAISE_PLAN], ids=["clean", "raise"])
+    def test_isolated_matches_inline(self, tmp_path, faults):
+        isolated, isolated_ledger = self._sweep(tmp_path, "isolated", faults)
+        inline, inline_ledger = self._sweep(tmp_path, "inline", faults, isolate=False)
+        assert isolated.results == inline.results
+        assert merge_cell_counters(isolated.results) == merge_cell_counters(
+            inline.results
+        )
+        assert (isolated.retries, isolated.failures) == (inline.retries, inline.failures)
+        if faults is not None:
+            assert isolated.failures and isolated.retries == 2 * len(isolated.failures)
+        # Cells are journalled as they complete, so only the order of the
+        # lines after the header may differ.
+        assert isolated_ledger[0] == inline_ledger[0]
+        assert sorted(isolated_ledger) == sorted(inline_ledger)
 
 
 @pytest.mark.parametrize("engine", ["inline", "isolated", "pooled"])
