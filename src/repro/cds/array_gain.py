@@ -1,57 +1,52 @@
-"""Vectorized gain maximisation for the Section IV greedy.
+"""Lazy-heap gain maximisation for the Section IV greedy.
 
 The array-kernel counterpart of
 :class:`~repro.cds.lazy_gain.LazyGainTracker` and
 :class:`~repro.cds.bitset_gain.BitsetGainTracker`.  The bitset tracker
 owns the mid range, but both its memory and its per-round cost scale
 with ``n`` (``n²/8``-byte masks, ``⌈n/64⌉``-word ops per whole-mask
-step): at ``n = 10⁶`` the masks alone would be 125 GB.  This tracker
-keeps every per-round step proportional to the *work actually caused*
-by the round — no ``O(n)`` or ``O(n/64)`` term anywhere — and batches
-the remaining element work through numpy:
+step).  This tracker keeps every per-round step proportional to the
+work the round causes, and each step is a few dozen plain-Python
+operations on the CSR lists, so no per-round numpy call overhead
+either:
 
-* **Eager component labels.**  ``comp_id`` maps every included id to
-  its component's root eagerly (weighted relabel on merge: the smaller
-  member list is rewritten with one vectorized scatter, ``O(n log n)``
-  ids moved over a whole run), so re-scoring never walks a union-find —
-  a candidate batch's adjacent components are one gather plus one
-  ``np.unique`` over ``owner·n + root`` keys.
+* **Eager component labels.**  ``comp[i]`` is the root of included id
+  ``i``'s component (``-1`` for ids not yet included), relabelled
+  eagerly on merge: the smaller parts' member lists are rewritten into
+  the largest part, ``O(n log n)`` ids moved over a whole run.  A
+  candidate's gain is then one pass over its CSR row:
+  ``|{comp[u] : u ∈ N(c)} \\ {-1}| − 1``.
 
-* **Batched re-scoring over the dirty frontier.**  Invalidated
-  candidates accumulate between selections and are re-scored as one
-  vectorized batch: gather all their neighbor rows
-  (:func:`~repro.graphs.array.gather_rows`), keep the included ones,
-  count distinct ``(candidate, root)`` pairs, and scatter the new gains
-  back into the dense ``gains`` array.  ``gain.evaluations`` keeps its
-  meaning — candidates actually re-scored.
+* **A CELF lazy max-heap per tie-break** (Leskovec et al., KDD 2007).
+  Entries are ``(-gain, rank, id)`` (``min``), ``(-gain, -rank, id)``
+  (``max``) or ``(-gain, -degree, rank, id)`` (``degree``), where rank
+  is the node's position in ascending value order, followed by the
+  number of :meth:`add` calls made when the entry was scored.  An entry
+  is exact only while that number is current.  A candidate's gain can
+  rise only when it gains an included neighbor, so :meth:`add` checks
+  ``w``'s non-included neighbors and pushes a fresh entry for each one
+  whose gain rose into every built heap; everywhere else gains only
+  fall, so each node's highest entry bounds its gain from above.
+  :meth:`best_connector` therefore pops a stale top, re-scores it and
+  pushes it back, until the top is exact — and an exact top beats every
+  bound below it.
 
-* **Watcher lists with a base-exempt pop.**  Like the lazy tracker,
-  each scored candidate with gain ≥ 1 registers under the roots it
-  counted; unlike it, a merge never pops the *surviving* (base) root's
-  list.  Exactness argument: a candidate's count can only change if it
-  is adjacent to two or more of the merging parts — so it is registered
-  under at least one non-base part — or if it neighbors the added node
-  ``w`` (both sources are invalidated).  Gain-0 candidates never
-  register at all: with one adjacent component, only a new included
-  neighbor can change their count, and ``N(w)`` is always invalidated.
-  This is what removes the lazy tracker's giant-component pathology
-  without the bitset tracker's whole-mask overlap algebra.
+* **One numpy batch per heap build.**  A heap is built on a tie-break's
+  first use by scoring the whole frontier ``N(I ∪ U) \\ (I ∪ U)`` at
+  once: gather the rows (:func:`~repro.graphs.array.gather_rows`), keep
+  the included neighbors and count distinct ``owner·n + root`` keys.
 
-* **Lazy max-heaps per tie-break.**  Selection pops a heap of
-  ``(-gain, rank, id)`` entries (rank = position in ascending node
-  value order, exactly the bitset tracker's level bit space), with
-  stale entries discarded against the dense ``gains`` array — amortized
-  ``O(log)`` per (re)score instead of a per-round candidate scan.
-  Graphs whose nodes are not mutually orderable fall back to the lazy
-  tracker's explicit ascending-id scan with value comparisons.
+Graphs whose nodes are not mutually orderable fall back to the lazy
+tracker's explicit ascending-id scan with value comparisons.
 
 Selections are **bit-identical** to both other trackers (and so to the
 reference :class:`~repro.cds.gain.GainTracker`) under every tie-break
-mode; the randomized suite in ``tests/cds/test_array_gain.py`` pins the
-full ``(node, gain)`` sequence across all three kernels.  Counters:
-``gain.dsu_unions`` keeps its per-merge meaning, ``gain.evaluations``
-counts re-scored candidates, and the vector paths report
-``array.rescore_batches`` / ``array.gather_elements``.
+mode; ``tests/cds/test_array_gain.py`` pins the full ``(node, gain)``
+sequence across all three kernels and step-locks this tracker against
+the lazy one.  Counters: ``gain.dsu_unions`` keeps its per-merge
+meaning, ``gain.evaluations`` counts candidate scorings (batch members,
+stale heap tops re-scored and the neighbors each :meth:`add` checks),
+and ``array.gather_elements`` the CSR entries the batches gathered.
 """
 
 from __future__ import annotations
@@ -70,13 +65,18 @@ N = TypeVar("N", bound=Hashable)
 
 __all__ = ["ArrayGainTracker"]
 
+_NO_GAIN = (
+    "no node with positive gain: dominators lack 2-hop separation "
+    "or the graph is disconnected"
+)
+
 
 class ArrayGainTracker:
-    """Incremental components of ``G[I ∪ U]`` on numpy CSR arrays.
+    """Incremental components of ``G[I ∪ U]`` with lazy gain heaps.
 
     Same constructor contract, :meth:`add` / :meth:`best_connector`
     semantics and error cases as the other trackers; only the data
-    layout (dense numpy arrays, batched re-scoring) differs.
+    layout (eager component labels, per-tie-break lazy heaps) differs.
 
     Args:
         array: the array-kernel view of the full topology ``G``.
@@ -89,19 +89,13 @@ class ArrayGainTracker:
         "_index",
         "_indptr",
         "_indices",
-        "_n",
-        "_order",
         "_valrank",
         "_value_ranked",
-        "_included",
-        "_included_count",
         "_dominators",
-        "_comp_id",
+        "_comp",
         "_members",
         "_components",
-        "_watchers",
-        "_gains",
-        "_pending",
+        "_adds",
         "_heaps",
         "_degrees",
     )
@@ -110,12 +104,9 @@ class ArrayGainTracker:
         self._array = array
         index = array.indexed
         self._index = index
-        indptr = array.indptr
-        indices = array.indices
-        self._indptr = indptr
-        self._indices = indices
+        self._indptr = index.indptr
+        self._indices = index.indices
         n = len(index)
-        self._n = n
         nodes = index.nodes
         # Tie-break rank space: ascending node-value order when the
         # nodes admit one (heap entries then order by rank), id order
@@ -124,72 +115,47 @@ class ArrayGainTracker:
             order = sorted(range(n), key=value_sort_keys(nodes).__getitem__)
             value_ranked = True
         except TypeError:
-            order = list(range(n))
+            order = range(n)
             value_ranked = False
-        self._order = order
         self._value_ranked = value_ranked
         valrank = [0] * n
         for r, i in enumerate(order):
             valrank[i] = r
         self._valrank = valrank
 
-        dom_ids = []
+        dom_ids = set()
         for d in dominators:
             if d not in index:
                 raise KeyError(f"dominator {d!r} not in graph")
-            dom_ids.append(index.id_of(d))
+            dom_ids.add(index.id_of(d))
         if not dom_ids:
             raise ValueError("dominator set must be non-empty")
-        included = np.zeros(n, dtype=bool)
-        dom_arr = np.array(sorted(set(dom_ids)), dtype=np.int64)
-        included[dom_arr] = True
-        self._included = included
-        self._included_count = int(dom_arr.size)
-        self._dominators = frozenset(nodes[int(i)] for i in dom_arr)
+        self._dominators = frozenset(nodes[i] for i in dom_ids)
 
         # Components of G[I]: one per dominator, minus permissive merges
-        # of adjacent (non-independent) dominator pairs.  comp_id labels
-        # every included id with its root eagerly; members lists back
-        # the weighted relabel.
-        comp_id = np.arange(n, dtype=np.int64)
-        self._comp_id = comp_id
-        members: dict[int, list[int]] = {int(i): [int(i)] for i in dom_arr}
-        self._members = members
-        self._components = self._included_count
-        nbrs, counts = gather_rows(indptr, indices, dom_arr)
+        # of adjacent (non-independent) dominator pairs.
+        comp = [-1] * n
+        for d in dom_ids:
+            comp[d] = d
+        self._comp = comp
+        self._members = {d: [d] for d in dom_ids}
+        self._components = len(dom_ids)
+        self._adds = 0
+        #: per-tie-break lazy max-heaps, built on first use.
+        self._heaps: dict[str, list] = {}
+        self._degrees: list[int] | None = None
+        dom_arr = np.array(sorted(dom_ids), dtype=np.int64)
+        nbrs, counts = gather_rows(array.indptr, array.indices, dom_arr)
+        included = np.zeros(n, dtype=bool)
+        included[dom_arr] = True
         inc_mask = included[nbrs]
         if inc_mask.any():
             # A proper MIS has no included-included arcs; this loop only
             # runs for permissive (non-independent) dominating sets.
             owners = np.repeat(dom_arr, counts)[inc_mask]
             for v, u in zip(owners.tolist(), nbrs[inc_mask].tolist()):
-                self._merge_pair(int(v), int(u))
-
-        #: dense gain cache; exact for every scored, non-pending id.
-        self._gains = np.zeros(n, dtype=np.int64)
-        #: root id -> candidate ids whose cached gain counted it (may
-        #: hold stale duplicates; filtered on pop).
-        self._watchers: dict[int, list[int]] = {}
-        #: invalidated-candidate chunks awaiting the next batch rescore;
-        #: seeded with the whole initial frontier N(I) \\ I.
-        self._pending: list[np.ndarray] = [np.unique(nbrs[~inc_mask])]
-        #: per-tie-break lazy max-heaps, created on first use.
-        self._heaps: dict[str, list] = {}
-        self._degrees: list[int] | None = None
-
-    def _merge_pair(self, v: int, u: int) -> None:
-        """Union the components of two included ids (init-time only)."""
-        comp_id = self._comp_id
-        rv, ru = int(comp_id[v]), int(comp_id[u])
-        if rv == ru:
-            return
-        members = self._members
-        if len(members[rv]) < len(members[ru]):
-            rv, ru = ru, rv
-        moved = members.pop(ru)
-        comp_id[np.array(moved, dtype=np.int64)] = rv
-        members[rv].extend(moved)
-        self._components -= 1
+                if comp[v] != comp[u]:
+                    self._merge([comp[v], comp[u]])
 
     # -- read API (mirrors LazyGainTracker) ------------------------------------
 
@@ -197,9 +163,7 @@ class ArrayGainTracker:
     def included(self) -> frozenset:
         """``I ∪ U`` so far, as original node objects."""
         nodes = self._index.nodes
-        return frozenset(
-            nodes[int(i)] for i in np.flatnonzero(self._included)
-        )
+        return frozenset(nodes[i] for i, r in enumerate(self._comp) if r >= 0)
 
     @property
     def dominators(self) -> frozenset:
@@ -217,153 +181,123 @@ class ArrayGainTracker:
         one per adjacent component.
         """
         nodes = self._index.nodes
-        return {
-            nodes[int(r)] for r in self._roots_of(self._index.id_of(w))
-        }
+        return {nodes[r] for r in self._roots_of(self._index.id_of(w))}
 
     def gain(self, w: N) -> int:
         """``Δ_w q(U)`` for the current ``U`` (computed fresh)."""
         wi = self._index.id_of(w)
-        if self._included[wi]:
+        if self._comp[wi] >= 0:
             return 0
-        return max(0, self._roots_of(wi).size - 1)
+        return max(0, len(self._roots_of(wi)) - 1)
 
-    def _roots_of(self, wi: int) -> np.ndarray:
-        nbrs = self._indices[self._indptr[wi] : self._indptr[wi + 1]]
-        return np.unique(self._comp_id[nbrs[self._included[nbrs]]])
+    def _roots_of(self, wi: int) -> set[int]:
+        indptr = self._indptr
+        row = self._indices[indptr[wi] : indptr[wi + 1]]
+        roots = set(map(self._comp.__getitem__, row))
+        roots.discard(-1)
+        return roots
 
     # -- mutation -------------------------------------------------------------
+
+    def _merge(self, parts: list[int]) -> None:
+        """Relabel the components rooted at ``parts`` into the largest
+        of them (ties to the smallest root id)."""
+        members = self._members
+        base = min(parts, key=lambda r: (-len(members[r]), r))
+        comp = self._comp
+        target = members[base]
+        for r in parts:
+            if r != base:
+                moved = members.pop(r)
+                for u in moved:
+                    comp[u] = base
+                target.extend(moved)
+        self._components -= len(parts) - 1
 
     def add(self, w: N) -> int:
         """Add ``w`` to ``U`` and return the gain it realized.
 
         Merges ``w`` with its adjacent components (weighted relabel
-        into the largest part) and queues for re-scoring exactly the
-        candidates whose count could have changed: the watchers of
-        every merged non-base root, plus ``N(w)``.
+        into the largest part).  A non-included neighbor ``c`` of ``w``
+        is the only kind of node whose gain can rise, and it rises (by
+        one) exactly when none of ``c``'s adjacent components touches
+        ``w``; each such ``c`` gets a fresh entry in every built heap.
 
         Raises:
             ValueError: if ``w`` is already included.
         """
-        index = self._index
-        wi = int(index.id_of(w))
-        included = self._included
-        if included[wi]:
+        wi = self._index.id_of(w)
+        comp = self._comp
+        if comp[wi] >= 0:
             raise ValueError(f"{w!r} already included")
         roots = self._roots_of(wi)
-
-        comp_id = self._comp_id
-        members = self._members
-        watchers = self._watchers
-        pending = self._pending
-        # Base: the largest merging part (w's fresh singleton included),
-        # ties to the smallest root id for determinism.
-        base = wi
-        base_size = 1
-        for r in roots.tolist():
-            size = len(members[r])
-            if size > base_size or (size == base_size and r < base):
-                base, base_size = r, size
-        if base == wi:
-            members[wi] = [wi]
-        else:
-            comp_id[wi] = base
-            members[base].append(wi)
-        for r in roots.tolist():
-            if r == base:
-                continue
-            moved = members.pop(r)
-            comp_id[np.array(moved, dtype=np.int64)] = base
-            members[base].extend(moved)
-            stale = watchers.pop(r, None)
-            if stale:
-                pending.append(np.array(stale, dtype=np.int64))
-
-        included[wi] = True
-        self._included_count += 1
-        merged = int(roots.size)
-        self._components += 1 - merged
-
-        nbrs = self._indices[self._indptr[wi] : self._indptr[wi + 1]]
-        fresh = nbrs[~included[nbrs]]
-        if fresh.size:
-            pending.append(fresh)
+        heaps = self._heaps
+        risen = []
+        if heaps:
+            indptr, indices = self._indptr, self._indices
+            label = comp.__getitem__
+            fresh = [c for c in indices[indptr[wi] : indptr[wi + 1]] if comp[c] < 0]
+            for c in fresh:
+                adjacent = set(map(label, indices[indptr[c] : indptr[c + 1]]))
+                adjacent.discard(-1)
+                if adjacent and adjacent.isdisjoint(roots):
+                    risen.append((c, len(adjacent)))
+            if OBS.enabled:
+                OBS.incr("gain.evaluations", len(fresh))
+        comp[wi] = wi
+        self._members[wi] = [wi]
+        self._components += 1
+        self._merge([wi, *roots])
+        self._adds += 1
+        for c, g in risen:
+            for tie_break, heap in heaps.items():
+                heapq.heappush(heap, self._entry(tie_break, c, g))
         if OBS.enabled:
-            OBS.incr("gain.dsu_unions", merged)
-        return max(0, merged - 1)
+            OBS.incr("gain.dsu_unions", len(roots))
+        return max(0, len(roots) - 1)
 
     # -- selection ------------------------------------------------------------
 
-    def _rescore_pending(self) -> None:
-        """Re-score every queued candidate as one vectorized batch."""
-        pending = self._pending
-        if not pending:
-            return
-        cand = np.unique(np.concatenate(pending))
-        pending.clear()
-        included = self._included
-        cand = cand[~included[cand]]
-        if not cand.size:
-            return
-        n = self._n
-        nbrs, counts = gather_rows(self._indptr, self._indices, cand)
-        inc_mask = included[nbrs]
-        owners = np.repeat(np.arange(cand.size, dtype=np.int64), counts)[inc_mask]
-        roots = self._comp_id[nbrs[inc_mask]]
-        # Distinct (candidate, root) pairs -> adjacent-component counts.
-        pairs = np.unique(owners * n + roots)
-        pair_owner = pairs // n
-        cnt = np.bincount(pair_owner, minlength=cand.size)
-        gains = np.maximum(cnt - 1, 0)
-        self._gains[cand] = gains
-        # Register watchers for candidates with >= 2 adjacent parts
-        # (gain-0 candidates cannot lose a part without it merging into
-        # another part of theirs, and gaining one goes through N(w)).
-        multi = cnt[pair_owner] >= 2
-        if multi.any():
-            watchers = self._watchers
-            reg_c = cand[pair_owner[multi]].tolist()
-            reg_r = (pairs[multi] % n).tolist()
-            for c, r in zip(reg_c, reg_r):
-                lst = watchers.get(r)
-                if lst is None:
-                    watchers[r] = [c]
-                else:
-                    lst.append(c)
-        if self._heaps:
-            pos = np.flatnonzero(gains >= 1)
-            if pos.size:
-                ids = cand[pos].tolist()
-                gs = gains[pos].tolist()
-                for tie_break, heap in self._heaps.items():
-                    push = heapq.heappush
-                    for c, g in zip(ids, gs):
-                        push(heap, self._entry(tie_break, c, g))
-        if OBS.enabled:
-            OBS.incr("gain.evaluations", int(cand.size))
-            OBS.incr("array.rescore_batches")
-            OBS.incr("array.gather_elements", int(nbrs.size))
-
     def _entry(self, tie_break: str, c: int, g: int) -> tuple:
+        """Heap entry for candidate ``c`` of gain ``g``, stamped with
+        the current add count."""
         valrank = self._valrank
         if tie_break == "min":
-            return (-g, valrank[c], c)
+            return (-g, valrank[c], c, self._adds)
         if tie_break == "max":
-            return (-g, -valrank[c], c)
+            return (-g, -valrank[c], c, self._adds)
         degrees = self._degrees
         if degrees is None:
-            degree = self._index.degree
-            degrees = self._degrees = [degree(i) for i in range(self._n)]
-        return (-g, -degrees[c], valrank[c], c)
+            degrees = self._degrees = self._array.degrees.tolist()
+        return (-g, -degrees[c], valrank[c], c, self._adds)
+
+    def _score_frontier(self) -> tuple[list[int], list[int]]:
+        """Gains of every frontier candidate with gain >= 1, as one
+        vectorized batch: ``(ids, gains)``."""
+        array = self._array
+        indptr, indices = array.indptr, array.indices
+        comp = np.array(self._comp, dtype=np.int64)
+        included = comp >= 0
+        nbrs, _ = gather_rows(indptr, indices, np.flatnonzero(included))
+        cand = np.unique(nbrs[~included[nbrs]])
+        rows, counts = gather_rows(indptr, indices, cand)
+        inc_mask = included[rows]
+        owners = np.repeat(np.arange(cand.size, dtype=np.int64), counts)
+        n = comp.size
+        # Distinct (candidate, root) pairs -> adjacent-component counts.
+        pairs = np.unique(owners[inc_mask] * n + comp[rows[inc_mask]])
+        gains = np.bincount(pairs // n, minlength=cand.size) - 1
+        live = np.flatnonzero(gains >= 1)
+        if OBS.enabled:
+            OBS.incr("gain.evaluations", int(cand.size))
+            OBS.incr("array.gather_elements", int(nbrs.size + rows.size))
+        return cand[live].tolist(), gains[live].tolist()
 
     def _heap_for(self, tie_break: str) -> list:
         heap = self._heaps.get(tie_break)
         if heap is None:
-            gains = self._gains
-            live = np.flatnonzero((gains >= 1) & ~self._included)
-            heap = [
-                self._entry(tie_break, int(c), int(gains[c])) for c in live
-            ]
+            entry = self._entry
+            heap = [entry(tie_break, c, g) for c, g in zip(*self._score_frontier())]
             heapq.heapify(heap)
             self._heaps[tie_break] = heap
         return heap
@@ -372,48 +306,60 @@ class ArrayGainTracker:
         """The not-yet-included node of maximum gain.
 
         Same argmax, tie-break semantics ("min" / "max" / "degree") and
-        error cases as the other trackers.  Queued invalidations are
-        re-scored in one vectorized batch, then the per-tie-break heap
-        yields the winner after discarding entries the batch outdated.
+        error cases as the other trackers.  Stale heap tops are
+        re-scored and pushed back until the top entry is exact.
         """
         if tie_break not in ("min", "max", "degree"):
             raise ValueError(f"unknown tie_break {tie_break!r}")
         if self._components <= 1:
             raise ValueError("already connected; no connector needed")
-        self._rescore_pending()
         if not self._value_ranked:
             return self._scan_unranked(tie_break)
         heap = self._heap_for(tie_break)
-        gains = self._gains
-        included = self._included
-        pop = heapq.heappop
-        while heap:
-            entry = heap[0]
-            c = entry[-1]
-            g = -entry[0]
-            if included[c] or gains[c] != g:
-                pop(heap)
-                continue
-            return self._index.nodes[c], g
-        raise ValueError(
-            "no node with positive gain: dominators lack 2-hop separation "
-            "or the graph is disconnected"
-        )
+        comp = self._comp
+        adds = self._adds
+        indptr, indices = self._indptr, self._indices
+        label = comp.__getitem__
+        pop, replace = heapq.heappop, heapq.heapreplace
+        rescored = 0
+        try:
+            while heap:
+                top = heap[0]
+                c = top[-2]
+                if comp[c] >= 0:
+                    pop(heap)
+                elif top[-1] == adds:
+                    return self._index.nodes[c], -top[0]
+                else:
+                    rescored += 1
+                    adjacent = set(map(label, indices[indptr[c] : indptr[c + 1]]))
+                    adjacent.discard(-1)
+                    g = len(adjacent) - 1
+                    if g >= 1:
+                        replace(heap, self._entry(tie_break, c, g))
+                    else:
+                        pop(heap)
+            raise ValueError(_NO_GAIN)
+        finally:
+            if OBS.enabled:
+                OBS.incr("gain.evaluations", rescored)
 
     def _scan_unranked(self, tie_break: str) -> tuple[N, int]:
         """Explicit ascending-id argmax for unorderable node mixes —
         the comparison structure of :meth:`LazyGainTracker.best_connector`."""
-        gains = self._gains
+        comp = self._comp
         nodes = self._index.nodes
         degree = self._index.degree
         best_id = -1
         best_gain = 0
-        for c in np.flatnonzero((gains >= 1) & ~self._included).tolist():
-            g = int(gains[c])
+        for c in range(len(comp)):
+            if comp[c] >= 0:
+                continue
+            g = len(self._roots_of(c)) - 1
             if g > best_gain:
                 best_id, best_gain = c, g
                 continue
-            if g != best_gain:
+            if g != best_gain or best_id < 0:
                 continue
             if tie_break == "min":
                 wins = _smaller(nodes[c], nodes[best_id])
@@ -426,9 +372,6 @@ class ArrayGainTracker:
                 )
             if wins:
                 best_id = c
-        if best_id < 0 or best_gain < 1:
-            raise ValueError(
-                "no node with positive gain: dominators lack 2-hop separation "
-                "or the graph is disconnected"
-            )
+        if best_id < 0:
+            raise ValueError(_NO_GAIN)
         return nodes[best_id], best_gain

@@ -44,7 +44,7 @@ def greedy_connectors(
     :class:`~repro.cds.lazy_gain.LazyGainTracker` on the CSR view,
     :class:`~repro.cds.bitset_gain.BitsetGainTracker` on the bitset
     view, :class:`~repro.cds.array_gain.ArrayGainTracker` on the array
-    view) — all candidate-restricted, cache-invalidating, and
+    view) — all candidate-restricted, lazily re-scoring, and
     bit-identical to the reference :class:`~repro.cds.gain.GainTracker`
     rescan under every tie-break mode (the randomized suites in
     ``tests/cds/test_lazy_gain.py``, ``tests/cds/test_bitset.py`` and

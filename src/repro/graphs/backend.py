@@ -71,9 +71,11 @@ BITSET_AUTO_N = 600
 
 #: Node count at which ``kernel="auto"`` switches from the bitset
 #: kernel to the array kernel.  Beyond it the bitset's ``n²/8``-byte
-#: masks and ``⌈n/64⌉``-word per-round scans lose to numpy's O(E)
-#: buffers and batched vector calls (measured crossover is between the
-#: udg10000 and udg100000 fixtures; see ``docs/performance.md``).
+#: masks and ``⌈n/64⌉``-word per-round scans lose to the array kernel's
+#: O(E) buffers and its lazy-heap greedy, whose picks cost time in
+#: proportion to the candidates they re-score.  The heap greedy also
+#: beats the bitset one from n = 5000 up (``docs/performance.md`` §8);
+#: this threshold has not been re-tuned to that.
 ARRAY_AUTO_N = 20000
 
 #: Valid ``kernel=`` arguments, CLI ``--kernel`` choices included.

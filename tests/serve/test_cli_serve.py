@@ -12,17 +12,25 @@ from repro.cli import main
 
 
 @pytest.fixture
-def daemon(tmp_path):
-    """A ``python -m repro serve`` daemon on a tmp Unix socket."""
+def daemon(tmp_path, capsys):
+    """A ``python -m repro serve`` daemon on a tmp Unix socket.
+
+    Yields once the daemon has printed its ``serving on`` banner, with
+    the banner drained from ``capsys``: the socket file appears before
+    the banner does, and a banner left in the buffer would land in the
+    test's captured stdout.
+    """
     path = str(tmp_path / "serve.sock")
     thread = threading.Thread(
         target=main, args=(["serve", "--socket", path],), daemon=True
     )
     thread.start()
     deadline = time.monotonic() + 15
-    while not os.path.exists(path):
-        assert time.monotonic() < deadline, "daemon did not bind its socket"
+    printed = ""
+    while not (os.path.exists(path) and "serving on" in printed):
+        assert time.monotonic() < deadline, "daemon did not print its banner"
         time.sleep(0.02)
+        printed += capsys.readouterr().out
     yield path
     main(["serve-client", "--connect", path, "--shutdown"])
     thread.join(15)
