@@ -57,7 +57,6 @@ from typing import Hashable, Iterable, TypeVar
 import numpy as np
 
 from ..graphs.array import ArrayGraph, gather_rows
-from ..graphs.bitset import value_sort_keys
 from ..obs import OBS
 from .gain import _smaller
 
@@ -108,16 +107,13 @@ class ArrayGainTracker:
         self._indices = index.indices
         n = len(index)
         nodes = index.nodes
-        # Tie-break rank space: ascending node-value order when the
-        # nodes admit one (heap entries then order by rank), id order
-        # plus explicit value comparisons otherwise.
-        try:
-            order = sorted(range(n), key=value_sort_keys(nodes).__getitem__)
-            value_ranked = True
-        except TypeError:
+        # Tie-break rank space: the view's value order when the nodes
+        # admit one (heap entries then order by rank), id order plus
+        # explicit value comparisons otherwise.
+        order = index.value_order()
+        self._value_ranked = order is not None
+        if order is None:
             order = range(n)
-            value_ranked = False
-        self._value_ranked = value_ranked
         valrank = [0] * n
         for r, i in enumerate(order):
             valrank[i] = r

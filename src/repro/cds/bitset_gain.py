@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, TypeVar
 
-from ..graphs.bitset import BitsetGraph, bit_indices, mask_of, value_sort_keys
+from ..graphs.bitset import BitsetGraph, bit_indices, mask_of
 from ..graphs.components import IntUnionFind
 from ..obs import OBS
 from .gain import _smaller
@@ -114,14 +114,11 @@ class BitsetGainTracker:
         # Level-bucket bit space: ascending node-value order when the
         # nodes admit one (so min/max ties are lsb/msb), id order
         # otherwise.  ``order``: rank -> id; ``valrank``: id -> rank.
-        try:
-            order = sorted(range(n), key=value_sort_keys(nodes).__getitem__)
-            value_ranked = True
-        except TypeError:
+        order = index.value_order()
+        self._value_ranked = order is not None
+        if order is None:
             order = list(range(n))
-            value_ranked = False
         self._order = order
-        self._value_ranked = value_ranked
         valrank = [0] * n
         for r, i in enumerate(order):
             valrank[i] = r

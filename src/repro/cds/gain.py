@@ -193,3 +193,14 @@ def _smaller(a, b) -> bool:
         return a < b
     except TypeError:
         return repr(a) < repr(b)
+
+
+def _least(nodes):
+    """The least of ``nodes`` by :func:`_smaller`, scanning in order and
+    keeping the incumbent unless a node is smaller: ``min(nodes)`` on
+    orderable nodes, and still defined on unorderable mixes."""
+    best = None
+    for v in nodes:
+        if _smaller(v, best):
+            best = v
+    return best

@@ -32,6 +32,7 @@ from ..graphs.indexed import IndexedGraph
 from ..mis.first_fit import FirstFitMIS, first_fit_mis
 from ..obs import OBS, trace
 from .base import CDSResult
+from .gain import _least
 
 N = TypeVar("N", bound=Hashable)
 
@@ -56,14 +57,14 @@ def waf_connectors(
     exactly once, so ``waf.coverage_evaluations`` equals the root's
     degree.
     """
-    tree = mis.tree
-    root = tree.root
+    root = mis.root
     mis_set = mis.as_set()
     root_neighbors = graph.neighbors(root)
     if not root_neighbors:
         return []
     # s: the root's neighbor adjacent to the most MIS nodes; ties to the
-    # smallest node for determinism.
+    # smallest node for determinism (by the gain trackers' comparison,
+    # which also orders unorderable mixes).
     if isinstance(index, BitsetGraph):
         id_of = index.id_of
         mis_mask = mask_of((id_of(v) for v in mis_set), len(index))
@@ -102,18 +103,14 @@ def waf_connectors(
         ]
     evaluations = len(root_neighbors)
     best = max(coverages)
-    s = min(
-        (u for u, cov in zip(root_neighbors, coverages) if cov == best),
-        key=_sort_key,
-    )
+    s = _least(u for u, cov in zip(root_neighbors, coverages) if cov == best)
     covered_by_s = {w for w in graph.neighbors(s) if w in mis_set}
 
     connectors: list[N] = [s]
     seen: set[N] = {s}
-    for v in mis.nodes:
+    for v, p in zip(mis.nodes, mis.parents()):
         if v in covered_by_s or v == root:
             continue
-        p = tree.parent[v]
         if p not in seen and p not in mis_set:
             connectors.append(p)
             seen.add(p)
@@ -170,12 +167,6 @@ def waf_cds(
         nodes=nodes,
         dominators=tuple(mis.nodes),
         connectors=tuple(connectors),
-        meta={"root": mis.tree.root, "s": connectors[0] if connectors else None},
+        meta={"root": mis.root, "s": connectors[0] if connectors else None},
     )
 
-
-def _sort_key(node):
-    try:
-        return (0, node)
-    except TypeError:  # pragma: no cover - defensive
-        return (1, repr(node))

@@ -67,22 +67,40 @@ def gather_rows(
     return indices[flat], counts
 
 
+def _spans_all(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Whether a BFS from node 0 over the CSR rows reaches every node
+    (``n >= 1``): one :func:`gather_rows` per frontier."""
+    seen = np.zeros(indptr.size - 1, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        flat, _ = gather_rows(indptr, indices, frontier)
+        # Deduplicated by hand: a bare np.unique imports numpy.ma on
+        # first use, ~20 ms and ~1 MiB in every forked sweep worker.
+        fresh = np.sort(flat[~seen[flat]])
+        first = np.ones(fresh.size, dtype=bool)
+        first[1:] = fresh[1:] != fresh[:-1]
+        frontier = fresh[first]
+        seen[frontier] = True
+    return bool(seen.all())
+
+
 class ArrayGraph(Generic[N]):
     """A numpy-CSR view layered on an :class:`IndexedGraph`.
 
     Shares the underlying view's dense ids and node interning, so the
     kernels are interchangeable wherever an ``index=`` argument is
-    accepted.  The numpy buffers are built once at construction
-    (``O(V + E)``) and exposed read-only; hot loops bind them to locals
-    and stay inside numpy for whole frontiers/batches at a time.
+    accepted.  The numpy buffers are the view's own
+    (:meth:`IndexedGraph.arrays`, no copy) and read-only; hot loops bind
+    them to locals and stay inside numpy for whole frontiers/batches at
+    a time.
     """
 
     __slots__ = ("indexed", "_indptr", "_indices", "_degrees")
 
     def __init__(self, indexed: IndexedGraph[N]):
         self.indexed = indexed
-        self._indptr = np.asarray(indexed.indptr, dtype=np.int64)
-        self._indices = np.asarray(indexed.indices, dtype=np.int64)
+        self._indptr, self._indices = indexed.arrays()
         self._degrees: np.ndarray | None = None
 
     @classmethod
@@ -226,10 +244,9 @@ class ArrayGraph(Generic[N]):
         return comps
 
     def is_connected(self) -> bool:
-        """Whether the view is connected.  The empty graph is not."""
-        if not len(self.indexed):
-            return False
-        return len(self.bfs_order(0)) == len(self.indexed)
+        """Whether the view is connected (:meth:`IndexedGraph.is_connected`,
+        on the same arrays).  The empty graph is not."""
+        return self.indexed.is_connected()
 
     def __repr__(self) -> str:
         return f"ArrayGraph(|V|={len(self)}, |E|={self.edge_count()})"

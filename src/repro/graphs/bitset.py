@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Generic, Hashable, Iterator, Sequence, TypeVar
 
-from ..geometry.point import Point
 from ..obs import OBS
 from .backend import (  # noqa: F401  (re-exported: historical home)
     ARRAY_AUTO_N,
@@ -56,7 +55,6 @@ __all__ = [
     "iter_bits",
     "mask_of",
     "popcount",
-    "value_sort_keys",
 ]
 
 #: Bit positions set in each possible byte value — the lookup table
@@ -64,22 +62,6 @@ __all__ = [
 _BYTE_BITS = tuple(
     tuple(b for b in range(8) if byte >> b & 1) for byte in range(256)
 )
-
-
-def value_sort_keys(nodes: Sequence) -> Sequence:
-    """Comparison keys that order exactly as the nodes themselves do.
-
-    :class:`~repro.geometry.point.Point` is the ubiquitous node type
-    and its ordering *is* the lexicographic ``(x, y)`` order, so an
-    all-``Point`` sequence gets plain coordinate tuples — compared in C
-    — in place of ``O(n log n)`` interpreted ``__lt__`` calls when
-    sorting every node (the gain tracker's value ranking, the default
-    root choice).  Any other sequence is returned unchanged, keys being
-    the nodes themselves.
-    """
-    if all(type(p) is Point for p in nodes):
-        return [(p.x, p.y) for p in nodes]
-    return nodes
 
 
 def popcount(mask: int) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..geometry.point import EPS, Point
 from ..obs import OBS
-from .array import gather_rows
+from .array import _spans_all
 from .graph import Graph
 from .indexed import IndexedGraph
 from .traversal import is_connected  # noqa: F401 - perfbench's traced runs wrap it here
@@ -129,24 +129,6 @@ def chain_points(n: int, spacing: float = 1.0) -> list[Point]:
 #: 1.62-2.83 ms) and 3x ahead at n = 600.  The dense test's O(n²)
 #: temporaries stay near 1 MB below the cutoff.
 DENSE_TEST_N = 256
-
-
-def _spans_all(indptr: np.ndarray, nbr: np.ndarray) -> bool:
-    """Whether a BFS from node 0 over the CSR rows reaches every node
-    (``n >= 1``): one :func:`gather_rows` per frontier."""
-    seen = np.zeros(indptr.size - 1, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        flat, _ = gather_rows(indptr, nbr, frontier)
-        # Deduplicated by hand: a bare np.unique imports numpy.ma on
-        # first use, ~20 ms and ~1 MiB in every forked sweep worker.
-        fresh = np.sort(flat[~seen[flat]])
-        first = np.ones(fresh.size, dtype=bool)
-        first[1:] = fresh[1:] != fresh[:-1]
-        frontier = fresh[first]
-        seen[frontier] = True
-    return bool(seen.all())
 
 
 def _connected_rows(

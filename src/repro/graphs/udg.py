@@ -147,7 +147,7 @@ def _udg_graph(
         if rows is None:
             rows = _udg_rows(xs, ys, radius, tol)
         indptr, nbr, pairs_tested = rows
-        graph = _bulk_graph(pts, indptr, nbr)
+        graph = _bulk_graph(pts, indptr, nbr, (xs, ys))
     if OBS.enabled:
         OBS.incr("udg.grid.pairs_tested", pairs_tested)
         OBS.incr("udg.grid.edges_emitted", nbr.size // 2)
@@ -360,10 +360,18 @@ def _neighbor_rows(
     return indptr, dst[key % entries]
 
 
-def _bulk_graph(pts: list[Point], indptr: np.ndarray, nbr: np.ndarray) -> Graph[Point]:
-    """The :class:`Graph` with CSR rows ``(indptr, nbr)`` over ``pts``,
-    built as its memoized kernel view alone (:meth:`Graph._from_index`;
-    the adjacency dicts follow on first use).
+def _bulk_graph(
+    pts: list[Point],
+    indptr: np.ndarray,
+    nbr: np.ndarray,
+    coords: tuple[np.ndarray, np.ndarray],
+) -> Graph[Point]:
+    """The :class:`Graph` with CSR rows ``(indptr, nbr)`` over ``pts``
+    at ``coords``, built as its memoized kernel view alone
+    (:meth:`Graph._from_index`; the adjacency dicts follow on first
+    use).  The view keeps the rows, made read-only, as its
+    :meth:`~repro.graphs.indexed.IndexedGraph.arrays`, and the
+    coordinates for its value order.
 
     An object-array gather keeps every neighbor id the one ``int``
     object of ``list(range(n))`` that the view interns it to
@@ -373,7 +381,15 @@ def _bulk_graph(pts: list[Point], indptr: np.ndarray, nbr: np.ndarray) -> Graph[
     n = len(pts)
     ids = list(range(n))
     indices = np.fromiter(ids, dtype=object, count=n)[nbr].tolist()
-    index = IndexedGraph(tuple(pts), dict(zip(pts, ids)), indptr.tolist(), indices)
+    indptr.flags.writeable = nbr.flags.writeable = False
+    index = IndexedGraph(
+        tuple(pts),
+        dict(zip(pts, ids)),
+        indptr.tolist(),
+        indices,
+        arrays=(indptr, nbr),
+        coords=coords,
+    )
     return Graph._from_index(index)  # noqa: SLF001 - same-package bulk path
 
 

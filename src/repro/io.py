@@ -23,6 +23,7 @@ one it emits is layout).
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -104,27 +105,40 @@ def _obj_to_node(obj: object):
 #: out two levels deep; ``%r`` of a ``float`` is ``float.__repr__``.
 _POINT = '    {\n      "x": %r,\n      "y": %r\n    }'
 
+#: The ``(x, y)`` sort key of a Point.
+_XY = attrgetter("x", "y")
 
-def _node_list(nodes) -> str:
-    """A node list as ``json.dumps`` writes it for a result's top-level key."""
+
+def _node_text(v) -> str:
+    """One node as ``json.dumps`` writes it in a result's top-level list."""
+    if type(v) is Point:
+        x, y = v.x, v.y
+        # x - x == 0.0 is False for inf and nan, which json spells
+        # Infinity and NaN.
+        if (
+            type(x) is float
+            and type(y) is float
+            and x - x == 0.0
+            and y - y == 0.0
+        ):
+            return _POINT % (x, y)
+    obj = json.dumps(_point_to_obj(v), indent=2)
+    return "    " + obj.replace("\n", "\n    ")
+
+
+def _node_list(nodes, texts: dict) -> str:
+    """A node list as ``json.dumps`` writes it for a result's top-level
+    key, each node's text taken from (and added to) ``texts``, keyed by
+    object identity: equal nodes may be written differently (``1`` and
+    ``1.0``)."""
     if not nodes:
         return "[]"
     items = []
     for v in nodes:
-        if type(v) is Point:
-            x, y = v.x, v.y
-            # x - x == 0.0 is False for inf and nan, which json spells
-            # Infinity and NaN.
-            if (
-                type(x) is float
-                and type(y) is float
-                and x - x == 0.0
-                and y - y == 0.0
-            ):
-                items.append(_POINT % (x, y))
-                continue
-        obj = json.dumps(_point_to_obj(v), indent=2)
-        items.append("    " + obj.replace("\n", "\n    "))
+        text = texts.get(id(v))
+        if text is None:
+            text = texts[id(v)] = _node_text(v)
+        items.append(text)
     return "[\n" + ",\n".join(items) + "\n  ]"
 
 
@@ -141,16 +155,25 @@ def save_result(result: CDSResult, path: str | Path) -> None:
         except TypeError:
             continue
         meta[key] = value
+    nodes = result.nodes
+    if nodes and set(map(type, nodes)) == {Point}:
+        # Point orders by (x, y): the same order, compared in C.
+        ordered = sorted(nodes, key=_XY)
+    else:
+        ordered = sorted(nodes)
+    # Every node is written twice (in "nodes", and as a dominator or a
+    # connector): format it once.
+    texts: dict[int, str] = {}
     text = "".join(
         [
             '{\n  "algorithm": ',
             json.dumps(result.algorithm),
             ',\n  "nodes": ',
-            _node_list(sorted(result.nodes)),
+            _node_list(ordered, texts),
             ',\n  "dominators": ',
-            _node_list(result.dominators),
+            _node_list(result.dominators, texts),
             ',\n  "connectors": ',
-            _node_list(result.connectors),
+            _node_list(result.connectors, texts),
             ',\n  "meta": ',
             json.dumps(meta, indent=2).replace("\n", "\n  "),
             "\n}\n",

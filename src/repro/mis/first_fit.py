@@ -14,13 +14,12 @@ to at least two of those components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Sequence, TypeVar
 
 import numpy as np
 
 from ..graphs.array import ArrayGraph
-from ..graphs.bitset import BitsetGraph, DominationTracker, value_sort_keys
+from ..graphs.bitset import BitsetGraph, DominationTracker
 from ..graphs.graph import Graph
 from ..graphs.indexed import IndexedGraph
 from ..graphs.traversal import BFSTree, bfs_tree, dfs_tree
@@ -36,7 +35,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class FirstFitMIS(Sequence):
     """The MIS selected by phase 1, with its provenance.
 
@@ -44,10 +42,94 @@ class FirstFitMIS(Sequence):
         nodes: selected independent nodes, in selection order.
         tree: the rooted BFS tree whose ordering drove the selection
             (also the tree the WAF connector phase takes parents from).
+
+    A kernel run keeps the tree as the kernel's id lists and builds the
+    node-keyed :class:`~repro.graphs.traversal.BFSTree` only when
+    :attr:`tree` is read; :attr:`root` and :meth:`parents` answer from
+    the id lists without it.  Equality and pickling go through
+    :attr:`tree`, so both forms of one selection compare equal.
     """
 
-    nodes: tuple
-    tree: BFSTree
+    __slots__ = ("nodes", "_tree", "_root", "_ids")
+
+    def __init__(self, nodes: tuple, tree: BFSTree):
+        self.nodes = nodes
+        self._tree = tree
+        self._root = tree.root
+        self._ids = None
+
+    @classmethod
+    def _from_kernel(
+        cls,
+        csr: IndexedGraph,
+        root: Hashable,
+        chosen_ids: list[int],
+        order_ids: list[int],
+        parent_ids: list[int],
+        depth_ids: list[int],
+    ) -> "FirstFitMIS":
+        """The selection ``chosen_ids`` over ``csr`` whose BFS tree from
+        ``root`` is given by a kernel's ``(order, parent, depth)`` id
+        lists."""
+        mis = cls.__new__(cls)
+        nodes = csr.nodes
+        mis.nodes = tuple(nodes[v] for v in chosen_ids)
+        mis._tree = None
+        mis._root = root
+        mis._ids = (csr, chosen_ids, order_ids, parent_ids, depth_ids)
+        return mis
+
+    @property
+    def root(self):
+        """The tree root (the leader); always the first selected node."""
+        return self._root
+
+    @property
+    def tree(self) -> BFSTree:
+        tree = self._tree
+        if tree is None:
+            csr, _, order_ids, parent_ids, depth_ids = self._ids
+            nodes = csr.nodes
+            tree = self._tree = BFSTree(
+                root=self._root,
+                order=tuple(nodes[v] for v in order_ids),
+                parent={
+                    nodes[v]: nodes[parent_ids[v]]
+                    for v in order_ids
+                    if parent_ids[v] >= 0
+                },
+                depth={nodes[v]: depth_ids[v] for v in order_ids},
+            )
+        return tree
+
+    def parents(self) -> list:
+        """The tree parent of every selected node, aligned with
+        :attr:`nodes`; ``None`` for the root.
+
+        Raises:
+            KeyError: if a selected non-root node is not in the tree.
+        """
+        if self._ids is None:
+            parent, root = self._tree.parent, self._root
+            return [None if v == root else parent[v] for v in self.nodes]
+        csr, chosen_ids, _, parent_ids, _ = self._ids
+        nodes = csr.nodes
+        return [
+            nodes[p] if (p := parent_ids[v]) >= 0 else None for v in chosen_ids
+        ]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.nodes == other.nodes and self.tree == other.tree
+
+    __hash__ = None  # type: ignore[assignment] - the tree's dicts are unhashable
+
+    def __reduce__(self):
+        return (FirstFitMIS, (self.nodes, self.tree))
+
+    def __repr__(self) -> str:
+        return f"FirstFitMIS(nodes={self.nodes!r}, tree={self.tree!r})"
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -213,7 +295,8 @@ def _bfs_scan_bitset(bitset: BitsetGraph[N], root: int) -> tuple[list[int], int]
 def _first_fit_mis_kernel(
     index: IndexedGraph[N] | BitsetGraph[N] | ArrayGraph[N], root: N
 ) -> FirstFitMIS:
-    """The BFS + first-fit pipeline on any kernel, tree included.
+    """The BFS + first-fit pipeline on any kernel, tree included (as
+    the kernel's id lists; see :class:`FirstFitMIS`).
 
     The BFS runs on the CSR arrays for the first two kernels (a
     frontier-OR bitset BFS would visit neighbors in ascending-id order,
@@ -229,7 +312,6 @@ def _first_fit_mis_kernel(
         walker = csr
     else:
         csr = walker = index
-    nodes = csr.nodes
     order_ids, parent_ids, depth_ids = walker.bfs(csr.id_of(root))
     if len(order_ids) != len(csr):
         raise ValueError("graph must be connected for the two-phased framework")
@@ -239,13 +321,9 @@ def _first_fit_mis_kernel(
         chosen_ids = _scan_array(index, order_ids)
     else:
         chosen_ids = _scan_indexed(csr, order_ids)
-    tree = BFSTree(
-        root=root,
-        order=tuple(nodes[v] for v in order_ids),
-        parent={nodes[v]: nodes[parent_ids[v]] for v in order_ids if parent_ids[v] >= 0},
-        depth={nodes[v]: depth_ids[v] for v in order_ids},
+    return FirstFitMIS._from_kernel(
+        csr, root, chosen_ids, order_ids, parent_ids, depth_ids
     )
-    return FirstFitMIS(nodes=tuple(nodes[v] for v in chosen_ids), tree=tree)
 
 
 def first_fit_mis_nodes(
@@ -299,12 +377,25 @@ def first_fit_mis_nodes(
 
 
 def _smallest_node(graph: Graph[N]) -> N:
-    """The deterministic default root: the smallest node by value."""
-    nodes = graph.nodes()
-    keys = value_sort_keys(nodes)
-    if keys is nodes:
-        return min(nodes)
-    return nodes[min(range(len(nodes)), key=keys.__getitem__)]
+    """The deterministic default root: the smallest node by value.
+
+    Read off the rank table of the graph's memoized view
+    (:meth:`~repro.graphs.indexed.IndexedGraph.value_order`).  Nodes
+    that are not mutually orderable have none; their root is the least
+    node by the gain trackers' tie-break comparison instead.
+
+    Raises:
+        ValueError: if the graph is empty.
+    """
+    view = IndexedGraph.from_graph(graph)
+    if not len(view):
+        raise ValueError("an empty graph has no default root")
+    order = view.value_order()
+    if order is None:
+        from ..cds.gain import _least  # the cds layer sits above this one
+
+        return _least(view.nodes)
+    return view.nodes[order[0]]
 
 
 def first_fit_mis(

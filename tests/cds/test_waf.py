@@ -134,3 +134,28 @@ class TestArbitraryTree:
             if waf_cds(g, tree_kind="bfs").nodes != waf_cds(g, tree_kind="dfs").nodes
         )
         assert differing >= 1  # the ablation is not vacuous
+
+
+class TestNoNodeKeyedTree:
+    """A kernel WAF run takes parents from the kernel's id lists and
+    never builds the node-keyed BFS tree."""
+
+    @pytest.mark.parametrize("kernel", ["auto", "indexed", "bitset", "array"])
+    def test_no_bfs_tree_constructed(self, monkeypatch, kernel):
+        from repro.graphs import random_connected_udg
+        from repro.graphs.traversal import BFSTree
+
+        _, g = random_connected_udg(1000, 18.0, seed=2)
+        reference = waf_cds(g, kernel="indexed")
+        built = []
+        original = BFSTree.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(BFSTree, "__init__", counting)
+        result = waf_cds(g, kernel=kernel)
+        assert built == []
+        assert result == reference
+        assert result.is_valid(g)

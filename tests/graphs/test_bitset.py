@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.geometry import Point
 from repro.graphs import Graph, random_connected_udg
 from repro.graphs.array import ArrayGraph
 from repro.graphs.bitset import (
@@ -19,7 +18,6 @@ from repro.graphs.bitset import (
     iter_bits,
     mask_of,
     popcount,
-    value_sort_keys,
 )
 from repro.graphs.indexed import IndexedGraph
 
@@ -69,29 +67,6 @@ class TestBitPrimitives:
 
     def test_bit_indices_zero(self):
         assert bit_indices(0) == []
-
-
-class TestValueSortKeys:
-    def test_points_get_tuple_keys(self):
-        nodes = (Point(2.0, 1.0), Point(0.5, 3.0))
-        keys = value_sort_keys(nodes)
-        assert keys == [(2.0, 1.0), (0.5, 3.0)]
-
-    def test_key_order_matches_node_order(self):
-        rng = random.Random(3)
-        nodes = [Point(rng.random(), rng.random()) for _ in range(100)]
-        keys = value_sort_keys(nodes)
-        by_key = sorted(range(100), key=keys.__getitem__)
-        by_node = sorted(range(100), key=nodes.__getitem__)
-        assert by_key == by_node
-
-    def test_non_point_sequences_unchanged(self):
-        nodes = (3, 1, 2)
-        assert value_sort_keys(nodes) is nodes
-
-    def test_mixed_sequence_unchanged(self):
-        nodes = (Point(0, 0), "x")
-        assert value_sort_keys(nodes) is nodes
 
 
 class TestBitsetGraphEquivalence:

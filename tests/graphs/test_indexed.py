@@ -6,14 +6,48 @@ and adjacency orders exactly; these tests pin that contract on both
 hand-built graphs and the randomized UDG suite.
 """
 
+import math
+import random
+
+import numpy as np
 import pytest
 
-from repro.graphs import Graph, IndexedGraph, IntUnionFind
+from repro.geometry import Point
+from repro.graphs import (
+    Graph,
+    IndexedGraph,
+    IntUnionFind,
+    random_connected_udg,
+    uniform_points,
+    unit_disk_graph,
+)
+from repro.graphs.array import ArrayGraph
+from repro.graphs.bitset import BitsetGraph
 from repro.graphs.traversal import (
     bfs_tree,
     connected_components,
     is_connected,
 )
+from repro.obs import OBS
+
+
+def _list_bfs_connected(graph: Graph) -> bool:
+    """Connectivity oracle: a plain BFS over the adjacency dicts."""
+    nodes = graph.nodes()
+    if not nodes:
+        return False
+    seen = {nodes[0]}
+    queue = [nodes[0]]
+    for u in queue:
+        for v in graph.neighbors(u):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) == len(nodes)
+
+
+def _by_value(view: IndexedGraph) -> list[int]:
+    return sorted(range(len(view)), key=view.nodes.__getitem__)
 
 
 class TestInterning:
@@ -128,3 +162,129 @@ class TestIntUnionFind:
         assert dsu.find(0) == dsu.find(1)
         assert dsu.find(2) == dsu.find(3)
         assert dsu.find(0) != dsu.find(2)
+
+
+class TestValueOrder:
+    """The rank table: every id in ascending node-value order."""
+
+    @pytest.mark.parametrize("n", [1, 20, 31, 32, 100, 300])
+    def test_udg_views(self, n):
+        graph = unit_disk_graph(uniform_points(n, math.sqrt(n) * 0.8, seed=n))
+        view = IndexedGraph.from_graph(graph)
+        assert view.value_order() == _by_value(view)
+
+    @pytest.mark.parametrize(("n", "side"), [(18, 3.8), (60, 6.2), (1000, 18.0)])
+    def test_sampled_udg_views(self, n, side):
+        _, graph = random_connected_udg(n, side, seed=3)
+        view = IndexedGraph.from_graph(graph)
+        assert view.value_order() == _by_value(view)
+
+    def test_udg_view_with_signed_zeros_and_shared_xs(self):
+        pts = [Point(0.0, 1.0), Point(-0.0, 0.5), Point(0.0, -2.0), Point(-1.0, 0.0)]
+        view = IndexedGraph.from_graph(unit_disk_graph(pts, radius=3.0))
+        assert view.value_order() == _by_value(view) == [3, 2, 1, 0]
+
+    def test_dict_built_points(self):
+        rng = random.Random(3)
+        graph = Graph(nodes=[Point(rng.random(), rng.random()) for _ in range(100)])
+        graph.add_edge(*graph.nodes()[:2])
+        view = IndexedGraph.from_graph(graph)
+        assert view.value_order() == _by_value(view)
+
+    def test_points_whose_floats_tie(self):
+        # Distinct integers that round to one float64 sort exactly.
+        big = 2**53
+        graph = Graph(nodes=[Point(big + 1, 0), Point(big, 0), Point(0.5, 0)])
+        view = IndexedGraph.from_graph(graph)
+        assert view.value_order() == _by_value(view) == [2, 1, 0]
+
+    def test_non_finite_points(self):
+        graph = Graph(nodes=[Point(1.0, math.inf), Point(-math.inf, 0.0), Point(1.0, 0.0)])
+        view = IndexedGraph.from_graph(graph)
+        assert view.value_order() == _by_value(view) == [1, 2, 0]
+
+    def test_int_and_str_graphs(self):
+        ints = IndexedGraph.from_graph(Graph(edges=[(5, 2), (2, 9), (9, -1)]))
+        assert ints.value_order() == _by_value(ints) == [3, 1, 0, 2]
+        strs = IndexedGraph.from_graph(Graph(edges=[("b", "c"), ("c", "a")]))
+        assert strs.value_order() == _by_value(strs) == [2, 0, 1]
+
+    def test_unorderable_mix_is_none(self):
+        mixed = Graph(edges=[(1, "a"), ("a", 2)])
+        assert IndexedGraph.from_graph(mixed).value_order() is None
+        points_and_str = Graph(nodes=[Point(0.0, 0.0), "x"])
+        assert IndexedGraph.from_graph(points_and_str).value_order() is None
+
+    def test_memoized(self, small_udg):
+        _, graph = small_udg
+        view = IndexedGraph.from_graph(graph)
+        assert view.value_order() is view.value_order()
+
+
+class TestArrays:
+    def test_udg_view_shares_memory_with_array_kernel(self, medium_udg):
+        _, graph = medium_udg
+        view = IndexedGraph.from_graph(graph)
+        indptr, indices = view.arrays()
+        array = ArrayGraph.from_indexed(view)
+        assert np.shares_memory(array.indptr, indptr)
+        assert np.shares_memory(array.indices, indices)
+
+    def test_match_the_lists_and_are_read_only(self, medium_udg, path5):
+        for graph in (medium_udg[1], path5):
+            view = IndexedGraph.from_graph(graph)
+            indptr, indices = view.arrays()
+            assert indptr.dtype == indices.dtype == np.int64
+            assert indptr.tolist() == view.indptr
+            assert indices.tolist() == view.indices
+            assert view.arrays() is view.arrays()
+            with pytest.raises(ValueError):
+                indices[0] = 0
+
+
+def _connectivity_cases():
+    _, connected = random_connected_udg(60, 6.2, seed=1)
+    split = unit_disk_graph([Point(0.0, 0.0), Point(0.5, 0.0), Point(5.0, 0.0)])
+    return [
+        connected,
+        split,
+        Graph(),
+        Graph(nodes=[7]),
+        Graph(nodes=[7, 8]),
+        Graph(edges=[(0, 1), (1, 2)]),
+        Graph(edges=[(0, 1), (2, 3)]),
+        unit_disk_graph([Point(float(i), 0.0) for i in range(40)]),
+    ]
+
+
+class TestIsConnected:
+    """Every kernel answers :func:`is_connected` as a list BFS would."""
+
+    def test_matches_list_bfs_on_every_kernel(self):
+        for graph in _connectivity_cases():
+            expected = _list_bfs_connected(graph)
+            view = IndexedGraph.from_graph(graph)
+            assert is_connected(graph) is expected
+            assert view.is_connected() is expected
+            assert ArrayGraph.from_indexed(view).is_connected() is expected
+            assert BitsetGraph.from_indexed(view).is_connected() is expected
+
+    def test_random_graphs(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            n = rng.randint(1, 25)
+            graph = Graph(nodes=range(n))
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < 0.12:
+                        graph.add_edge(u, v)
+            assert is_connected(graph) is _list_bfs_connected(graph)
+
+    def test_emits_no_counters(self):
+        graphs = _connectivity_cases()
+        with OBS.capture() as reg:
+            for graph in graphs:
+                view = IndexedGraph.from_graph(graph)
+                is_connected(graph)
+                ArrayGraph.from_indexed(view).is_connected()
+            assert reg.counters() == {}

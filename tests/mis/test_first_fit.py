@@ -118,3 +118,62 @@ class TestFirstFitMisNodes:
         g = Graph(edges=[(0, 1)], nodes=[2])
         with pytest.raises(ValueError):
             first_fit_mis_nodes(g)
+
+
+def _kernel_views(graph):
+    from repro.graphs import IndexedGraph
+    from repro.graphs.array import ArrayGraph
+    from repro.graphs.bitset import BitsetGraph
+
+    index = IndexedGraph.from_graph(graph)
+    return {
+        "none": None,
+        "indexed": index,
+        "bitset": BitsetGraph.from_indexed(index),
+        "array": ArrayGraph.from_indexed(index),
+    }
+
+
+class TestLazyTree:
+    """A kernel run keeps its tree as id lists; reading ``.tree`` builds
+    exactly the eager traversal's tree."""
+
+    @pytest.mark.parametrize("tree_kind", ["bfs", "dfs"])
+    @pytest.mark.parametrize("kernel", ["none", "indexed", "bitset", "array"])
+    def test_tree_equals_eager_traversal(self, udg_suite, kernel, tree_kind):
+        from repro.graphs.traversal import bfs_tree, dfs_tree
+
+        eager = bfs_tree if tree_kind == "bfs" else dfs_tree
+        for _, g in udg_suite:
+            view = _kernel_views(g)[kernel]
+            for root in (None, max(g.nodes())):
+                mis = first_fit_mis(g, root, tree_kind, index=view)
+                expected_root = min(g.nodes()) if root is None else root
+                assert mis.root == expected_root
+                assert mis.tree == eager(g, expected_root)
+                reference = first_fit_mis(g, root, tree_kind)
+                assert mis == reference
+                assert mis.nodes == reference.nodes
+
+    @pytest.mark.parametrize("kernel", ["none", "indexed", "bitset", "array"])
+    def test_parents_without_tree(self, medium_udg, kernel):
+        _, g = medium_udg
+        lazy = first_fit_mis(g, index=_kernel_views(g)[kernel])
+        eager = first_fit_mis(g)
+        parents = lazy.parents()
+        assert parents == eager.parents()
+        assert parents[0] is None and lazy.nodes[0] == lazy.root
+        assert parents[1:] == [lazy.tree.parent[v] for v in lazy.nodes[1:]]
+
+    def test_pickles_and_compares_in_both_forms(self, medium_udg):
+        import pickle
+
+        _, g = medium_udg
+        lazy = first_fit_mis(g, index=_kernel_views(g)["indexed"])
+        eager = first_fit_mis(g)
+        copy = pickle.loads(pickle.dumps(lazy))
+        assert copy == lazy == eager
+        assert copy.tree == eager.tree
+        assert FirstFitMIS(nodes=eager.nodes, tree=eager.tree) == lazy
+        assert lazy != FirstFitMIS(nodes=eager.nodes[:1], tree=eager.tree)
+        assert repr(lazy) == repr(eager)
