@@ -72,25 +72,24 @@ def angle_at(vertex: Point, a: Point, b: Point) -> float:
     return math.acos(cosine)
 
 
-def is_convex_polygon(vertices: Sequence[Point], tol: float = EPS) -> bool:
+def is_convex_polygon(vertices: Sequence[Point]) -> bool:
     """Whether the vertex cycle bounds a convex polygon.
 
     Accepts either orientation; collinear (zero-turn) vertices are
     permitted.  Degenerate inputs (< 3 vertices) are not convex polygons.
+    Turns are decided by the exact :func:`_orientation_sign`, as in
+    :func:`convex_hull`: a turn's float value scales with the square of
+    the polygon's size, so no fixed tolerance can tell a small reflex
+    turn from a straight one at every scale.
     """
     n = len(vertices)
     if n < 3:
         return False
-    sign = 0.0
-    for i in range(n):
-        turn = orientation(vertices[i], vertices[(i + 1) % n], vertices[(i + 2) % n])
-        if abs(turn) <= tol:
-            continue
-        if sign == 0.0:
-            sign = turn
-        elif sign * turn < 0.0:
-            return False
-    return True
+    signs = {
+        _orientation_sign(vertices[i], vertices[(i + 1) % n], vertices[(i + 2) % n])
+        for i in range(n)
+    }
+    return not {1, -1} <= signs
 
 
 def convex_hull(points: Sequence[Point]) -> list[Point]:
@@ -135,14 +134,17 @@ def diameter(points: Sequence[Point]) -> float:
 
 
 def point_in_polygon(p: Point, vertices: Sequence[Point], tol: float = EPS) -> bool:
-    """Whether ``p`` lies inside or on the boundary of a simple polygon."""
+    """Whether ``p`` lies inside or on the boundary of a simple polygon;
+    points within distance ``tol`` of an edge count as on it."""
     n = len(vertices)
     if n < 3:
         return False
-    # Boundary check: p on any edge counts as inside.
+    # Boundary check: p within tol of any edge counts as inside.  The
+    # turn |orientation(a, b, p)| is p's distance from the line ab times
+    # |ab|, so the band is compared in those units, tol wide at any scale.
     for i in range(n):
         a, b = vertices[i], vertices[(i + 1) % n]
-        if abs(orientation(a, b, p)) <= tol:
+        if abs(orientation(a, b, p)) <= tol * a.distance_to(b):
             lo_x, hi_x = min(a.x, b.x) - tol, max(a.x, b.x) + tol
             lo_y, hi_y = min(a.y, b.y) - tol, max(a.y, b.y) + tol
             if lo_x <= p.x <= hi_x and lo_y <= p.y <= hi_y:

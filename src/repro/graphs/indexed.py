@@ -292,8 +292,9 @@ class IndexedGraph(Generic[N]):
     def is_connected(self) -> bool:
         """Whether the view is connected.  The empty graph is not.
 
-        One numpy pass per BFS level over :meth:`arrays`
-        (:func:`~repro.graphs.array._spans_all`); no counters.
+        A BFS over :meth:`arrays`, each level expanded in Python or in
+        numpy, whichever is cheaper (:func:`~repro.graphs.array._spans_all`);
+        no counters.
         """
         if not self._nodes:
             return False

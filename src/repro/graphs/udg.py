@@ -54,6 +54,16 @@ GRID_SMALL_N = 32
 #: unordered bucket pair once), in scan order.
 _GRID_DIRECTIONS = ((1, -1), (1, 0), (1, 1), (0, 1))
 
+#: Most candidate pairs :func:`_grid_edges` expands at once (a single
+#: bucket pair with more gets a chunk of its own).  Measured on uniform
+#: deployments at 2.5 nodes per unit square (2-vCPU VM, median of 7):
+#: 2¹⁴ to 2¹⁷ search in 37-38 ms at n = 2·10⁴ and 196-201 ms at 10⁵;
+#: 2¹⁸ takes 46 and 226 ms, and one unchunked batch 59 and 280 ms.
+#: At 2¹⁶ the ``tracemalloc`` peak of a whole ``unit_disk_graph``
+#: build is 15.1 MiB at n = 2·10⁴ (27.3 at 2¹⁸, 42.3 unchunked), and
+#: below ~3000 nodes every search is one chunk.
+GRID_CHUNK_PAIRS = 1 << 16
+
 
 def _all_pairs_scan(pts: list[Point], graph: Graph[Point], r_sq: float) -> None:
     """Add every edge with squared distance at most ``r_sq``; O(n^2)."""
@@ -254,10 +264,12 @@ def _grid_edges(
     :data:`_GRID_DIRECTIONS` (phases 1-4; bucket point outer, neighbor
     point inner).  Here the candidate pairs are enumerated in exactly
     that order — sorted by ``(emitting bucket's rank, phase, position
-    of each endpoint in its bucket)`` — and tested in numpy in one
-    batch.  ``left`` is the endpoint the scan reaches first; the count
-    is the pairs the scan tests, computed from bucket sizes.  All numpy
-    temporaries of the pair search die with this frame.
+    of each endpoint in its bucket)`` — and tested in numpy, in chunks
+    of at most :data:`GRID_CHUNK_PAIRS` candidates, so the search's
+    temporaries stay bounded at any ``n``.  ``left`` is the endpoint
+    the scan reaches first; the count is the pairs the scan tests,
+    computed from bucket sizes.  All numpy temporaries of the pair
+    search die with this frame.
     """
     r_sq = (radius + tol) * (radius + tol)
     # Bucket (one float division and floor per coordinate), then rank
@@ -308,29 +320,45 @@ def _grid_edges(
     pairs_tested = int((sizes * (sizes - 1) // 2).sum()) + int(
         (sizes[cell_a[cross]] * sizes[cell_b[cross]]).sum()
     )
-    # Expand every scanned bucket pair's full point product in one
-    # batch, then filter — within-cell products to the strict upper
-    # triangle, everything by the exact distance predicate.  Filtering
-    # keeps the scan order.
-    ma = sizes[cell_a]
+    # Expand the scanned bucket pairs' point products a chunk at a time
+    # — a run of consecutive pairs in scan order, at most
+    # GRID_CHUNK_PAIRS candidates unless one pair alone is larger —
+    # then filter: within-cell products to the strict upper triangle,
+    # everything by the exact distance predicate.  Filtering keeps the
+    # scan order, and so does concatenating the chunks.  Distances are
+    # taken on cell-sorted coordinates (the same floats), and only the
+    # hits are mapped back to point ids.
     mb = sizes[cell_b]
-    counts = ma * mb
-    total = int(counts.sum())
-    pair_id = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    t = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    mbp = mb[pair_id]
-    ip = t // mbp
-    jp = t - ip * mbp
-    keep = (phases[pair_id] > 0) | (ip < jp)
-    pair_id, ip, jp = pair_id[keep], ip[keep], jp[keep]
-    left = perm[starts[cell_a[pair_id]] + ip]
-    right = perm[starts[cell_b[pair_id]] + jp]
-    dx = xs[left] - xs[right]
-    dy = ys[left] - ys[right]
-    hit = dx * dx + dy * dy <= r_sq
-    return left[hit], right[hit], pairs_tested
+    counts = sizes[cell_a] * mb
+    ends = np.cumsum(counts)
+    offsets = ends - counts
+    a_start = starts[cell_a]
+    b_start = starts[cell_b]
+    sx, sy = xs[perm], ys[perm]
+    lefts: list[np.ndarray] = []
+    rights: list[np.ndarray] = []
+    lo = done = 0
+    while lo < counts.size:
+        hi = int(np.searchsorted(ends, done + GRID_CHUNK_PAIRS, "right"))
+        hi = max(hi, lo + 1)  # a pair above the budget: a chunk of its own
+        c = counts[lo:hi]
+        end = int(ends[hi - 1])
+        pair_id = np.repeat(np.arange(lo, hi, dtype=np.int64), c)
+        t = np.arange(done, end, dtype=np.int64) - np.repeat(offsets[lo:hi], c)
+        mbp = mb[pair_id]
+        ip = t // mbp
+        jp = t - ip * mbp
+        keep = cross[pair_id] | (ip < jp)
+        pair_id, ip, jp = pair_id[keep], ip[keep], jp[keep]
+        li = a_start[pair_id] + ip
+        ri = b_start[pair_id] + jp
+        dx = sx[li] - sx[ri]
+        dy = sy[li] - sy[ri]
+        hit = dx * dx + dy * dy <= r_sq
+        lefts.append(perm[li[hit]])
+        rights.append(perm[ri[hit]])
+        lo, done = hi, end
+    return np.concatenate(lefts), np.concatenate(rights), pairs_tested
 
 
 def _neighbor_rows(

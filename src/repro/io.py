@@ -23,7 +23,7 @@ one it emits is layout).
 from __future__ import annotations
 
 import json
-from operator import attrgetter
+from operator import attrgetter, ne
 from pathlib import Path
 from typing import Iterable
 
@@ -105,8 +105,9 @@ def _obj_to_node(obj: object):
 #: out two levels deep; ``%r`` of a ``float`` is ``float.__repr__``.
 _POINT = '    {\n      "x": %r,\n      "y": %r\n    }'
 
-#: The ``(x, y)`` sort key of a Point.
+#: The ``(x, y)`` sort key of a Point, and its ``x``.
 _XY = attrgetter("x", "y")
+_X = attrgetter("x")
 
 
 def _node_text(v) -> str:
@@ -156,8 +157,14 @@ def save_result(result: CDSResult, path: str | Path) -> None:
             continue
         meta[key] = value
     nodes = result.nodes
-    if nodes and set(map(type, nodes)) == {Point}:
-        # Point orders by (x, y): the same order, compared in C.
+    if (
+        nodes
+        and set(map(type, nodes)) == {Point}
+        and not any(map(ne, xs := list(map(_X, nodes)), xs))
+    ):
+        # Point orders by (x, y): the same order, compared in C.  Not
+        # with a NaN x: a tuple takes two identical NaN objects as
+        # equal and goes on to y, where Point.__lt__ stops.
         ordered = sorted(nodes, key=_XY)
     else:
         ordered = sorted(nodes)

@@ -91,6 +91,16 @@ class TestConvexHull:
     def test_is_convex_polygon_degenerate(self):
         assert not is_convex_polygon([Point(0, 0), Point(1, 0)])
 
+    @pytest.mark.parametrize("side", [3e-5, 1e-3, 1.0, 1e4])
+    def test_small_dart_is_not_convex(self, side):
+        # The reflex turn is -0.45·side²: -4.05e-10 at side 3e-5, which
+        # an absolute EPS test took for a straight one.
+        dart = [Point(0, 0), Point(side, 0), Point(side / 2, side / 10), Point(side / 2, side)]
+        assert not is_convex_polygon(dart)
+        assert not is_convex_polygon(dart[::-1])
+        square = [Point(0, 0), Point(side, 0), Point(side, side), Point(0, side)]
+        assert is_convex_polygon(square)
+
 
 class TestDiameter:
     def test_diameter_square(self):
@@ -118,6 +128,15 @@ class TestPolygon:
     def test_point_on_boundary_counts(self):
         sq = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
         assert point_in_polygon(Point(1, 0), sq)
+
+    @pytest.mark.parametrize("side", [3e-5, 1e-3, 1.0, 1e4])
+    def test_boundary_band_scales_with_the_polygon(self, side):
+        # (side, 0) lies side/√2 outside the hypotenuse; an absolute band
+        # on the turn (side² there) once counted it as on the boundary.
+        tri = [Point(0, 0), Point(side, side), Point(0, side)]
+        assert not point_in_polygon(Point(side, 0), tri)
+        assert point_in_polygon(Point(side / 2, side / 2), tri)
+        assert point_in_polygon(Point(side / 4, side * 3 / 4), tri)
 
     def test_point_in_polygon_degenerate(self):
         assert not point_in_polygon(Point(0, 0), [Point(0, 0), Point(1, 0)])

@@ -17,11 +17,12 @@ from repro.graphs import (
     Graph,
     IndexedGraph,
     IntUnionFind,
+    chain_points,
     random_connected_udg,
     uniform_points,
     unit_disk_graph,
 )
-from repro.graphs.array import ArrayGraph
+from repro.graphs.array import NARROW_FRONTIER, ArrayGraph
 from repro.graphs.bitset import BitsetGraph
 from repro.graphs.traversal import (
     bfs_tree,
@@ -254,7 +255,26 @@ def _connectivity_cases():
         Graph(edges=[(0, 1), (1, 2)]),
         Graph(edges=[(0, 1), (2, 3)]),
         unit_disk_graph([Point(float(i), 0.0) for i in range(40)]),
+        # One node per BFS level, whole and cut in the middle.
+        unit_disk_graph(chain_points(300)),
+        unit_disk_graph(chain_points(150) + [Point(151.5 + i, 0.0) for i in range(150)]),
+        *(
+            _blob_with_tail(tail_first, gap)
+            for tail_first in (False, True)
+            for gap in (False, True)
+        ),
     ]
+
+
+def _blob_with_tail(tail_first: bool, gap: bool) -> Graph:
+    """A dense blob, whose BFS levels are wide, with a long tail of
+    one-node levels; node 0 is in the blob or at the tail's far end.
+    A gap cuts the tail's far half off."""
+    blob = uniform_points(400, 4.0, 3)
+    tail = [Point(4.5 + 0.9 * i, 2.0) for i in range(120)]
+    if gap:
+        tail = tail[:60] + [Point(p.x + 1.5, p.y) for p in tail[60:]]
+    return unit_disk_graph(tail[::-1] + blob if tail_first else blob + tail)
 
 
 class TestIsConnected:
@@ -279,6 +299,13 @@ class TestIsConnected:
                     if rng.random() < 0.12:
                         graph.add_edge(u, v)
             assert is_connected(graph) is _list_bfs_connected(graph)
+
+    def test_blob_with_tail_has_narrow_and_wide_levels(self):
+        for tail_first in (False, True):
+            graph = _blob_with_tail(tail_first, gap=False)
+            _, _, depth = IndexedGraph.from_graph(graph).bfs(0)
+            widths = np.bincount(depth)
+            assert widths.max() >= NARROW_FRONTIER > widths.min()
 
     def test_emits_no_counters(self):
         graphs = _connectivity_cases()

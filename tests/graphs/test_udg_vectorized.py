@@ -17,6 +17,8 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,10 +26,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point
 from repro.geometry.point import EPS
+from repro.graphs import udg
 from repro.graphs.graph import Graph
 from repro.graphs.indexed import IndexedGraph
 from repro.graphs.udg import (
     GRID_SMALL_N,
+    _coords,
+    _grid_edges,
     unit_disk_graph,
     unit_disk_graph_naive,
 )
@@ -222,6 +227,48 @@ class TestValidationAndGating:
         g = unit_disk_graph(pts, radius=0.0)
         assert g.edge_count() == 0
         assert list(g.nodes()) == pts
+
+
+def assert_budgets_agree(pts, monkeypatch):
+    """The chunked pair search returns the one-chunk ``(left, right,
+    pairs_tested)`` under budgets down to one candidate per chunk."""
+    xs, ys = _coords(pts)
+    monkeypatch.setattr(udg, "GRID_CHUNK_PAIRS", 1 << 62)
+    left, right, pairs_tested = _grid_edges(xs, ys, 1.0, EPS)
+    for budget in (1, 7, 64):
+        monkeypatch.setattr(udg, "GRID_CHUNK_PAIRS", budget)
+        got_left, got_right, got_tested = _grid_edges(xs, ys, 1.0, EPS)
+        assert got_left.tolist() == left.tolist()
+        assert got_right.tolist() == right.tolist()
+        assert got_tested == pairs_tested
+
+
+class TestChunkedPairSearch:
+    """The grid pair search expands candidates a bounded chunk at a time."""
+
+    @pytest.mark.parametrize("n", (32, 33, 60, 150, 1000, 3000))
+    def test_any_budget_gives_the_one_chunk_result(self, n, monkeypatch):
+        assert_budgets_agree(uniform_points(n, (n / 2.5) ** 0.5, n), monkeypatch)
+
+    def test_a_bucket_pair_above_the_budget(self, monkeypatch):
+        # One dense cluster: a single bucket holds several hundred
+        # points, so its own pairs alone exceed the default budget.
+        pts = clustered_points(400, 10.0, 1, spread=0.3, seed=1)
+        cells = Counter((math.floor(p.x), math.floor(p.y)) for p in pts)
+        assert max(cells.values()) ** 2 > udg.GRID_CHUNK_PAIRS
+        assert_matches_oracle(pts)
+        assert_budgets_agree(pts, monkeypatch)
+
+    def test_build_peak_stays_bounded(self):
+        # One unchunked batch peaked at 42.3 MiB here; chunked, 15.1.
+        pts = uniform_points(20000, 62.6, 7)
+        tracemalloc.start()
+        try:
+            unit_disk_graph(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
 
 
 #: Deployments at a fixed density of about two points per unit area,

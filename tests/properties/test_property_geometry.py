@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for the geometry substrate."""
 
 import math
+from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -11,6 +12,7 @@ from repro.geometry import (
     convex_hull,
     diameter,
     greedy_independent_subset,
+    is_convex_polygon,
     is_independent,
     is_star,
     point_in_polygon,
@@ -105,6 +107,57 @@ class TestHullProperties:
         assert math.isclose(
             diameter(pts), max_pairwise_distance(list(set(pts))), abs_tol=1e-9
         )
+
+
+#: Dart scales from far below EPS's square root to far above one.
+SCALES = [m * 10.0**k for k in range(-12, 5) for m in (1.0, 3.0)]
+
+
+def _dart(scale, origin, reverse):
+    """A non-convex quadrilateral (reflex turn -0.45·scale²) at ``origin``."""
+    shape = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.1), (0.5, 1.0)]
+    pts = [Point(origin.x + x * scale, origin.y + y * scale) for x, y in shape]
+    return pts[::-1] if reverse else pts
+
+
+darts = st.builds(_dart, st.sampled_from(SCALES), points, st.booleans())
+
+
+def exact_turn_signs(vertices):
+    """The signs of the cycle's turns, in exact rational arithmetic."""
+    n = len(vertices)
+    signs = set()
+    for i in range(n):
+        a, b, c = vertices[i], vertices[(i + 1) % n], vertices[(i + 2) % n]
+        ax, ay = Fraction(a.x), Fraction(a.y)
+        det = (Fraction(b.x) - ax) * (Fraction(c.y) - ay) - (
+            Fraction(b.y) - ay
+        ) * (Fraction(c.x) - ax)
+        signs.add((det > 0) - (det < 0))
+    return signs
+
+
+class TestConvexityProperties:
+    @given(st.sampled_from(SCALES), st.booleans())
+    def test_darts_are_not_convex_at_any_scale(self, scale, reverse):
+        assert not is_convex_polygon(_dart(scale, Point(0.0, 0.0), reverse))
+
+    @given(st.one_of(darts, near_collinear_sets(),
+                     st.lists(points, min_size=3, max_size=8)))
+    def test_matches_exact_turns(self, vertices):
+        # Translated darts round to anything from a dart to a sliver;
+        # the exact turns of the rounded coordinates decide.
+        assert is_convex_polygon(vertices) == (
+            not {1, -1} <= exact_turn_signs(vertices)
+        )
+
+    @given(st.one_of(st.lists(points, min_size=3, max_size=30),
+                     near_collinear_sets()))
+    def test_hulls_are_convex(self, pts):
+        hull = convex_hull(pts)
+        if len(hull) >= 3:
+            assert is_convex_polygon(hull)
+            assert is_convex_polygon(hull[::-1])
 
 
 class TestPackingProperties:

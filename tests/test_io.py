@@ -256,6 +256,24 @@ class TestResultBytes:
         save_result(result, out)
         assert out.read_text() == oracle_result_text(result)
 
+    def test_nan_x_nodes_in_either_set_order(self, tmp_path):
+        # Two Points sharing one NaN object as x: a tuple sort key finds
+        # the x's equal (by identity) and orders by y, Point.__lt__ does
+        # not.  The set's order follows hash(nan), so sixteen NaN objects
+        # give both orders.
+        out = tmp_path / "result.json"
+        nans = [float("nan") for _ in range(16)]
+        for nan in nans:
+            nodes = [Point(nan, 14.0), Point(nan, 0.0)]
+            result = CDSResult(
+                algorithm="",
+                nodes=frozenset(nodes),
+                dominators=tuple(nodes),
+                connectors=(),
+            )
+            save_result(result, out)
+            assert out.read_text() == oracle_result_text(result)
+
     def test_empty_result(self, tmp_path):
         out = tmp_path / "result.json"
         save_result(CDSResult(algorithm="none", nodes=frozenset()), out)
