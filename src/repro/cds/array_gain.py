@@ -1,6 +1,7 @@
 """Lazy-heap gain maximisation for the Section IV greedy.
 
-The array-kernel counterpart of
+The array kernel's tracker (``kernel="array"``: the CSR view plus this
+heap), the counterpart of
 :class:`~repro.cds.lazy_gain.LazyGainTracker` and
 :class:`~repro.cds.bitset_gain.BitsetGainTracker`.  The bitset tracker
 owns the mid range, but both its memory and its per-round cost scale
@@ -33,7 +34,8 @@ either:
 
 * **One numpy batch per heap build.**  A heap is built on a tie-break's
   first use by scoring the whole frontier ``N(I ∪ U) \\ (I ∪ U)`` at
-  once: gather the rows (:func:`~repro.graphs.array.gather_rows`), keep
+  once: gather the rows (:func:`~repro.graphs.indexed.gather_rows`,
+  over :meth:`~repro.graphs.indexed.IndexedGraph.arrays`), keep
   the included neighbors and count distinct ``owner·n + root`` keys.
 
 Graphs whose nodes are not mutually orderable fall back to the lazy
@@ -56,7 +58,7 @@ from typing import Hashable, Iterable, TypeVar
 
 import numpy as np
 
-from ..graphs.array import ArrayGraph, gather_rows
+from ..graphs.indexed import IndexedGraph, gather_rows
 from ..obs import OBS
 from .gain import _smaller
 
@@ -78,13 +80,12 @@ class ArrayGainTracker:
     layout (eager component labels, per-tie-break lazy heaps) differs.
 
     Args:
-        array: the array-kernel view of the full topology ``G``.
+        index: the CSR view of the full topology ``G``.
         dominators: the phase-1 MIS ``I`` (any dominating set works;
             adjacent dominator pairs are merged permissively).
     """
 
     __slots__ = (
-        "_array",
         "_index",
         "_indptr",
         "_indices",
@@ -99,9 +100,7 @@ class ArrayGainTracker:
         "_degrees",
     )
 
-    def __init__(self, array: ArrayGraph[N], dominators: Iterable[N]):
-        self._array = array
-        index = array.indexed
+    def __init__(self, index: IndexedGraph[N], dominators: Iterable[N]):
         self._index = index
         self._indptr = index.indptr
         self._indices = index.indices
@@ -141,7 +140,7 @@ class ArrayGainTracker:
         self._heaps: dict[str, list] = {}
         self._degrees: list[int] | None = None
         dom_arr = np.array(sorted(dom_ids), dtype=np.int64)
-        nbrs, counts = gather_rows(array.indptr, array.indices, dom_arr)
+        nbrs, counts = gather_rows(*index.arrays(), dom_arr)
         included = np.zeros(n, dtype=bool)
         included[dom_arr] = True
         inc_mask = included[nbrs]
@@ -264,14 +263,13 @@ class ArrayGainTracker:
             return (-g, -valrank[c], c, self._adds)
         degrees = self._degrees
         if degrees is None:
-            degrees = self._degrees = self._array.degrees.tolist()
+            degrees = self._degrees = np.diff(self._index.arrays()[0]).tolist()
         return (-g, -degrees[c], valrank[c], c, self._adds)
 
     def _score_frontier(self) -> tuple[list[int], list[int]]:
         """Gains of every frontier candidate with gain >= 1, as one
         vectorized batch: ``(ids, gains)``."""
-        array = self._array
-        indptr, indices = array.indptr, array.indices
+        indptr, indices = self._index.arrays()
         comp = np.array(self._comp, dtype=np.int64)
         included = comp >= 0
         nbrs, _ = gather_rows(indptr, indices, np.flatnonzero(included))

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, TypeVar
 
-from ..graphs.array import ArrayGraph
-from ..graphs.backend import build_kernel, gain_tracker
+from ..graphs.backend import build_kernel, choose_kernel, gain_tracker
 from ..graphs.bitset import BitsetGraph
 from ..graphs.graph import Graph
 from ..graphs.indexed import IndexedGraph
@@ -35,16 +34,17 @@ def greedy_connectors(
     graph: Graph[N],
     dominators: Iterable[N],
     tie_break: str = "min",
-    index: IndexedGraph[N] | BitsetGraph[N] | ArrayGraph[N] | None = None,
+    index: IndexedGraph[N] | BitsetGraph[N] | None = None,
+    kernel: str | None = None,
 ) -> tuple[list[N], list[int], list[int]]:
     """Run the greedy phase 2 on an already-chosen dominating set.
 
-    Selection runs on the gain tracker matching ``index``'s kernel
+    Selection runs on the gain tracker for ``index`` and ``kernel``
     (:func:`repro.graphs.backend.gain_tracker`:
-    :class:`~repro.cds.lazy_gain.LazyGainTracker` on the CSR view,
     :class:`~repro.cds.bitset_gain.BitsetGainTracker` on the bitset
-    view, :class:`~repro.cds.array_gain.ArrayGainTracker` on the array
-    view) — all candidate-restricted, lazily re-scoring, and
+    view, :class:`~repro.cds.array_gain.ArrayGainTracker` on the CSR
+    view under ``"array"``, :class:`~repro.cds.lazy_gain.LazyGainTracker`
+    otherwise) — all candidate-restricted, lazily re-scoring, and
     bit-identical to the reference :class:`~repro.cds.gain.GainTracker`
     rescan under every tie-break mode (the randomized suites in
     ``tests/cds/test_lazy_gain.py``, ``tests/cds/test_bitset.py`` and
@@ -60,6 +60,9 @@ def greedy_connectors(
         index: optional prebuilt kernel view of ``graph``; a CSR view
             is built here when absent (callers running several phases
             should build one kernel once and thread it through).
+        kernel: the resolved kernel name
+            (:func:`~repro.graphs.backend.choose_kernel`'s) that built
+            ``index``; ``None`` names the view's own kernel.
 
     Returns:
         ``(connectors, gain_history, q_history)`` where ``q_history[i]``
@@ -68,7 +71,7 @@ def greedy_connectors(
     """
     if index is None:
         index = IndexedGraph.from_graph(graph)
-    tracker = gain_tracker(index, dominators)
+    tracker = gain_tracker(index, dominators, kernel)
     connectors: list[N] = []
     gains: list[int] = []
     q_values: list[int] = [tracker.component_count]
@@ -118,6 +121,7 @@ def greedy_connector_cds(
             dominators=(only,),
             connectors=(),
         )
+    kernel = choose_kernel(len(graph), kernel)
     index = build_kernel(graph, kernel)
     if isinstance(index, BitsetGraph):
         # The gain tracker touches essentially every row; forcing the
@@ -133,7 +137,7 @@ def greedy_connector_cds(
         mis_nodes = first_fit_mis_nodes(graph, root, index=index)
     with trace("greedy.phase2"):
         connectors, gains, q_values = greedy_connectors(
-            graph, mis_nodes, tie_break, index
+            graph, mis_nodes, tie_break, index, kernel
         )
     nodes = frozenset(mis_nodes) | frozenset(connectors)
     return CDSResult(

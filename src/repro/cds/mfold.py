@@ -55,7 +55,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Hashable, Iterable, Sequence, TypeVar
 
-from ..graphs.backend import adjacency_rows, build_kernel
+from ..graphs.backend import adjacency_rows, build_kernel, choose_kernel
 from ..graphs.biconnectivity import articulation_ids, is_k_connected
 from ..graphs.bitset import BitsetGraph
 from ..graphs.graph import Graph
@@ -230,6 +230,7 @@ def mfold_greedy_cds(
             connectors=(),
             meta={"m": m, "coverage_added": 0},
         )
+    kernel = choose_kernel(len(graph), kernel)
     index = build_kernel(graph, kernel)
     if isinstance(index, BitsetGraph):
         index.neighbor_masks
@@ -240,7 +241,7 @@ def mfold_greedy_cds(
         dominators = mfold_dominators(index, mis_nodes, m, tie_break)
     with trace("mfold.phase2"):
         connectors, gains, q_values = greedy_connectors(
-            graph, dominators, tie_break, index
+            graph, dominators, tie_break, index, kernel
         )
     return CDSResult(
         algorithm="mfold-greedy",

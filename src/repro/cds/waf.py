@@ -22,11 +22,8 @@ from __future__ import annotations
 
 from typing import Hashable, TypeVar
 
-import numpy as np
-
-from ..graphs.array import ArrayGraph, gather_rows
 from ..graphs.backend import build_kernel
-from ..graphs.bitset import BitsetGraph, mask_of
+from ..graphs.bitset import BitsetGraph
 from ..graphs.graph import Graph
 from ..graphs.indexed import IndexedGraph
 from ..mis.first_fit import FirstFitMIS, first_fit_mis
@@ -42,20 +39,16 @@ __all__ = ["waf_cds", "waf_connectors"]
 def waf_connectors(
     graph: Graph[N],
     mis: FirstFitMIS,
-    index: IndexedGraph[N] | BitsetGraph[N] | ArrayGraph[N] | None = None,
+    index: IndexedGraph[N] | BitsetGraph[N] | None = None,
 ) -> list[N]:
     """Phase 2 of WAF: ``{s}`` plus tree parents of ``I \\ I(s)``.
 
     Returns the connectors in a deterministic order (``s`` first, then
-    parents in MIS selection order, deduplicated).  ``index`` optionally
-    supplies a prebuilt kernel view of ``graph`` so the coverage scan
-    runs on flat arrays with a byte-mask MIS membership test — on the
-    bitset kernel, as one AND-plus-popcount per candidate against the
-    MIS mask; on the array kernel, as one gather-plus-bincount over all
-    candidates at once; the selected ``s`` (and hence the connectors)
-    is identical every way.  Each candidate's coverage is computed
-    exactly once, so ``waf.coverage_evaluations`` equals the root's
-    degree.
+    parents in MIS selection order, deduplicated).  The coverage scan
+    runs on the CSR lists of ``index`` (any kernel view of ``graph``;
+    the graph's memoized CSR view when absent) with a byte-mask MIS
+    membership test.  Each candidate's coverage is computed exactly
+    once, so ``waf.coverage_evaluations`` equals the root's degree.
     """
     root = mis.root
     mis_set = mis.as_set()
@@ -65,42 +58,21 @@ def waf_connectors(
     # s: the root's neighbor adjacent to the most MIS nodes; ties to the
     # smallest node for determinism (by the gain trackers' comparison,
     # which also orders unorderable mixes).
-    if isinstance(index, BitsetGraph):
-        id_of = index.id_of
-        mis_mask = mask_of((id_of(v) for v in mis_set), len(index))
-        nbr = index.neighbor_mask
-        coverages = [(nbr(id_of(u)) & mis_mask).bit_count() for u in root_neighbors]
-        if OBS.enabled:
-            OBS.incr("bitset.word_ops", len(root_neighbors) * index.words)
-            OBS.incr("bitset.popcounts", len(root_neighbors))
-    elif isinstance(index, ArrayGraph):
-        id_of = index.id_of
-        in_mis = np.zeros(len(index), dtype=bool)
-        in_mis[np.fromiter((id_of(v) for v in mis_set), dtype=np.int64)] = True
-        ids = np.fromiter((id_of(u) for u in root_neighbors), dtype=np.int64)
-        nbrs, counts = gather_rows(index.indptr, index.indices, ids)
-        hits = in_mis[nbrs]
-        owners = np.repeat(np.arange(ids.size, dtype=np.int64), counts)
-        coverages = np.bincount(owners[hits], minlength=ids.size).tolist()
-        if OBS.enabled:
-            OBS.incr("array.gather_elements", int(nbrs.size))
-    elif index is not None:
-        indptr, indices = index.indptr, index.indices
-        in_mis = bytearray(len(index))
-        for v in mis_set:
-            in_mis[index.id_of(v)] = 1
-        coverages = []
-        for u in root_neighbors:
-            ui = index.id_of(u)
-            cov = 0
-            for w in indices[indptr[ui] : indptr[ui + 1]]:
-                cov += in_mis[w]
-            coverages.append(cov)
-    else:
-        coverages = [
-            sum(1 for w in graph.neighbors(u) if w in mis_set)
-            for u in root_neighbors
-        ]
+    if index is None:
+        index = IndexedGraph.from_graph(graph)
+    csr = getattr(index, "indexed", index)
+    id_of = csr.id_of
+    indptr, indices = csr.indptr, csr.indices
+    in_mis = bytearray(len(csr))
+    for v in mis_set:
+        in_mis[id_of(v)] = 1
+    coverages = []
+    for u in root_neighbors:
+        ui = id_of(u)
+        cov = 0
+        for w in indices[indptr[ui] : indptr[ui + 1]]:
+            cov += in_mis[w]
+        coverages.append(cov)
     evaluations = len(root_neighbors)
     best = max(coverages)
     s = _least(u for u, cov in zip(root_neighbors, coverages) if cov == best)
@@ -135,13 +107,10 @@ def waf_cds(
             "dfs" — Section III allows an arbitrary rooted tree).
         kernel: graph-kernel selection for the hot loops — one of
             :data:`~repro.graphs.backend.KERNELS`.  ``"auto"`` (default)
-            resolves to the CSR kernel at every size: WAF's coverage
-            scan walks short adjacency rows and is not mask-bound, so
-            neither accelerated kernel's build pays for itself here
-            (see ``docs/performance.md`` §large-n).  Pass ``"bitset"``
-            or ``"array"`` explicitly to exercise the mask-based or
-            vectorized coverage scan; the result is identical under
-            every kernel.
+            resolves to the CSR kernel at every size.  Both phases run
+            on the CSR lists under every kernel (WAF has no greedy
+            phase 2 for a kernel to speed up), so every kernel gives
+            the same result, counters included.
 
     Returns:
         A validated-shape :class:`CDSResult` with ``dominators`` the

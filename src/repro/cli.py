@@ -1098,9 +1098,9 @@ def _solve_main(argv: Sequence[str]) -> int:
         help=(
             "graph kernel for the solver's hot loops: 'auto' (default) "
             "picks by algorithm and instance size, 'indexed' forces the "
-            "CSR arrays, 'bitset' the neighborhood bitmasks, 'array' "
-            "the vectorized numpy buffers; results are identical under "
-            "every kernel"
+            "CSR lists, 'bitset' the neighborhood bitmasks for greedy, "
+            "'array' the CSR lists with the lazy-heap greedy; results "
+            "are identical under every kernel"
         ),
     )
     parser.add_argument(

@@ -2,8 +2,7 @@
 
 from .graph import Graph
 from .components import IntUnionFind, UnionFind
-from .indexed import IndexedGraph
-from .array import ArrayGraph, gather_rows
+from .indexed import IndexedGraph, gather_rows
 from .backend import (
     ARRAY_AUTO_N,
     BITSET_AUTO_N,
@@ -21,7 +20,6 @@ from .biconnectivity import (
 )
 from .bitset import (
     BitsetGraph,
-    DominationTracker,
     bit_indices,
     iter_bits,
     mask_of,
@@ -72,10 +70,8 @@ __all__ = [
     "ARRAY_AUTO_N",
     "BITSET_AUTO_N",
     "KERNELS",
-    "ArrayGraph",
     "Backend",
     "BitsetGraph",
-    "DominationTracker",
     "bit_indices",
     "build_kernel",
     "choose_kernel",

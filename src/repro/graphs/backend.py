@@ -1,26 +1,35 @@
-"""The kernel backend protocol: one contract, three representations.
+"""The kernel backend protocol: two views, three kernel names.
 
 Every solver phase in this codebase runs on a *kernel view* of the
 topology — a frozen, integer-indexed snapshot built once per run and
-threaded through every ``index=`` seam.  PR 2 and PR 3 grew two such
-kernels and PR 7 a third; this module makes the contract they share
-explicit so algorithms stop caring which one they run on:
+threaded through every ``index=`` seam.  There are two views:
 
 * :class:`~repro.graphs.indexed.IndexedGraph` — CSR adjacency as
-  Python lists.  Cheapest to build, fastest below a few hundred nodes.
+  Python lists, memoized on the graph together with its numpy copy
+  (:meth:`~repro.graphs.indexed.IndexedGraph.arrays`).
 * :class:`~repro.graphs.bitset.BitsetGraph` — neighborhoods as big-int
-  bitmasks.  Word-parallel set algebra; masks cost ``n²/8`` bytes, so
-  it owns the mid range (``~600 ≤ n < ~20 000``).
-* :class:`~repro.graphs.array.ArrayGraph` — CSR adjacency as numpy
-  ``int64`` buffers.  Vectorized frontier/batch operations with ``O(E)``
-  memory; owns the large range (``n ≥ ~20 000`` through 10⁶).
+  bitmasks layered on that CSR view.  Word-parallel set algebra; masks
+  cost ``n²/8`` bytes, so it owns the mid range
+  (``~600 ≤ n < ~20 000``).
 
-The :class:`Backend` protocol names the surface every kernel provides
-(id interning, degrees, BFS/components); construction and per-kernel
-algorithm dispatch go through the module-level functions —
-:func:`choose_kernel` (the three-way auto table), :func:`build_kernel`
-(graph → chosen view), and :func:`gain_tracker` (view → the matching
-greedy-CDS gain tracker).  Selections and traversals are
+and three kernel names (:data:`KERNELS` minus ``"auto"``), each a view
+plus the greedy gain tracker that runs on it:
+
+* ``"indexed"`` — the CSR view and
+  :class:`~repro.cds.lazy_gain.LazyGainTracker`;
+* ``"bitset"`` — the bitset view and
+  :class:`~repro.cds.bitset_gain.BitsetGainTracker` (and the fused
+  BFS + first-fit scan of :mod:`repro.mis.first_fit`);
+* ``"array"`` — the CSR view and the lazy-heap
+  :class:`~repro.cds.array_gain.ArrayGainTracker`, which owns the
+  large range (``n ≥ ~20 000``).
+
+:func:`choose_kernel` resolves a ``kernel=`` argument (the three-way
+auto table), :func:`build_kernel` builds the view for a name, and
+:func:`gain_tracker` builds the tracker for a view and resolved name.
+Everything but the greedy's phase 2 and the bitset kernel's fused
+phase 1 — BFS, the first-fit scan, WAF's coverage scan, connectivity —
+runs on the CSR view whatever the name.  Selections and traversals are
 **bit-identical across kernels** at every size — that invariant is what
 lets ``"auto"`` exist at all (serve's cache, checkpoint resume, and the
 counter gates all rely on results not depending on the kernel) — so the
@@ -47,7 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..cds.array_gain import ArrayGainTracker
     from ..cds.bitset_gain import BitsetGainTracker
     from ..cds.lazy_gain import LazyGainTracker
-    from .array import ArrayGraph
     from .bitset import BitsetGraph
 
 N = TypeVar("N", bound=Hashable)
@@ -71,8 +79,8 @@ BITSET_AUTO_N = 600
 
 #: Node count at which ``kernel="auto"`` switches from the bitset
 #: kernel to the array kernel.  Beyond it the bitset's ``n²/8``-byte
-#: masks and ``⌈n/64⌉``-word per-round scans lose to the array kernel's
-#: O(E) buffers and its lazy-heap greedy, whose picks cost time in
+#: masks and ``⌈n/64⌉``-word per-round scans lose to the CSR view's
+#: O(E) lists and the lazy-heap greedy, whose picks cost time in
 #: proportion to the candidates they re-score.  The heap greedy also
 #: beats the bitset one from n = 5000 up (``docs/performance.md`` §8);
 #: this threshold has not been re-tuned to that.
@@ -84,22 +92,20 @@ KERNELS = ("auto", "indexed", "bitset", "array")
 
 @runtime_checkable
 class Backend(Protocol):
-    """The read surface every graph kernel provides.
+    """The read surface every graph kernel view provides.
 
     A ``Backend`` is a frozen view of one topology with dense integer
     ids ``0..n-1``: node interning at the boundary, O(1) degree/size
     queries, and order-preserving traversals (BFS visit order equals
     the dict-based reference's, which is what keeps results
-    bit-identical across kernels).  :class:`IndexedGraph`,
-    :class:`~repro.graphs.bitset.BitsetGraph` and
-    :class:`~repro.graphs.array.ArrayGraph` all satisfy it — build one
-    with :func:`build_kernel` and thread it through every phase of a
-    run.
+    bit-identical across kernels).  :class:`IndexedGraph` and
+    :class:`~repro.graphs.bitset.BitsetGraph` both satisfy it — build
+    one with :func:`build_kernel` and thread it through every phase of
+    a run.
 
     Kernel-specific *algorithm* structures hang off the view rather
-    than living on it: gain trackers via :func:`gain_tracker`,
-    domination/coverage scans inside :mod:`repro.mis.first_fit`, each
-    dispatching on the concrete view type behind this one protocol.
+    than living on it: gain trackers via :func:`gain_tracker`, the
+    fused bitset first-fit scan inside :mod:`repro.mis.first_fit`.
     """
 
     @property
@@ -132,12 +138,11 @@ def choose_kernel(n: int, kernel: str = "auto", auto_bitset: bool = True) -> str
 
     ``"auto"`` reads the three-way size table: the CSR kernel below
     :data:`BITSET_AUTO_N` nodes, the bitset kernel from there up to
-    :data:`ARRAY_AUTO_N`, and the numpy array kernel beyond.  A solver
-    whose hot loop does not profit from the accelerated kernels at any
-    size (WAF's coverage scan walks short CSR rows faster than it
-    popcounts masks or amortizes vector-call overhead at UDG-typical
-    degrees) passes ``auto_bitset=False`` to keep ``"auto"`` on the CSR
-    kernel; explicit kernel names are always honored.
+    :data:`ARRAY_AUTO_N`, and the array kernel (the CSR view with the
+    heap greedy) beyond.  A solver with no greedy phase 2 (WAF, whose
+    both phases run on the CSR view under every kernel) passes
+    ``auto_bitset=False`` to keep ``"auto"`` from building masks it
+    never reads; explicit kernel names are always honored.
 
     Raises:
         ValueError: on an unknown kernel name.
@@ -153,19 +158,15 @@ def choose_kernel(n: int, kernel: str = "auto", auto_bitset: bool = True) -> str
 
 def build_kernel(
     graph: Graph[N], kernel: str = "auto", auto_bitset: bool = True
-) -> "IndexedGraph[N] | BitsetGraph[N] | ArrayGraph[N]":
-    """Build the chosen kernel view of ``graph`` (one pass, shared by
-    every phase of a solver run)."""
+) -> "IndexedGraph[N] | BitsetGraph[N]":
+    """Build the view for the chosen kernel of ``graph`` (one pass,
+    shared by every phase of a solver run): the bitset view for
+    ``"bitset"``, the graph's memoized CSR view otherwise."""
     index = IndexedGraph.from_graph(graph)
-    chosen = choose_kernel(len(index), kernel, auto_bitset)
-    if chosen == "bitset":
+    if choose_kernel(len(index), kernel, auto_bitset) == "bitset":
         from .bitset import BitsetGraph
 
         return BitsetGraph.from_indexed(index)
-    if chosen == "array":
-        from .array import ArrayGraph
-
-        return ArrayGraph.from_indexed(index)
     return index
 
 
@@ -176,11 +177,10 @@ def adjacency_rows(view: Backend) -> list:
     neighbor ids of node ``i`` **in source adjacency insertion order**
     — the order :meth:`Graph.neighbors` would report, which is what
     keeps consumers (the simulator's cached receiver tuples, above all)
-    bit-identical to the dict-based graph.  All three kernels carry an
+    bit-identical to the dict-based graph.  Both views carry an
     insertion-ordered CSR (:class:`~repro.graphs.bitset.BitsetGraph`
-    and :class:`~repro.graphs.array.ArrayGraph` wrap an
-    :class:`IndexedGraph`), so the gather is one row-slice pass
-    whatever the concrete type.
+    wraps an :class:`IndexedGraph`), so the gather is one row-slice
+    pass whatever the concrete type.
 
     Raises:
         TypeError: if ``view`` is not one of the known kernels.
@@ -197,9 +197,16 @@ def adjacency_rows(view: Backend) -> list:
 
 
 def gain_tracker(
-    index: Backend, dominators: Iterable[N]
+    index: Backend, dominators: Iterable[N], kernel: str | None = None
 ) -> "LazyGainTracker | BitsetGainTracker | ArrayGainTracker":
-    """The greedy-CDS gain tracker matching the kernel of ``index``.
+    """The greedy-CDS gain tracker for ``index`` under ``kernel``.
+
+    ``kernel`` is the resolved kernel name (:func:`choose_kernel`'s):
+    the bitset view takes :class:`~repro.cds.bitset_gain.BitsetGainTracker`,
+    and the CSR view takes :class:`~repro.cds.array_gain.ArrayGainTracker`
+    under ``"array"`` and :class:`~repro.cds.lazy_gain.LazyGainTracker`
+    otherwise.  ``None`` names the view's own kernel (``"bitset"`` or
+    ``"indexed"``).
 
     All three trackers share one contract (constructor errors,
     ``add`` / ``best_connector`` semantics, ``gain.*`` counters) and
@@ -207,14 +214,13 @@ def gain_tracker(
     randomized equivalence suites in ``tests/cds/`` pin that.  Imports
     are call-time because the trackers live above the graph layer.
     """
-    from .array import ArrayGraph
     from .bitset import BitsetGraph
 
     if isinstance(index, BitsetGraph):
         from ..cds.bitset_gain import BitsetGainTracker
 
         return BitsetGainTracker(index, dominators)
-    if isinstance(index, ArrayGraph):
+    if kernel == "array":
         from ..cds.array_gain import ArrayGainTracker
 
         return ArrayGainTracker(index, dominators)

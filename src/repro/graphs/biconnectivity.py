@@ -7,9 +7,9 @@ induced backbone subgraph, and which maximal 2-connected *blocks* they
 stitch together.  This module implements the Hopcroft–Tarjan lowpoint
 algorithm iteratively (no recursion limit at 10⁵-node scale) over the
 same kernel seam every solver phase uses: any :class:`Backend` view —
-:class:`~repro.graphs.indexed.IndexedGraph`,
-:class:`~repro.graphs.bitset.BitsetGraph`,
-:class:`~repro.graphs.array.ArrayGraph` — or a plain dict-based
+:class:`~repro.graphs.indexed.IndexedGraph` (the ``"indexed"`` and
+``"array"`` kernels) or :class:`~repro.graphs.bitset.BitsetGraph`,
+both read through their CSR rows — or a plain dict-based
 :class:`Graph`, which is interned on the fly.
 
 Results are expressed in original node labels and are deterministic:

@@ -12,9 +12,10 @@ costs ``O(n/64)`` *word* operations on this one.
 
 :class:`BitsetGraph` layers per-node open/closed neighborhood masks on
 an :class:`IndexedGraph` (same dense ids, same node interning — the two
-views are interchangeable at every ``index=`` seam), and
-:class:`DominationTracker` maintains the one mask every coverage-style
-scan wants: the still-uncovered node set.  The module-level primitives
+views are interchangeable at every ``index=`` seam).  The masks serve
+the greedy's :class:`~repro.cds.bitset_gain.BitsetGainTracker` and the
+fused BFS + first-fit scan of :mod:`repro.mis.first_fit`; every other
+phase reads the CSR view underneath.  The module-level primitives
 (:func:`popcount`, :func:`bit_indices`, :func:`iter_bits`,
 :func:`mask_of`) are the shared vocabulary of every bitset hot path.
 
@@ -48,7 +49,6 @@ __all__ = [
     "BITSET_AUTO_N",
     "KERNELS",
     "BitsetGraph",
-    "DominationTracker",
     "bit_indices",
     "build_kernel",
     "choose_kernel",
@@ -261,11 +261,8 @@ class BitsetGraph(Generic[N]):
 
         Served from the cached full mask set when built; otherwise the
         single row is assembled from the CSR arrays in ``O(deg(i))``
-        and memoized, so callers that touch only some nodes (the MIS
-        scan covers ``|I|`` of ``n``, the WAF coverage scan
-        ``deg(root)``) never pay for the ``n``-row bulk build, and rows
-        are shared across phases — the gain tracker reuses the
-        dominator rows the MIS cover scan already built.
+        and memoized, so a caller that touches only some nodes never
+        pays for the ``n``-row bulk build.
         """
         masks = self._neighbor_masks
         if masks is not None:
@@ -294,76 +291,3 @@ class BitsetGraph(Generic[N]):
 
     def __repr__(self) -> str:
         return f"BitsetGraph(|V|={len(self)}, |E|={self.edge_count()})"
-
-
-class DominationTracker:
-    """The uncovered-node set of a growing dominating set, as one mask.
-
-    Every coverage-style scan in the two-phased framework asks the same
-    two questions — "is ``v`` still uncovered?" and "cover ``N[v]``" —
-    so the tracker keeps the uncovered set in both representations each
-    question wants: a bitmask for word-parallel covering (one
-    ``AND NOT`` with the closed neighborhood) and a flat byte array for
-    O(1) membership tests.  Total maintenance cost over a full run is
-    ``O(n)`` byte writes plus ``O(#covers · n/64)`` word operations,
-    because every node leaves the uncovered set exactly once.
-    """
-
-    __slots__ = ("_bitset", "_uncovered", "_flags")
-
-    def __init__(self, bitset: BitsetGraph, targets: int | None = None):
-        """Track coverage of ``targets`` (a mask; default: all nodes)."""
-        self._bitset = bitset
-        full = bitset.full_mask
-        self._uncovered = full if targets is None else (targets & full)
-        flags = bytearray(len(bitset))
-        for i in bit_indices(full & ~self._uncovered):
-            flags[i] = 1
-        self._flags = flags
-
-    @property
-    def uncovered_mask(self) -> int:
-        """The uncovered set as a bitmask."""
-        return self._uncovered
-
-    @property
-    def covered_flags(self) -> bytearray:
-        """Per-id covered bytes (1 = covered) — bind locally in scans;
-        treat as read-only."""
-        return self._flags
-
-    @property
-    def uncovered_count(self) -> int:
-        if OBS.enabled:
-            OBS.incr("bitset.popcounts")
-        return self._uncovered.bit_count()
-
-    @property
-    def all_covered(self) -> bool:
-        return not self._uncovered
-
-    def is_uncovered(self, i: int) -> bool:
-        return not self._flags[i]
-
-    def uncovered_ids(self) -> list[int]:
-        """Ids still uncovered, ascending."""
-        return bit_indices(self._uncovered)
-
-    def cover(self, i: int) -> int:
-        """Mark ``N[i]`` covered; returns how many nodes that newly covered."""
-        closed = self._bitset.closed_mask(i)
-        newly = self._uncovered & closed
-        if not newly:
-            return 0
-        self._uncovered &= ~closed
-        flags = self._flags
-        count = 0
-        while newly:
-            lsb = newly & -newly
-            flags[lsb.bit_length() - 1] = 1
-            newly ^= lsb
-            count += 1
-        if OBS.enabled:
-            OBS.incr("bitset.word_ops", 3 * self._bitset.words)
-            OBS.incr("bitset.popcounts")
-        return count

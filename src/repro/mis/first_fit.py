@@ -16,10 +16,7 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence, TypeVar
 
-import numpy as np
-
-from ..graphs.array import ArrayGraph
-from ..graphs.bitset import BitsetGraph, DominationTracker
+from ..graphs.bitset import BitsetGraph
 from ..graphs.graph import Graph
 from ..graphs.indexed import IndexedGraph
 from ..graphs.traversal import BFSTree, bfs_tree, dfs_tree
@@ -164,85 +161,30 @@ def first_fit_mis_in_order(graph: Graph[N], order: Sequence[N]) -> list[N]:
     return chosen
 
 
-def _scan_indexed(index: IndexedGraph[N], order_ids: list[int]) -> list[int]:
-    """First-fit selection over ``order_ids`` on the CSR kernel.
+def _scan(csr: IndexedGraph[N], order_ids: list[int]) -> list[int]:
+    """First-fit selection over ``order_ids`` on the CSR view.
 
-    Bit-identical to the dict-based path (the kernel preserves
-    iteration and adjacency order); the scan itself runs on flat
-    integer arrays with a byte-mask membership test.
+    A node is selectable exactly when no earlier selection covered it:
+    coverage is via closed neighborhoods of chosen nodes and a covered
+    node is never chosen, so "uncovered" and "no chosen neighbor"
+    coincide.  Each selection marks ``v`` and its row covered, and the
+    per-node test is one byte read.  Selects exactly
+    :func:`first_fit_mis_in_order`'s nodes (the view preserves
+    iteration and adjacency order).
     """
-    indptr, indices = index.indptr, index.indices
-    chosen_mask = bytearray(len(index))
+    indptr, indices = csr.indptr, csr.indices
+    covered = bytearray(len(csr))
     chosen_ids: list[int] = []
     append = chosen_ids.append
-    for v in order_ids:
-        for u in indices[indptr[v] : indptr[v + 1]]:
-            if chosen_mask[u]:
-                break
-        else:
-            chosen_mask[v] = 1
-            append(v)
-    if OBS.enabled:
-        OBS.incr("mis.nodes_scanned", len(order_ids))
-        OBS.incr("mis.selected", len(chosen_ids))
-    return chosen_ids
-
-
-def _scan_bitset(bitset: BitsetGraph[N], order_ids: list[int]) -> list[int]:
-    """First-fit selection over ``order_ids`` on the bitset kernel.
-
-    The scan runs on a :class:`DominationTracker`: a node is selectable
-    exactly when it is still uncovered — no chosen node has it in its
-    closed neighborhood — so the per-node test is one byte read and
-    each selection covers ``N[v]`` with one word-parallel ``AND NOT``.
-    Selects the same nodes as the CSR scan: "uncovered" and "no chosen
-    neighbor" coincide because coverage is via closed neighborhoods of
-    chosen nodes and a covered node is never chosen.
-    """
-    tracker = DominationTracker(bitset)
-    covered = tracker.covered_flags
-    cover = tracker.cover
-    chosen_ids: list[int] = []
-    append = chosen_ids.append
-    for v in order_ids:
-        if not covered[v]:
-            append(v)
-            cover(v)
-    if OBS.enabled:
-        OBS.incr("mis.nodes_scanned", len(order_ids))
-        OBS.incr("mis.selected", len(chosen_ids))
-    return chosen_ids
-
-
-def _scan_array(array: ArrayGraph[N], order_ids: list[int]) -> list[int]:
-    """First-fit selection over ``order_ids`` on the array kernel.
-
-    Same covered-flag formulation as the bitset scan — a node is
-    selectable exactly when no earlier selection covered it, which
-    coincides with "no chosen neighbor" because coverage is via closed
-    neighborhoods and a covered node is never chosen — with each
-    selection's ``N[v]`` cover applied as one array slice.  The
-    per-node test stays a bytearray read (cheaper than boxing a numpy
-    scalar per scanned node); the covers scatter through a numpy view
-    of the same buffer, one vector call per selection.
-    """
-    indptr, indices = array.indptr, array.indices
-    covered = bytearray(len(array))
-    covered_np = np.frombuffer(covered, dtype=np.uint8)
-    chosen_ids: list[int] = []
-    append = chosen_ids.append
-    writes = 0
     for v in order_ids:
         if not covered[v]:
             append(v)
             covered[v] = 1
-            nbrs = indices[indptr[v] : indptr[v + 1]]
-            writes += nbrs.size
-            covered_np[nbrs] = 1
+            for u in indices[indptr[v] : indptr[v + 1]]:
+                covered[u] = 1
     if OBS.enabled:
         OBS.incr("mis.nodes_scanned", len(order_ids))
         OBS.incr("mis.selected", len(chosen_ids))
-        OBS.incr("array.cover_writes", writes)
     return chosen_ids
 
 
@@ -273,8 +215,8 @@ def _bfs_scan_bitset(bitset: BitsetGraph[N], root: int) -> tuple[list[int], int]
         head += 1
         if not covered[v]:
             choose(v)
-            # Inline DominationTracker.cover: flag exactly the newly
-            # covered ids (each node is drained once over the run).
+            # Flag exactly the newly covered ids (each node is drained
+            # once over the run).
             newly = uncovered & (masks[v] | (1 << v))
             uncovered &= ~newly
             while newly:
@@ -293,36 +235,16 @@ def _bfs_scan_bitset(bitset: BitsetGraph[N], root: int) -> tuple[list[int], int]
 
 
 def _first_fit_mis_kernel(
-    index: IndexedGraph[N] | BitsetGraph[N] | ArrayGraph[N], root: N
+    index: IndexedGraph[N] | BitsetGraph[N], root: N
 ) -> FirstFitMIS:
-    """The BFS + first-fit pipeline on any kernel, tree included (as
-    the kernel's id lists; see :class:`FirstFitMIS`).
-
-    The BFS runs on the CSR arrays for the first two kernels (a
-    frontier-OR bitset BFS would visit neighbors in ascending-id order,
-    not adjacency insertion order, breaking bit-identity) and on the
-    array kernel's vectorized level-synchronous BFS — which preserves
-    that order exactly — for the third.
-    """
-    if isinstance(index, ArrayGraph):
-        csr = index.indexed
-        walker = index
-    elif isinstance(index, BitsetGraph):
-        csr = index.indexed
-        walker = csr
-    else:
-        csr = walker = index
-    order_ids, parent_ids, depth_ids = walker.bfs(csr.id_of(root))
+    """The BFS + first-fit pipeline on a kernel view's CSR lists, tree
+    included (as id lists; see :class:`FirstFitMIS`)."""
+    csr = getattr(index, "indexed", index)
+    order_ids, parent_ids, depth_ids = csr.bfs(csr.id_of(root))
     if len(order_ids) != len(csr):
         raise ValueError("graph must be connected for the two-phased framework")
-    if isinstance(index, BitsetGraph):
-        chosen_ids = _scan_bitset(index, order_ids)
-    elif isinstance(index, ArrayGraph):
-        chosen_ids = _scan_array(index, order_ids)
-    else:
-        chosen_ids = _scan_indexed(csr, order_ids)
     return FirstFitMIS._from_kernel(
-        csr, root, chosen_ids, order_ids, parent_ids, depth_ids
+        csr, root, _scan(csr, order_ids), order_ids, parent_ids, depth_ids
     )
 
 
@@ -330,7 +252,7 @@ def first_fit_mis_nodes(
     graph: Graph[N],
     root: N | None = None,
     *,
-    index: IndexedGraph[N] | BitsetGraph[N] | ArrayGraph[N] | None = None,
+    index: IndexedGraph[N] | BitsetGraph[N] | None = None,
 ) -> tuple:
     """The phase-1 dominator tuple alone — no spanning-tree assembly.
 
@@ -358,16 +280,11 @@ def first_fit_mis_nodes(
         if isinstance(index, BitsetGraph):
             csr = index.indexed
             chosen_ids, visited = _bfs_scan_bitset(index, csr.id_of(root))
-        elif isinstance(index, ArrayGraph):
-            csr = index.indexed
-            order_ids = index.bfs_order(csr.id_of(root))
-            visited = len(order_ids)
-            chosen_ids = _scan_array(index, order_ids)
         else:
             csr = index
             order_ids = csr.bfs_order(csr.id_of(root))
             visited = len(order_ids)
-            chosen_ids = _scan_indexed(csr, order_ids)
+            chosen_ids = _scan(csr, order_ids)
         if visited != len(csr):
             raise ValueError(
                 "graph must be connected for the two-phased framework"
@@ -403,7 +320,7 @@ def first_fit_mis(
     root: N | None = None,
     tree_kind: str = "bfs",
     *,
-    index: IndexedGraph[N] | BitsetGraph[N] | ArrayGraph[N] | None = None,
+    index: IndexedGraph[N] | BitsetGraph[N] | None = None,
 ) -> FirstFitMIS:
     """Tree-order first-fit MIS of a connected graph.
 
@@ -420,16 +337,13 @@ def first_fit_mis(
     non-root node's parent is visited earlier, which is what the WAF
     connector correctness argument needs.
 
-    ``index`` optionally supplies a prebuilt
-    :class:`~repro.graphs.indexed.IndexedGraph`,
-    :class:`~repro.graphs.bitset.BitsetGraph` or
-    :class:`~repro.graphs.array.ArrayGraph` view of ``graph``; the BFS
-    and first-fit scan then run on its flat arrays, neighborhood masks,
-    or numpy buffers (bit-identical selection, cheaper per step).  Callers that
-    run several phases on one topology build the view once and thread
-    it through — building it costs as much as one BFS, so a one-shot
-    caller gains nothing.  The view must describe ``graph``; it is
-    ignored for ``"dfs"``.
+    ``index`` optionally supplies a prebuilt kernel view of ``graph``
+    (:func:`~repro.graphs.backend.build_kernel`); the BFS and the
+    first-fit scan then run on its CSR lists (bit-identical selection,
+    cheaper per step).  Callers that run several phases on one topology
+    build the view once and thread it through — building it costs as
+    much as one BFS, so a one-shot caller gains nothing.  The view must
+    describe ``graph``; it is ignored for ``"dfs"``.
 
     Raises:
         ValueError: if the graph is empty or not connected (the

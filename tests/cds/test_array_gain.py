@@ -17,7 +17,7 @@ import pytest
 from repro.cds import LazyGainTracker, greedy_connector_cds, waf_cds
 from repro.cds.array_gain import ArrayGainTracker
 from repro.graphs import Graph, IndexedGraph, random_connected_udg
-from repro.graphs.array import ArrayGraph
+from repro.graphs.backend import build_kernel
 from repro.mis import first_fit_mis
 from repro.mis.first_fit import first_fit_mis_nodes
 from repro.obs import OBS
@@ -43,10 +43,9 @@ def _tracker_pair(graph):
     """(lazy, array) trackers seeded with the same phase-1 MIS."""
     mis = first_fit_mis(graph)
     index = IndexedGraph.from_graph(graph)
-    array = ArrayGraph.from_indexed(index)
     return (
         LazyGainTracker(index, mis.nodes),
-        ArrayGainTracker(array, mis.nodes),
+        ArrayGainTracker(index, mis.nodes),
     )
 
 
@@ -76,7 +75,7 @@ class TestSolverEquivalence:
         for graph in equivalence_suite:
             reference = first_fit_mis(graph).nodes
             index = IndexedGraph.from_graph(graph)
-            array = ArrayGraph.from_indexed(index)
+            array = build_kernel(graph, "array")
             assert first_fit_mis_nodes(graph, index=index) == reference
             assert first_fit_mis_nodes(graph, index=array) == reference
 
@@ -132,7 +131,7 @@ class TestTrackerStepEquivalence:
         mis = first_fit_mis(graph, root=0)
         index = IndexedGraph.from_graph(graph)
         lazy = LazyGainTracker(index, mis.nodes)
-        array = ArrayGainTracker(ArrayGraph.from_indexed(index), mis.nodes)
+        array = ArrayGainTracker(index, mis.nodes)
         while lazy.component_count > 1:
             expected = lazy.best_connector("min")
             assert array.best_connector("min") == expected
@@ -184,7 +183,7 @@ class TestDeepHeapLockstep:
         dominators = [10, 11, 12, 13]
         index = IndexedGraph.from_graph(graph)
         lazy = LazyGainTracker(index, dominators)
-        array = ArrayGainTracker(ArrayGraph.from_indexed(index), dominators)
+        array = ArrayGainTracker(index, dominators)
         assert lazy.best_connector(tie_break) == (0, 2)
         assert array.best_connector(tie_break) == (0, 2)
         assert array.add(5) == lazy.add(5) == 1
@@ -236,7 +235,7 @@ class TestErrorContractParity:
     """Same error cases and messages as :class:`LazyGainTracker`."""
 
     def _array(self, graph):
-        return ArrayGraph.from_indexed(IndexedGraph.from_graph(graph))
+        return IndexedGraph.from_graph(graph)
 
     def test_empty_dominators_rejected(self, path5):
         with pytest.raises(ValueError, match="non-empty"):

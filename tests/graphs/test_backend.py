@@ -6,7 +6,6 @@ from repro.cds.array_gain import ArrayGainTracker
 from repro.cds.bitset_gain import BitsetGainTracker
 from repro.cds.lazy_gain import LazyGainTracker
 from repro.graphs import random_connected_udg
-from repro.graphs.array import ArrayGraph
 from repro.graphs.backend import (
     ARRAY_AUTO_N,
     BITSET_AUTO_N,
@@ -31,7 +30,6 @@ class TestProtocol:
         index = IndexedGraph.from_graph(udg30)
         assert isinstance(index, Backend)
         assert isinstance(BitsetGraph.from_indexed(index), Backend)
-        assert isinstance(ArrayGraph.from_indexed(index), Backend)
 
     def test_plain_graph_is_not_a_backend(self, udg30):
         # The dict-based Graph has no dense-id surface.
@@ -39,8 +37,7 @@ class TestProtocol:
 
     def test_surface_agrees_across_kernels(self, udg30):
         index = IndexedGraph.from_graph(udg30)
-        views = (index, BitsetGraph.from_indexed(index),
-                 ArrayGraph.from_indexed(index))
+        views = (index, BitsetGraph.from_indexed(index))
         for view in views[1:]:
             assert len(view) == len(index)
             assert view.nodes == index.nodes
@@ -90,13 +87,13 @@ class TestGainTrackerDispatch:
         assert isinstance(
             gain_tracker(BitsetGraph.from_indexed(index), mis), BitsetGainTracker
         )
-        assert isinstance(
-            gain_tracker(ArrayGraph.from_indexed(index), mis), ArrayGainTracker
-        )
+        assert isinstance(gain_tracker(index, mis, "indexed"), LazyGainTracker)
+        assert isinstance(gain_tracker(index, mis, "array"), ArrayGainTracker)
 
     def test_build_kernel_explicit_types(self, udg30):
         assert isinstance(build_kernel(udg30, "indexed"), IndexedGraph)
         assert isinstance(build_kernel(udg30, "bitset"), BitsetGraph)
-        assert isinstance(build_kernel(udg30, "array"), ArrayGraph)
+        # The array kernel is the CSR view plus the heap greedy.
+        assert build_kernel(udg30, "array") is IndexedGraph.from_graph(udg30)
         # n=30 < BITSET_AUTO_N: auto stays on the CSR kernel.
         assert isinstance(build_kernel(udg30, "auto"), IndexedGraph)

@@ -5,13 +5,11 @@ import random
 import pytest
 
 from repro.graphs import Graph, random_connected_udg
-from repro.graphs.array import ArrayGraph
 from repro.graphs.bitset import (
     ARRAY_AUTO_N,
     BITSET_AUTO_N,
     KERNELS,
     BitsetGraph,
-    DominationTracker,
     bit_indices,
     build_kernel,
     choose_kernel,
@@ -124,33 +122,6 @@ class TestBitsetGraphEquivalence:
         assert bitset.adjacency_count(a, 1 << bitset.id_of("d")) == 0
 
 
-class TestDominationTracker:
-    def test_cover_progression(self):
-        g = _random_graph(30, 0.2, seed=4)
-        bitset = BitsetGraph.from_indexed(IndexedGraph.from_graph(g))
-        tracker = DominationTracker(bitset)
-        assert tracker.uncovered_count == 30
-        covered = set()
-        for i in range(30):
-            newly = tracker.cover(i)
-            expected_new = ({i} | set(bit_indices(bitset.neighbor_mask(i)))) - covered
-            assert newly == len(expected_new)
-            covered |= expected_new
-            assert set(tracker.uncovered_ids()) == set(range(30)) - covered
-        assert tracker.all_covered
-
-    def test_flags_match_mask(self):
-        _, g = random_connected_udg(40, 4.5, seed=2)
-        bitset = BitsetGraph.from_indexed(IndexedGraph.from_graph(g))
-        tracker = DominationTracker(bitset)
-        tracker.cover(0)
-        tracker.cover(5)
-        uncovered = set(bit_indices(tracker.uncovered_mask))
-        for i in range(len(g)):
-            assert tracker.is_uncovered(i) == (i in uncovered)
-            assert bool(tracker.covered_flags[i]) == (i not in uncovered)
-
-
 class TestKernelSelection:
     def test_explicit_names_honored(self):
         assert choose_kernel(10, "bitset") == "bitset"
@@ -177,7 +148,7 @@ class TestKernelSelection:
         _, g = random_connected_udg(20, 3.8, seed=1)
         assert isinstance(build_kernel(g, "indexed"), IndexedGraph)
         assert isinstance(build_kernel(g, "bitset"), BitsetGraph)
-        assert isinstance(build_kernel(g, "array"), ArrayGraph)
+        assert build_kernel(g, "array") is IndexedGraph.from_graph(g)
         assert isinstance(build_kernel(g, "auto"), IndexedGraph)
 
     def test_kernels_constant(self):

@@ -22,8 +22,9 @@ from repro.graphs import (
     uniform_points,
     unit_disk_graph,
 )
-from repro.graphs.array import NARROW_FRONTIER, ArrayGraph
+from repro.graphs.backend import build_kernel
 from repro.graphs.bitset import BitsetGraph
+from repro.graphs.indexed import NARROW_FRONTIER
 from repro.graphs.traversal import (
     bfs_tree,
     connected_components,
@@ -227,9 +228,9 @@ class TestArrays:
         _, graph = medium_udg
         view = IndexedGraph.from_graph(graph)
         indptr, indices = view.arrays()
-        array = ArrayGraph.from_indexed(view)
-        assert np.shares_memory(array.indptr, indptr)
-        assert np.shares_memory(array.indices, indices)
+        array = build_kernel(graph, "array")
+        assert np.shares_memory(array.arrays()[0], indptr)
+        assert np.shares_memory(array.arrays()[1], indices)
 
     def test_match_the_lists_and_are_read_only(self, medium_udg, path5):
         for graph in (medium_udg[1], path5):
@@ -286,7 +287,6 @@ class TestIsConnected:
             view = IndexedGraph.from_graph(graph)
             assert is_connected(graph) is expected
             assert view.is_connected() is expected
-            assert ArrayGraph.from_indexed(view).is_connected() is expected
             assert BitsetGraph.from_indexed(view).is_connected() is expected
 
     def test_random_graphs(self):
@@ -313,5 +313,5 @@ class TestIsConnected:
             for graph in graphs:
                 view = IndexedGraph.from_graph(graph)
                 is_connected(graph)
-                ArrayGraph.from_indexed(view).is_connected()
+                view.is_connected()
             assert reg.counters() == {}

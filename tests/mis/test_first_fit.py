@@ -23,6 +23,50 @@ class TestFirstFitInOrder:
         assert is_maximal_independent_set(cycle6, mis)
 
 
+class TestCoveredFlagScan:
+    """The one kernel scan against the dict-based first fit, on any
+    visiting order."""
+
+    @staticmethod
+    def _orders(graph, rng):
+        from repro.graphs.traversal import bfs_tree, dfs_tree
+
+        root = min(graph.nodes())
+        shuffled = list(graph.nodes())
+        rng.shuffle(shuffled)
+        return (
+            bfs_tree(graph, root).order,
+            dfs_tree(graph, root).order,
+            tuple(shuffled),
+        )
+
+    def test_selects_first_fit_mis_in_order(self, udg_suite):
+        import random
+
+        from repro.graphs import IndexedGraph, random_connected_udg
+        from repro.mis.first_fit import _scan
+        from repro.obs import OBS
+
+        rng = random.Random(5)
+        graphs = [g for _, g in udg_suite] + [
+            random_connected_udg(n, side, seed=seed)[1]
+            for n, side in ((60, 6.2), (150, 8.0))
+            for seed in range(3)
+        ]
+        for g in graphs:
+            csr = IndexedGraph.from_graph(g)
+            for order in self._orders(g, rng):
+                with OBS.capture() as reg:
+                    expected = first_fit_mis_in_order(g, order)
+                    oracle = dict(reg.counters())
+                with OBS.capture() as reg:
+                    chosen = _scan(csr, [csr.id_of(v) for v in order])
+                    counters = dict(reg.counters())
+                assert [csr.node_at(i) for i in chosen] == expected
+                assert counters == oracle
+                assert set(counters) == {"mis.nodes_scanned", "mis.selected"}
+
+
 class TestFirstFitMIS:
     def test_root_always_selected(self, path5):
         mis = first_fit_mis(path5, root=2)
@@ -122,7 +166,6 @@ class TestFirstFitMisNodes:
 
 def _kernel_views(graph):
     from repro.graphs import IndexedGraph
-    from repro.graphs.array import ArrayGraph
     from repro.graphs.bitset import BitsetGraph
 
     index = IndexedGraph.from_graph(graph)
@@ -130,7 +173,7 @@ def _kernel_views(graph):
         "none": None,
         "indexed": index,
         "bitset": BitsetGraph.from_indexed(index),
-        "array": ArrayGraph.from_indexed(index),
+        "array": index,
     }
 
 
