@@ -1,8 +1,8 @@
 """Small statistics helpers for the experiment tables.
 
-Means, sample standard deviations and normal-approximation confidence
-intervals — enough for the "mean ± CI over seeds" rows the experiment
-harness prints, without dragging in a stats dependency.
+Means, sample standard deviations and ranges — enough for the
+per-seed summary rows the experiment harness prints, without dragging
+in a stats dependency.
 """
 
 from __future__ import annotations
@@ -23,18 +23,6 @@ class Summary:
     stdev: float
     minimum: float
     maximum: float
-
-    def ci95_half_width(self) -> float:
-        """Half-width of the normal-approximation 95% CI of the mean."""
-        if self.count < 2:
-            return 0.0
-        return 1.96 * self.stdev / math.sqrt(self.count)
-
-    def format(self, precision: int = 2) -> str:
-        return (
-            f"{self.mean:.{precision}f} ± {self.ci95_half_width():.{precision}f} "
-            f"[{self.minimum:.{precision}f}, {self.maximum:.{precision}f}]"
-        )
 
 
 def summarize(values: Sequence[float]) -> Summary:

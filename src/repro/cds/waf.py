@@ -125,7 +125,8 @@ def waf_cds(
         return CDSResult(
             algorithm="waf", nodes=frozenset([only]), dominators=(only,), connectors=()
         )
-    index = build_kernel(graph, kernel, auto_bitset=False)
+    # Both phases read the CSR lists, so "auto" builds no bitset masks.
+    index = build_kernel(graph, "indexed" if kernel == "auto" else kernel)
     with trace("waf.phase1"):
         mis = first_fit_mis(graph, root, tree_kind, index=index)
     with trace("waf.phase2"):

@@ -842,10 +842,10 @@ def _sweep_main(argv: Sequence[str]) -> int:
         ns = _parse_int_list(args.ns, "--ns")
         seeds = _parse_int_list(args.seeds, "--seeds")
         plan = _fault_plan(args)
+        cells = sweep_cells(ns, seeds, side=args.side)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    cells = sweep_cells(ns, seeds, side=args.side)
     kernel = None if args.kernel == "auto" else args.kernel
 
     session = _ObsSession(args)

@@ -156,7 +156,6 @@ def make_simulator(
     factory: Callable[[Hashable], NodeProcess],
     *,
     topology: RadioTopology | None = None,
-    record_rounds: bool = False,
 ) -> BatchedSimulator:
     """Build the round engine over ``graph`` — the protocols' seam.
 
@@ -165,6 +164,4 @@ def make_simulator(
     reference :class:`~repro.distributed.simulator.Simulator` and run
     the same pipelines on the oracle.
     """
-    return BatchedSimulator(
-        graph, factory, topology=topology, record_rounds=record_rounds
-    )
+    return BatchedSimulator(graph, factory, topology=topology)

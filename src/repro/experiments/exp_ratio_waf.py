@@ -28,7 +28,6 @@ __all__ = ["run"]
 @experiment("T8", "Theorem 8: WAF ratio <= 7 1/3")
 def run(
     sizes: tuple[int, ...] = (12, 16, 20, 25),
-    side_per_size: dict[int, float] | None = None,
     seeds: int = 8,
 ) -> ExperimentResult:
     table = Table(
@@ -46,7 +45,7 @@ def run(
 
     all_ok = True
     for n in sizes:
-        side = (side_per_size or {}).get(n, default_side(n))
+        side = default_side(n)
         ratios: list[float] = []
         violations = 0
         for _, graph in connected_udg_instances(n, side, range(seeds)):

@@ -37,6 +37,7 @@ worker set through the same ``run_cells``.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -76,13 +77,21 @@ def sweep_cells(
 
     ``side`` may be a constant, a function of ``n``, or ``None`` for
     :func:`repro.experiments.instances.default_side`.
+
+    Raises:
+        ValueError: on a size ``n < 1`` or a side that is not a finite
+            number > 0 (the serve protocol's instance rule).
     """
     if side is None:
         side = default_side
     seeds = list(seeds)
     cells = []
     for n in ns:
+        if n < 1:
+            raise ValueError(f"instance size n must be >= 1, got {n}")
         s = side(n) if callable(side) else side
+        if not (math.isfinite(s) and s > 0):
+            raise ValueError(f"deployment side must be finite and > 0, got {s}")
         for seed in seeds:
             cells.append(SweepCell(n=n, side=s, seed=seed))
     return cells

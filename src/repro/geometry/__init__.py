@@ -9,11 +9,9 @@ Voronoi / hexagonal-lattice machinery for the Section V discussion.
 
 from .point import (
     EPS,
-    ORIGIN,
     Point,
     distance,
     max_pairwise_distance,
-    midpoint,
     min_pairwise_distance,
     pairwise_distances,
 )
@@ -82,11 +80,9 @@ from .hexagonal import (
 __all__ = [
     # point
     "EPS",
-    "ORIGIN",
     "Point",
     "distance",
     "max_pairwise_distance",
-    "midpoint",
     "min_pairwise_distance",
     "pairwise_distances",
     # predicates

@@ -8,7 +8,7 @@ independent point).  The structural fact the proofs rely on is:
     the diameter of an arc-polygon is at most one if and only if the
     diameter of its vertex set is at most one.
 
-This module provides arc primitives (minor/major classification, point
+This module provides arc primitives (minor classification, point
 sampling, membership) and the vertex-diameter test for arc-polygons,
 which the lemma-checking tests exercise numerically.
 """
@@ -59,10 +59,6 @@ class Arc:
         """Whether the arc measures at most 180 degrees."""
         return self.measure() <= math.pi + tol
 
-    def is_major(self, tol: float = EPS) -> bool:
-        """Whether the arc measures at least 180 degrees."""
-        return self.measure() >= math.pi - tol
-
     def point_at(self, fraction: float) -> Point:
         """The point a given fraction of the way along the arc."""
         theta = self.start + fraction * self.measure()
@@ -70,9 +66,6 @@ class Arc:
             self.center.x + self.radius * math.cos(theta),
             self.center.y + self.radius * math.sin(theta),
         )
-
-    def endpoints(self) -> tuple[Point, Point]:
-        return (self.point_at(0.0), self.point_at(1.0))
 
     def sample(self, count: int) -> list[Point]:
         """``count`` points evenly spaced along the arc (inclusive ends)."""

@@ -22,7 +22,6 @@ __all__ = [
     "EPS",
     "Point",
     "distance",
-    "midpoint",
     "pairwise_distances",
     "min_pairwise_distance",
     "max_pairwise_distance",
@@ -167,16 +166,6 @@ class Point:
         """The vector rotated 90 degrees counterclockwise."""
         return Point(-self.y, self.x)
 
-    def rotated(self, angle: float, about: "Point" | None = None) -> "Point":
-        """Rotate counterclockwise by ``angle`` radians about ``about``.
-
-        ``about`` defaults to the origin.
-        """
-        cx, cy = (about.x, about.y) if about is not None else (0.0, 0.0)
-        dx, dy = self.x - cx, self.y - cy
-        c, s = math.cos(angle), math.sin(angle)
-        return Point(cx + c * dx - s * dy, cy + s * dx + c * dy)
-
     def angle(self) -> float:
         """Polar angle of the vector from the origin, in ``(-pi, pi]``."""
         return math.atan2(self.y, self.x)
@@ -192,9 +181,6 @@ class Point:
         """The point at the given polar coordinates around the origin."""
         return Point(radius * math.cos(angle), radius * math.sin(angle))
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 # The slot descriptors' setters get past the frozen ``__setattr__`` as
 # ``object.__setattr__`` does, minus its by-name lookup: a quarter less
@@ -203,16 +189,10 @@ _set_x = Point.x.__set__
 _set_y = Point.y.__set__
 _set_hashval = Point._hashval.__set__
 
-ORIGIN = Point(0.0, 0.0)
-
 
 def distance(a: Point, b: Point) -> float:
     """Euclidean distance between two points."""
     return a.distance_to(b)
-
-
-def midpoint(a: Point, b: Point) -> Point:
-    return Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
 
 
 def pairwise_distances(points: Sequence[Point]) -> Iterator[float]:

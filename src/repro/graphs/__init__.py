@@ -21,9 +21,7 @@ from .biconnectivity import (
 from .bitset import (
     BitsetGraph,
     bit_indices,
-    iter_bits,
     mask_of,
-    popcount,
 )
 from .traversal import (
     BFSTree,
@@ -77,9 +75,7 @@ __all__ = [
     "choose_kernel",
     "gain_tracker",
     "gather_rows",
-    "iter_bits",
     "mask_of",
-    "popcount",
     "BFSTree",
     "bfs_order",
     "bfs_tree",

@@ -132,17 +132,14 @@ class Backend(Protocol):
     def is_connected(self) -> bool: ...
 
 
-def choose_kernel(n: int, kernel: str = "auto", auto_bitset: bool = True) -> str:
+def choose_kernel(n: int, kernel: str = "auto") -> str:
     """Resolve a ``kernel=`` argument to ``"indexed"``, ``"bitset"``,
     or ``"array"``.
 
     ``"auto"`` reads the three-way size table: the CSR kernel below
     :data:`BITSET_AUTO_N` nodes, the bitset kernel from there up to
     :data:`ARRAY_AUTO_N`, and the array kernel (the CSR view with the
-    heap greedy) beyond.  A solver with no greedy phase 2 (WAF, whose
-    both phases run on the CSR view under every kernel) passes
-    ``auto_bitset=False`` to keep ``"auto"`` from building masks it
-    never reads; explicit kernel names are always honored.
+    heap greedy) beyond.  Explicit kernel names are always honored.
 
     Raises:
         ValueError: on an unknown kernel name.
@@ -151,19 +148,19 @@ def choose_kernel(n: int, kernel: str = "auto", auto_bitset: bool = True) -> str
         raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
     if kernel != "auto":
         return kernel
-    if not auto_bitset or n < BITSET_AUTO_N:
+    if n < BITSET_AUTO_N:
         return "indexed"
     return "array" if n >= ARRAY_AUTO_N else "bitset"
 
 
 def build_kernel(
-    graph: Graph[N], kernel: str = "auto", auto_bitset: bool = True
+    graph: Graph[N], kernel: str = "auto"
 ) -> "IndexedGraph[N] | BitsetGraph[N]":
     """Build the view for the chosen kernel of ``graph`` (one pass,
     shared by every phase of a solver run): the bitset view for
     ``"bitset"``, the graph's memoized CSR view otherwise."""
     index = IndexedGraph.from_graph(graph)
-    if choose_kernel(len(index), kernel, auto_bitset) == "bitset":
+    if choose_kernel(len(index), kernel) == "bitset":
         from .bitset import BitsetGraph
 
         return BitsetGraph.from_indexed(index)

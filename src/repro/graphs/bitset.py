@@ -10,14 +10,14 @@ those ints 64 bits per machine word in C, so a membership-heavy scan
 that costs ``O(deg)`` interpreted steps per node on the CSR kernel
 costs ``O(n/64)`` *word* operations on this one.
 
-:class:`BitsetGraph` layers per-node open/closed neighborhood masks on
+:class:`BitsetGraph` layers per-node neighborhood masks on
 an :class:`IndexedGraph` (same dense ids, same node interning — the two
 views are interchangeable at every ``index=`` seam).  The masks serve
 the greedy's :class:`~repro.cds.bitset_gain.BitsetGainTracker` and the
 fused BFS + first-fit scan of :mod:`repro.mis.first_fit`; every other
 phase reads the CSR view underneath.  The module-level primitives
-(:func:`popcount`, :func:`bit_indices`, :func:`iter_bits`,
-:func:`mask_of`) are the shared vocabulary of every bitset hot path.
+(:func:`bit_indices`, :func:`mask_of`) are the shared vocabulary of
+every bitset hot path.
 
 Masks cost ``⌈n/8⌉`` bytes per node (≈1.25 KB at ``n = 10 000``, so
 ≈12.5 MB per full mask set); kernel selection lives in
@@ -52,21 +52,14 @@ __all__ = [
     "bit_indices",
     "build_kernel",
     "choose_kernel",
-    "iter_bits",
     "mask_of",
-    "popcount",
 ]
 
 #: Bit positions set in each possible byte value — the lookup table
-#: behind :func:`bit_indices` / :func:`iter_bits`.
+#: behind :func:`bit_indices`.
 _BYTE_BITS = tuple(
     tuple(b for b in range(8) if byte >> b & 1) for byte in range(256)
 )
-
-
-def popcount(mask: int) -> int:
-    """Number of set bits (population count) of a non-negative mask."""
-    return mask.bit_count()
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -95,23 +88,6 @@ def bit_indices(mask: int) -> list[int]:
         if byte
         for b in table[byte]
     ]
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set-bit positions of ``mask``, ascending.
-
-    The generator twin of :func:`bit_indices` for callers that may
-    stop early; hot loops that always consume everything should prefer
-    the list form.
-    """
-    table = _BYTE_BITS
-    for i, byte in enumerate(
-        mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
-    ):
-        if byte:
-            base = i << 3
-            for b in table[byte]:
-                yield base + b
 
 
 def mask_of(ids: Sequence[int] | Iterator[int], nbits: int) -> int:
@@ -153,17 +129,15 @@ class BitsetGraph(Generic[N]):
     Shares the underlying view's dense ids and node interning, so the
     two kernels are interchangeable wherever an ``index=`` argument is
     accepted; algorithms pick whichever representation fits the scan.
-    Mask sets are built lazily (open and closed neighborhoods are
-    separate allocations of ``n·⌈n/8⌉`` bytes each) and cached.
+    The mask set (``n·⌈n/8⌉`` bytes) is built on first use and
+    cached.
     """
 
-    __slots__ = ("indexed", "_neighbor_masks", "_closed_masks", "_row_cache")
+    __slots__ = ("indexed", "_neighbor_masks")
 
     def __init__(self, indexed: IndexedGraph[N]):
         self.indexed = indexed
         self._neighbor_masks: list[int] | None = None
-        self._closed_masks: list[int] | None = None
-        self._row_cache: dict[int, int] = {}
 
     @classmethod
     def from_indexed(cls, index: IndexedGraph[N]) -> "BitsetGraph[N]":
@@ -187,18 +161,6 @@ class BitsetGraph(Generic[N]):
             self._neighbor_masks = masks
             if OBS.enabled:
                 OBS.incr("bitset.word_ops", len(index) * self.words)
-        return masks
-
-    @property
-    def closed_masks(self) -> list[int]:
-        """Closed neighborhood masks: ``neighbor_masks[i] | (1 << i)``."""
-        masks = self._closed_masks
-        if masks is None:
-            nbr = self.neighbor_masks
-            masks = [m | (1 << i) for i, m in enumerate(nbr)]
-            self._closed_masks = masks
-            if OBS.enabled:
-                OBS.incr("bitset.word_ops", len(nbr) * self.words)
         return masks
 
     @property
@@ -253,41 +215,6 @@ class BitsetGraph(Generic[N]):
 
     def is_connected(self) -> bool:
         return self.indexed.is_connected()
-
-    # -- bitset queries -------------------------------------------------------
-
-    def neighbor_mask(self, i: int) -> int:
-        """The open neighborhood of ``i`` as a mask.
-
-        Served from the cached full mask set when built; otherwise the
-        single row is assembled from the CSR arrays in ``O(deg(i))``
-        and memoized, so a caller that touches only some nodes never
-        pays for the ``n``-row bulk build.
-        """
-        masks = self._neighbor_masks
-        if masks is not None:
-            return masks[i]
-        cache = self._row_cache
-        m = cache.get(i)
-        if m is None:
-            index = self.indexed
-            m = cache[i] = mask_of(index.neighbors(i), len(index))
-        return m
-
-    def closed_mask(self, i: int) -> int:
-        """The closed neighborhood ``N[i]`` as a mask (row-on-demand,
-        like :meth:`neighbor_mask`)."""
-        masks = self._closed_masks
-        if masks is not None:
-            return masks[i]
-        return self.neighbor_mask(i) | (1 << i)
-
-    def adjacency_count(self, i: int, mask: int) -> int:
-        """``|N(i) ∩ mask|`` — one AND plus a popcount."""
-        if OBS.enabled:
-            OBS.incr("bitset.word_ops", self.words)
-            OBS.incr("bitset.popcounts")
-        return (self.neighbor_mask(i) & mask).bit_count()
 
     def __repr__(self) -> str:
         return f"BitsetGraph(|V|={len(self)}, |E|={self.edge_count()})"

@@ -128,17 +128,6 @@ class Graph(Generic[N]):
         del adj[node]
         self._index = None
 
-    def remove_edge(self, u: N, v: N) -> None:
-        """Remove an edge.
-
-        Raises:
-            KeyError: if the edge is absent.
-        """
-        adj = self._dicts()
-        del adj[u][v]
-        del adj[v][u]
-        self._index = None
-
     # -- queries --------------------------------------------------------------
 
     def __contains__(self, node: N) -> bool:

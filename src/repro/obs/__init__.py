@@ -53,7 +53,6 @@ _LAZY = {
     "SnapshotStream": "expose",
     "metric_name": "expose",
     "parse_snapshots": "expose",
-    "read_snapshots": "expose",
     "render_exposition": "expose",
     "snapshot_state": "expose",
     "validate_exposition": "expose",

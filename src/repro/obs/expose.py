@@ -50,7 +50,6 @@ __all__ = [
     "snapshot_state",
     "validate_snapshot",
     "parse_snapshots",
-    "read_snapshots",
     "SnapshotStream",
     "PeriodicSnapshotter",
     "MetricsExporter",
@@ -296,11 +295,6 @@ def parse_snapshots(text: str) -> list[dict]:
         if errors:
             raise ValueError(f"snapshot line {lineno}: " + "; ".join(errors))
     return snapshots
-
-
-def read_snapshots(path: str | Path) -> list[dict]:
-    """Load and validate a snapshot stream written by :class:`SnapshotStream`."""
-    return parse_snapshots(Path(path).read_text())
 
 
 class SnapshotStream:

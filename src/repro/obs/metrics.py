@@ -45,7 +45,7 @@ See ``docs/observability.md`` §7.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = [
     "BUCKETS_PER_DECADE",
@@ -158,10 +158,6 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def observe_many(self, values: Iterable[int | float]) -> None:
-        for value in values:
-            self.observe(value)
-
     # -- reading ------------------------------------------------------
 
     @property
@@ -256,12 +252,6 @@ class Histogram:
                 continue
             mine = getattr(self, bound)
             setattr(self, bound, value if mine is None else better(mine, value))
-
-    @classmethod
-    def from_state(cls, name: str, state: Mapping) -> "Histogram":
-        hist = cls(name)
-        hist.merge_state(state)
-        return hist
 
     # -- the record form ----------------------------------------------
 

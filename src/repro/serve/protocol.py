@@ -48,6 +48,7 @@ exchange and are excluded from the guarantee.  See ``docs/serving.md``.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 from ..graphs.backend import KERNELS
@@ -152,8 +153,10 @@ def _validate_instance(instance: object, errors: list[str]) -> None:
         if not _check_int(instance.get("seed")):
             errors.append("instance.seed must be an integer")
         side = instance.get("side")
-        if side is not None and not (_check_number(side) and side > 0):
-            errors.append("instance.side must be a number > 0 (or omitted)")
+        if side is not None and not (
+            _check_number(side) and math.isfinite(side) and side > 0
+        ):
+            errors.append("instance.side must be a finite number > 0 (or omitted)")
         return
     nodes = instance.get("nodes")
     if not _check_int(nodes, 1):

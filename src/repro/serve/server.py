@@ -723,33 +723,26 @@ async def _serve_main(server: SolveServer, ready=None) -> None:
     await server.serve_until_shutdown()
 
 
-def run_server(
-    config: ServeConfig | None = None,
-    *,
-    on_ready=None,
-    install_signal_handlers: bool = True,
-) -> SolveServer:
+def run_server(config: ServeConfig | None = None, *, on_ready=None) -> SolveServer:
     """Blocking entry point: start a daemon, serve until drained.
 
     ``on_ready(server)`` fires once the socket is bound (the CLI prints
     the address there).  SIGINT/SIGTERM trigger the same graceful drain
-    as the ``shutdown`` op when handlers are installed (main thread
-    only).  Returns the server so callers can read final stats and
+    as the ``shutdown`` op (handlers install on the main thread only).  Returns the server so callers can read final stats and
     call :meth:`SolveServer.emit_obs`.
     """
     server = SolveServer(config)
 
     async def main() -> None:
         await server.start()
-        if install_signal_handlers:
-            import signal
+        import signal
 
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    loop.add_signal_handler(sig, server.request_shutdown)
-                except (NotImplementedError, RuntimeError, ValueError):
-                    break  # not the main thread / unsupported platform
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            try:
+                loop.add_signal_handler(sig, server.request_shutdown)
+            except (NotImplementedError, RuntimeError, ValueError):
+                break  # not the main thread / unsupported platform
         if on_ready is not None:
             on_ready(server)
         await server.serve_until_shutdown()

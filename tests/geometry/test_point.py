@@ -8,11 +8,9 @@ import pickle
 import pytest
 
 from repro.geometry import (
-    ORIGIN,
     Point,
     distance,
     max_pairwise_distance,
-    midpoint,
     min_pairwise_distance,
     pairwise_distances,
 )
@@ -183,7 +181,7 @@ class TestPointMetrics:
 
     def test_normalized_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
-            ORIGIN.normalized()
+            Point(0, 0).normalized()
 
     def test_perpendicular_is_ccw_rotation(self):
         assert Point(1, 0).perpendicular() == Point(0, 1)
@@ -191,14 +189,6 @@ class TestPointMetrics:
     def test_perpendicular_preserves_norm(self):
         p = Point(3, 4)
         assert math.isclose(p.perpendicular().norm(), p.norm())
-
-    def test_rotated_quarter_turn(self):
-        r = Point(1, 0).rotated(math.pi / 2)
-        assert r.distance_to(Point(0, 1)) <= 1e-12
-
-    def test_rotated_about_center(self):
-        r = Point(2, 0).rotated(math.pi, about=Point(1, 0))
-        assert r.distance_to(Point(0, 0)) <= 1e-12
 
     def test_angle(self):
         assert math.isclose(Point(0, 1).angle(), math.pi / 2)
@@ -211,18 +201,10 @@ class TestPointMetrics:
         assert math.isclose(p.norm(), 2.0)
         assert math.isclose(p.angle(), math.pi / 3)
 
-    def test_as_tuple(self):
-        assert Point(1.5, 2.5).as_tuple() == (1.5, 2.5)
-
 
 class TestModuleHelpers:
     def test_distance(self):
         assert distance(Point(0, 0), Point(0, 2)) == 2
-
-
-    def test_midpoint(self):
-        assert midpoint(Point(0, 0), Point(2, 4)) == Point(1, 2)
-
 
     def test_pairwise_distances_count(self):
         pts = [Point(0, 0), Point(1, 0), Point(0, 1)]

@@ -70,10 +70,6 @@ class TestSelectionTable:
         assert choose_kernel(10**6, "indexed") == "indexed"
         assert choose_kernel(1, "array") == "array"
 
-    def test_auto_bitset_false_pins_csr_at_every_size(self):
-        for n in (1, BITSET_AUTO_N, ARRAY_AUTO_N, 10**6):
-            assert choose_kernel(n, "auto", auto_bitset=False) == "indexed"
-
     def test_unknown_kernel_lists_choices(self):
         with pytest.raises(ValueError, match="indexed.*bitset.*array"):
             choose_kernel(10, "scipy")

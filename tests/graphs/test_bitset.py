@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.cds import waf_cds
 from repro.graphs import Graph, random_connected_udg
 from repro.graphs.bitset import (
     ARRAY_AUTO_N,
@@ -13,9 +14,7 @@ from repro.graphs.bitset import (
     bit_indices,
     build_kernel,
     choose_kernel,
-    iter_bits,
     mask_of,
-    popcount,
 )
 from repro.graphs.indexed import IndexedGraph
 
@@ -33,11 +32,6 @@ def _random_graph(n, p, seed):
 
 
 class TestBitPrimitives:
-    def test_popcount(self):
-        assert popcount(0) == 0
-        assert popcount(0b1011) == 3
-        assert popcount((1 << 500) | 1) == 2
-
     def test_mask_of_roundtrip(self):
         ids = [0, 3, 64, 129, 1000]
         assert bit_indices(mask_of(ids, 1001)) == sorted(ids)
@@ -61,7 +55,6 @@ class TestBitPrimitives:
             ids = [i for i in range(300) if rng.random() < density]
             mask = mask_of(ids, 300)
             assert bit_indices(mask) == ids
-            assert list(iter_bits(mask)) == ids
 
     def test_bit_indices_zero(self):
         assert bit_indices(0) == []
@@ -74,13 +67,12 @@ class TestBitsetGraphEquivalence:
     def test_random_graph_neighborhoods(self, seed):
         g = _random_graph(60, 0.15, seed)
         index = IndexedGraph.from_graph(g)
-        bitset = BitsetGraph.from_indexed(index)
+        masks = BitsetGraph.from_indexed(index).neighbor_masks
         for node in g:
             i = index.id_of(node)
             expected = {index.id_of(u) for u in g.neighbors(node)}
-            assert set(bit_indices(bitset.neighbor_mask(i))) == expected
-            assert bitset.neighbor_mask(i).bit_count() == g.degree(node)
-            assert bitset.closed_mask(i) == bitset.neighbor_mask(i) | (1 << i)
+            assert set(bit_indices(masks[i])) == expected
+            assert masks[i].bit_count() == g.degree(node)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_udg_neighborhoods_and_popcounts(self, seed):
@@ -98,8 +90,7 @@ class TestBitsetGraphEquivalence:
     def test_bulk_and_on_demand_rows_agree(self):
         _, g = random_connected_udg(50, 5.0, seed=9)
         index = IndexedGraph.from_graph(g)
-        on_demand = BitsetGraph.from_indexed(index)
-        rows = [on_demand.neighbor_mask(i) for i in range(len(g))]
+        rows = [mask_of(index.neighbors(i), len(g)) for i in range(len(g))]
         bulk = BitsetGraph.from_indexed(index)
         assert bulk.neighbor_masks == rows
 
@@ -108,18 +99,6 @@ class TestBitsetGraphEquivalence:
         bitset = BitsetGraph.from_indexed(IndexedGraph.from_graph(g))
         for i, mask in enumerate(bitset.neighbor_masks):
             assert not mask >> i & 1
-
-    def test_adjacency_count(self):
-        g = Graph()
-        for v in "abcd":
-            g.add_node(v)
-        g.add_edge("a", "b")
-        g.add_edge("a", "c")
-        bitset = BitsetGraph.from_indexed(IndexedGraph.from_graph(g))
-        a = bitset.id_of("a")
-        everyone = bitset.full_mask
-        assert bitset.adjacency_count(a, everyone) == 2
-        assert bitset.adjacency_count(a, 1 << bitset.id_of("d")) == 0
 
 
 class TestKernelSelection:
@@ -133,12 +112,15 @@ class TestKernelSelection:
         assert choose_kernel(ARRAY_AUTO_N - 1, "auto") == "bitset"
         assert choose_kernel(ARRAY_AUTO_N, "auto") == "array"
 
-    def test_auto_bitset_false_pins_csr(self):
-        assert choose_kernel(BITSET_AUTO_N, "auto", auto_bitset=False) == "indexed"
-        assert choose_kernel(ARRAY_AUTO_N, "auto", auto_bitset=False) == "indexed"
-        # Explicit requests still win.
-        assert choose_kernel(10, "bitset", auto_bitset=False) == "bitset"
-        assert choose_kernel(10, "array", auto_bitset=False) == "array"
+    def test_waf_auto_builds_no_bitset_view(self, monkeypatch):
+        # WAF reads only the CSR lists, so "auto" builds no masks even at
+        # the size where the greedy's "auto" picks the bitset kernel.
+        def refuse(self, indexed):
+            raise AssertionError("waf_cds built a BitsetGraph")
+
+        _, g = random_connected_udg(BITSET_AUTO_N, 12.0, seed=0)
+        monkeypatch.setattr(BitsetGraph, "__init__", refuse)
+        assert waf_cds(g, kernel="auto").is_valid(g)
 
     def test_unknown_kernel_raises(self):
         with pytest.raises(ValueError, match="unknown kernel"):

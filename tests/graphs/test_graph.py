@@ -53,18 +53,6 @@ class TestRemoval:
         with pytest.raises(KeyError):
             Graph().remove_node(1)
 
-    def test_remove_edge(self):
-        g = Graph(edges=[(1, 2), (2, 3)])
-        g.remove_edge(1, 2)
-        assert not g.has_edge(1, 2)
-        assert g.has_edge(2, 3)
-        assert 1 in g  # endpoints stay
-
-    def test_remove_missing_edge_raises(self):
-        g = Graph(nodes=[1, 2])
-        with pytest.raises(KeyError):
-            g.remove_edge(1, 2)
-
 
 class TestQueries:
     def test_neighbors_order_is_insertion_order(self):

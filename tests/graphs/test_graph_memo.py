@@ -126,12 +126,6 @@ class MemoMachine(RuleBasedStateMachine):
         node = data.draw(st.sampled_from(self.twin.nodes()))
         self.both(lambda g: g.remove_node(node))
 
-    @precondition(lambda self: self.twin.edge_count() > 0)
-    @rule(data=st.data())
-    def remove_edge(self, data):
-        u, v = data.draw(st.sampled_from(self.twin.edges()))
-        self.both(lambda g: g.remove_edge(u, v))
-
     @rule()
     def dict_reads(self):
         # Builds a dict-less graph's dicts; they must be the twin's.
@@ -199,7 +193,6 @@ class TestMemo:
             lambda g: g.add_node(9),
             lambda g: g.add_edge(0, 9),
             lambda g: g.remove_node(2),
-            lambda g: g.remove_edge(0, 1),
         )
         for mutate in mutations:
             graph = Graph(edges=[(0, 1), (1, 2)])
@@ -256,7 +249,6 @@ class TestDictless:
         "add_node": lambda g, a, b: g.add_node(Point(-5.0, -5.0)),
         "add_edge": lambda g, a, b: g.add_edge(a, Point(-5.0, -5.0)),
         "remove_node": lambda g, a, b: g.remove_node(a),
-        "remove_edge": lambda g, a, b: g.remove_edge(a, b),
     }
 
     @pytest.mark.parametrize("name", sorted(MUTATIONS))

@@ -18,7 +18,6 @@ from repro.obs.expose import (
     SnapshotStream,
     metric_name,
     parse_snapshots,
-    read_snapshots,
     render_exposition,
     snapshot_state,
     validate_exposition,
@@ -113,7 +112,7 @@ class TestSnapshotStream:
         with SnapshotStream(path, source="test") as stream:
             stream.write(busy_registry())
             stream.write(busy_registry(), extra={"phase": "warm"})
-        snaps = read_snapshots(path)
+        snaps = parse_snapshots(path.read_text())
         assert [s["seq"] for s in snaps] == [0, 1]
         assert all(s["schema"] == SNAPSHOT_SCHEMA_ID for s in snaps)
         assert all(s["source"] == "test" for s in snaps)
@@ -127,7 +126,7 @@ class TestSnapshotStream:
             stream.write(busy_registry())
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"schema": "repro.obs/metr')  # killed mid-write
-        assert len(read_snapshots(path)) == 1
+        assert len(parse_snapshots(path.read_text())) == 1
 
     def test_malformed_middle_line_raises(self):
         good = json.dumps(
@@ -170,7 +169,7 @@ class TestPeriodicSnapshotter:
         reg.incr("late.counter", 7)
         snapshotter.stop()
         stream.close()
-        snaps = read_snapshots(path)
+        snaps = parse_snapshots(path.read_text())
         assert len(snaps) >= 3
         # the final line reflects state at stop(), not the last tick
         assert snaps[-1]["counters"]["late.counter"] == 7

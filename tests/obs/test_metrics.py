@@ -80,7 +80,8 @@ class TestBucketing:
 
     def test_exact_aggregates(self):
         h = Histogram("h")
-        h.observe_many([0.5, 2.0, 8.0])
+        for value in [0.5, 2.0, 8.0]:
+            h.observe(value)
         assert h.count == 3
         assert h.sum == 10.5
         assert h.min == 0.5 and h.max == 8.0
@@ -95,7 +96,8 @@ class TestPercentile:
         rng = random.Random(20260808)
         samples = [10 ** rng.uniform(-5, 1) for _ in range(1000)]
         h = Histogram("h")
-        h.observe_many(samples)
+        for value in samples:
+            h.observe(value)
         for pct in (1, 10, 25, 50, 75, 90, 95, 99, 99.9, 100):
             ref = reference_percentile(samples, pct)
             got = h.percentile(pct)
@@ -105,7 +107,8 @@ class TestPercentile:
         rng = random.Random(7)
         samples = [rng.expovariate(10.0) + 1e-6 for _ in range(257)]
         h = Histogram("h")
-        h.observe_many(samples)
+        for value in samples:
+            h.observe(value)
         assert h.percentile(100) == max(samples)
         assert h.percentile(0) <= min(samples) * BUCKET_RATIO
 
@@ -125,7 +128,8 @@ class TestPercentile:
     def test_record_percentile_matches_object(self):
         rng = random.Random(3)
         h = Histogram("h")
-        h.observe_many(rng.uniform(0.001, 5.0) for _ in range(400))
+        for _ in range(400):
+            h.observe(rng.uniform(0.001, 5.0))
         record = h.to_record()
         for pct in (50, 90, 95, 99):
             assert record_percentile(record, pct) == h.percentile(pct)
@@ -139,7 +143,8 @@ class TestMergeAlgebra:
     @staticmethod
     def _hist(values):
         h = Histogram("m")
-        h.observe_many(values)
+        for value in values:
+            h.observe(value)
         return h
 
     # Powers of two: exact in float, so ``sum`` is order-independent
@@ -185,7 +190,8 @@ class TestMergeAlgebra:
 
     def test_state_round_trip(self):
         h = self._hist(self.A + self.C)
-        clone = Histogram.from_state("m", h.state())
+        clone = Histogram("m")
+        clone.merge_state(h.state())
         assert clone.state() == h.state()
         assert clone.percentile(50) == h.percentile(50)
 
@@ -228,7 +234,8 @@ class TestWorkerMergeEquivalence:
 class TestRecordForm:
     def test_to_record_is_cumulative_and_valid(self):
         h = Histogram("r")
-        h.observe_many([0.001, 0.01, 0.01, 0.1])
+        for value in [0.001, 0.01, 0.01, 0.1]:
+            h.observe(value)
         record = h.to_record()
         assert record["count"] == 4
         bounds = [b for b, _ in record["buckets"]]
@@ -284,7 +291,8 @@ class TestRecordForm:
 
     def test_summary_shape(self):
         h = Histogram("r")
-        h.observe_many([0.01, 0.02, 0.04])
+        for value in [0.01, 0.02, 0.04]:
+            h.observe(value)
         summary = h.summary()
         assert set(summary) == {
             "count", "mean", "min", "p50", "p90", "p95", "p99", "max",

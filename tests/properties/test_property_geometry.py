@@ -75,10 +75,6 @@ class TestPointProperties:
     def test_double_negation(self, p):
         assert -(-p) == p
 
-    @given(points, st.floats(min_value=-6.28, max_value=6.28))
-    def test_rotation_preserves_norm(self, p, angle):
-        assert math.isclose(p.rotated(angle).norm(), p.norm(), abs_tol=1e-6)
-
 
 class TestHullProperties:
     @given(st.one_of(st.lists(points, min_size=3, max_size=30),

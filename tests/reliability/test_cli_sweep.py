@@ -89,8 +89,19 @@ class TestSweepMode:
         assert "--resume requires --checkpoint" in capsys.readouterr().err
 
     def test_bad_grid_spec(self, capsys):
-        assert main(["sweep", "--ns", "abc"]) == 2
-        assert "--ns" in capsys.readouterr().err
+        # Each is rejected before any cell runs, with a one-line message.
+        for args, message in [
+            (["--ns", "abc"], "--ns"),
+            (["--ns=-3"], "n must be >= 1, got -3"),
+            (["--ns=0"], "n must be >= 1, got 0"),
+            (["--ns", "20", "--side=-2"], "side must be finite and > 0"),
+            (["--ns", "20", "--side", "0"], "side must be finite and > 0"),
+            (["--ns", "20", "--side", "nan"], "side must be finite and > 0"),
+            (["--ns", "20", "--side", "inf"], "side must be finite and > 0"),
+        ]:
+            assert main(["sweep", *args]) == 2, args
+            err = capsys.readouterr().err
+            assert message in err and len(err.strip().splitlines()) == 1, args
 
     def test_bad_fault_spec(self, capsys):
         assert sweep("--inject-fault", "action=raise") == 2

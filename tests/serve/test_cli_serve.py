@@ -123,7 +123,7 @@ class TestServeTelemetryCli:
         import re
         import urllib.request
 
-        from repro.obs.expose import read_snapshots, validate_exposition
+        from repro.obs.expose import parse_snapshots, validate_exposition
 
         path = str(tmp_path / "s.sock")
         snaps_path = tmp_path / "metrics.jsonl"
@@ -167,7 +167,7 @@ class TestServeTelemetryCli:
         thread.join(15)
         assert not thread.is_alive()
         record = json.loads(record_path.read_text())
-        snaps = read_snapshots(snaps_path)
+        snaps = parse_snapshots(snaps_path.read_text())
         # the final (post-drain) snapshot and the run record describe
         # the same lifetime: counters and histograms bit-identical.
         assert snaps[-1]["counters"] == record["counters"]

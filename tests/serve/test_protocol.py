@@ -78,6 +78,7 @@ class TestValidateRequest:
             {"seed": "x"},
             {"side": 0},
             {"side": -1.0},
+            {"side": float("inf")},
         ],
     )
     def test_rejects_bad_spec_fields(self, patch):

@@ -1,23 +1,45 @@
 """Every public definition in ``src/repro`` is reached by a user path.
 
-The rule (docs/architecture.md, "What stays in src/"): a top-level
-public function or class stays if its name is reached from
+The rule (docs/architecture.md, "What stays in src/"): a public
+top-level function, class or module-level constant, and a public
+method, property or class-level constant of a public class, stays if
+its name is reached from
 
-* ``src/`` itself (the CLI modes and the registered experiments live
-  there);
+* code in ``src/`` itself (the CLI modes and the registered experiments
+  live there);
 * an example that CI runs;
 * ``perfbench/``;
 * ``benchmarks/check_counters.py``;
 * ``.github/workflows/ci.yml``;
-* ``docs/theory_map.md``, by name or by a bare module path such as
-  ``geometry/voronoi.py`` (which keeps the whole module);
-* or :data:`KEEP`, which names each test oracle and other exception
-  with its reason.
+* ``docs/theory_map.md``, by name, by a bare module path such as
+  ``geometry/voronoi.py`` (which keeps the whole module), or by a
+  ``module.py::Class`` entry (which keeps that class's members);
+* or :data:`KEEP`, which names each test oracle, test harness and
+  theory-map helper with its reason.  A class listed there keeps its
+  members.
 
-"Reached" is a plain word search over those sources.  It skips the
-definition itself, ``__all__`` lists and package re-export lines, so a
-name that only its own module and ``__init__`` mention counts as
-unreached.
+Inside ``src/`` only code counts: a ``Name`` that is read, an
+``Attribute``'s attribute name or a keyword-argument name.  Docstrings,
+comments, ``__all__`` lists, import lines (so package re-exports) and
+string keys such as ``repro.obs._LAZY``'s never count.  The other
+sources are searched word by word, because perfbench patches
+attributes by their string names.
+
+The scan runs to a fixpoint.  It starts from the code outside every
+public definition, the word-searched sources and the kept definitions;
+each definition that a live name reaches adds its own references, until
+nothing changes.  So a name that only unreached code mentions is
+unreached too, and a member is reached only once its class is.
+
+What the guard cannot see:
+
+* references are matched by name, not by type, so a member with a
+  generic name such as ``add`` or ``nodes`` is reached by any attribute
+  of that name anywhere in ``src/``;
+* a lookup by a string built at run time, such as ``getattr`` with a
+  computed name, reaches nothing, and neither does a decorator that
+  registers a function under another key: such a target needs another
+  reference or a :data:`KEEP` entry.
 """
 
 from __future__ import annotations
@@ -25,6 +47,7 @@ from __future__ import annotations
 import ast
 import re
 from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -33,8 +56,10 @@ SRC = ROOT / "src" / "repro"
 CI = ROOT / ".github" / "workflows" / "ci.yml"
 THEORY_MAP = ROOT / "docs" / "theory_map.md"
 WORD = re.compile(r"\w+")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-#: Definitions that no user path reaches and that stay, with the reason.
+#: Definitions that no user path reaches and that stay, with the reason
+#: and the reader.
 KEEP = {
     "check_ratio_bound": "paper-ratio check: Theorem 8 / Theorem 10 against "
     "gamma_c (tests/analysis/test_bounds_check.py)",
@@ -59,7 +84,141 @@ KEEP = {
     "luby_mis": "randomized MIS election that "
     "benchmarks/bench_ablation_mis_protocol.py sets against the rank "
     "cascade; the engine-equivalence suite runs it on both round engines",
+    "ServerThread": "test harness: the serve suites' in-process daemon "
+    "(tests/serve/test_server.py, tests/serve/test_loadgen.py)",
 }
+
+
+@dataclass(eq=False)
+class Definition:
+    location: str  # "module.py::qualname"
+    qualname: str  # "name" or "Class.member"
+    parent: Definition | None  # the class of a member
+    refs: Counter[str]  # the names its own code reads
+
+    @property
+    def name(self) -> str:
+        return self.qualname.rpartition(".")[2]
+
+
+def code_refs(node: ast.AST) -> Counter[str]:
+    """The names the code under ``node`` reads."""
+    refs: Counter[str] = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.keyword) and sub.arg is not None:
+            refs[sub.arg] += 1
+    return refs
+
+
+def constant_names(node: ast.stmt, fields: bool = False) -> list[str]:
+    """The public names an assignment with a value binds.  In a
+    dataclass or named tuple (``fields``) an annotated name is a field,
+    not a constant."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign) and node.value is not None and not fields:
+        targets = [node.target]
+    else:
+        return []
+    return [
+        t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("_")
+    ]
+
+
+def module_definitions(
+    module: str, tree: ast.Module
+) -> tuple[list[Definition], Counter[str]]:
+    """The public definitions of one module and the references made
+    outside all of them."""
+    found: list[Definition] = []
+    outside: Counter[str] = Counter()
+
+    def define(qualname: str, refs: Counter[str], parent=None) -> Definition:
+        found.append(Definition(f"{module}::{qualname}", qualname, parent, refs))
+        return found[-1]
+
+    for node in tree.body:
+        if isinstance(node, DEFS) and not node.name.startswith("_"):
+            if not isinstance(node, ast.ClassDef):
+                define(node.name, code_refs(node))
+                continue
+            heads = (*node.decorator_list, *node.bases, *node.keywords)
+            cls = define(node.name, sum(map(code_refs, heads), Counter()))
+            fields = bool({"dataclass", "NamedTuple", "TypedDict"} & cls.refs.keys())
+            for item in node.body:
+                if isinstance(item, DEFS):
+                    names = [] if item.name.startswith("_") else [item.name]
+                else:
+                    names = constant_names(item, fields)
+                for name in names:
+                    define(f"{node.name}.{name}", code_refs(item), cls)
+                if not names:
+                    cls.refs += code_refs(item)
+        elif names := constant_names(node):
+            for name in names:
+                define(name, code_refs(node))
+        else:
+            outside += code_refs(node)
+    return found, outside
+
+
+def scan(
+    src: Path, words: list[Path], theory_map: Path, keep: set[str]
+) -> tuple[dict[str, str], set[str], set[str]]:
+    """``({location: qualname}, unreached locations, kept locations)``
+    over the public definitions of the modules under ``src``.
+
+    ``words`` are searched word by word.  ``theory_map``'s bare module
+    paths keep whole modules and its ``module.py::name`` entries keep
+    those definitions; ``keep`` names kept definitions by qualname.  A
+    kept class keeps its members, and kept code is a root of the scan.
+    """
+    live: Counter[str] = Counter()
+    for path in words:
+        live.update(WORD.findall(path.read_text()))
+    map_text = theory_map.read_text()
+    whole_modules = set(re.findall(r"`([\w/]+\.py)`", map_text))
+    map_entries = set(re.findall(r"`([\w/]+\.py::[\w.]+)`", map_text))
+
+    defs: list[Definition] = []
+    for path in sorted(src.rglob("*.py")):
+        module = path.relative_to(src).as_posix()
+        found, outside = module_definitions(module, ast.parse(path.read_text()))
+        defs += found
+        live += outside
+
+    def is_kept(d: Definition) -> bool:
+        return (
+            d.location.partition("::")[0] in whole_modules
+            or d.location in map_entries
+            or d.qualname in keep
+            or (d.parent is not None and is_kept(d.parent))
+        )
+
+    kept = {d for d in defs if is_kept(d)}
+    for d in kept:
+        live += d.refs
+    reached: set[Definition] = set()
+    while new := [
+        d
+        for d in defs
+        if d not in reached
+        and live[d.name]
+        and (d.parent is None or d.parent in reached)
+    ]:
+        reached.update(new)
+        for d in new:
+            if d not in kept:
+                live += d.refs
+    return (
+        {d.location: d.qualname for d in defs},
+        {d.location for d in defs if d not in reached},
+        {d.location for d in kept},
+    )
 
 
 def ci_examples() -> list[Path]:
@@ -73,63 +232,20 @@ def ci_examples() -> list[Path]:
 
 
 @lru_cache(maxsize=None)
-def scan() -> tuple[dict[str, list[str]], set[str]]:
-    """``({name: [module::name, ...]}, unreached names)`` over the
-    top-level public definitions in ``src/repro``."""
-    counts: Counter[str] = Counter()
-    keep_files = [
+def repo_scan() -> tuple[dict[str, str], set[str], set[str]]:
+    words = [
         *ci_examples(),
         *sorted((ROOT / "perfbench").rglob("*.py")),
         ROOT / "benchmarks" / "check_counters.py",
         CI,
         THEORY_MAP,
     ]
-    for path in keep_files:
-        counts.update(WORD.findall(path.read_text()))
-    whole_modules = set(re.findall(r"`([\w/]+\.py)`", THEORY_MAP.read_text()))
-
-    defs: dict[str, list[str]] = {}
-    own: Counter[str] = Counter()  # mentions inside the definitions themselves
-    kept_by_module: set[str] = set()
-    for path in sorted(SRC.rglob("*.py")):
-        module = path.relative_to(SRC).as_posix()
-        lines = path.read_text().splitlines()
-        skipped: set[int] = set()
-        for node in ast.parse("\n".join(lines)).body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                skipped.update(range(node.lineno, node.end_lineno + 1))
-            elif (
-                path.name == "__init__.py"
-                and isinstance(node, ast.ImportFrom)
-                and node.level > 0
-            ):
-                skipped.update(range(node.lineno, node.end_lineno + 1))
-            elif isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ) and not node.name.startswith("_"):
-                defs.setdefault(node.name, []).append(f"{module}::{node.name}")
-                body = "\n".join(lines[node.lineno - 1 : node.end_lineno])
-                own[node.name] += WORD.findall(body).count(node.name)
-                if module in whole_modules:
-                    kept_by_module.add(node.name)
-        for lineno, line in enumerate(lines, start=1):
-            if lineno not in skipped:
-                counts.update(WORD.findall(line))
-    unreached = {
-        name
-        for name in defs
-        if name not in kept_by_module and counts[name] - own[name] == 0
-    }
-    return defs, unreached
+    return scan(SRC, words, THEORY_MAP, set(KEEP))
 
 
 def test_every_public_definition_is_reached():
-    defs, unreached = scan()
-    orphans = sorted(
-        location for name in unreached - KEEP.keys() for location in defs[name]
-    )
+    _, unreached, kept = repo_scan()
+    orphans = sorted(unreached - kept)
     assert orphans == [], (
         "reached by no user path (delete them, or add them to KEEP with "
         "a reason): " + ", ".join(orphans)
@@ -137,13 +253,14 @@ def test_every_public_definition_is_reached():
 
 
 def test_keep_list_names_existing_definitions():
-    defs, _ = scan()
-    assert sorted(KEEP.keys() - defs.keys()) == []
+    defs, _, _ = repo_scan()
+    assert sorted(KEEP.keys() - set(defs.values())) == []
 
 
 def test_keep_list_names_only_unreached_definitions():
-    _, unreached = scan()
-    assert sorted(KEEP.keys() - unreached) == [], "reached anyway: drop from KEEP"
+    defs, unreached, _ = repo_scan()
+    reached = {defs[location] for location in defs.keys() - unreached}
+    assert sorted(KEEP.keys() & reached) == [], "reached anyway: drop from KEEP"
 
 
 def test_keep_sources_exist():
@@ -151,3 +268,79 @@ def test_keep_sources_exist():
     assert examples, "no example found in the CI workflow"
     for path in examples:
         assert path.is_file(), path
+
+
+def test_scan_counts_code_not_prose(tmp_path):
+    src = tmp_path / "src" / "pkg"
+    src.mkdir(parents=True)
+    (src / "__init__.py").write_text(
+        "from .mod import doc_only, lazy_only\n"
+        '__all__ = ["doc_only", "lazy_only"]\n'
+        '_LAZY = {"lazy_only": "mod"}\n'
+    )
+    (src / "mod.py").write_text(
+        '"""Calls doc_only() in prose only."""\n'
+        "def used():\n"
+        "    return helper() + Worker().run()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def doc_only():\n"
+        '    """doc_only stays in its docstring."""\n'
+        "def comment_only():  # comment_only()\n"
+        "    pass\n"
+        "def lazy_only():\n"
+        "    pass\n"
+        "def patched():\n"
+        "    pass\n"
+        "def dead():\n"
+        "    return dead_callee()\n"
+        "def dead_callee():\n"
+        "    pass\n"
+        "class Worker:\n"
+        "    LIMIT = 3\n"
+        "    def run(self):\n"
+        "        return 0\n"
+        "    def orphan(self):\n"
+        "        return self.inner()\n"
+        "    def inner(self):\n"
+        "        return self.LIMIT\n"
+        "class Mapped:\n"
+        "    def member(self):\n"
+        "        pass\n"
+        "if __name__ == '__main__':\n"
+        "    used()\n"
+    )
+    perfbench = tmp_path / "perfbench" / "wl.py"
+    perfbench.parent.mkdir()
+    perfbench.write_text('PATCHES = [("pkg.mod", "patched")]\n')
+    theory_map = tmp_path / "theory_map.md"
+    theory_map.write_text("| a row | `mod.py::Mapped` |\n")
+
+    defs, unreached, kept = scan(src, [perfbench, theory_map], theory_map, set())
+    loc = {qualname: location for location, qualname in defs.items()}
+    named = {defs[location] for location in unreached - kept}
+    # (a) prose does not reach: a word search over the module would.
+    assert {"doc_only", "comment_only"} <= named
+    assert WORD.findall((src / "mod.py").read_text()).count("doc_only") > 1
+    # (b) reached only from unreached code is unreached, to a fixpoint.
+    assert {"dead", "dead_callee", "Worker.orphan", "Worker.inner"} <= named
+    assert "Worker.LIMIT" in named
+    # (c) __all__, re-export lines and _LAZY keys are no references.
+    assert "lazy_only" in named
+    # (d) a module.py::Class entry keeps the class's members.
+    assert loc["Mapped.member"] in kept and loc["Mapped.member"] in unreached
+    # (e) a word in a perfbench file still counts.
+    assert loc["patched"] not in unreached
+    assert named == {
+        "doc_only",
+        "comment_only",
+        "lazy_only",
+        "dead",
+        "dead_callee",
+        "Worker.LIMIT",
+        "Worker.orphan",
+        "Worker.inner",
+    }
+    # A kept definition is a root: what it calls is reached.
+    _, unreached, _ = scan(src, [perfbench, theory_map], theory_map, {"dead"})
+    assert loc["dead_callee"] not in unreached
