@@ -33,7 +33,6 @@ from .protocol import (
     REQUEST_OPS,
     REQUEST_SCHEMA_ID,
     RESPONSE_SCHEMA_ID,
-    assert_valid_response,
     control_request,
     normalize_request,
     solve_request,
@@ -60,7 +59,6 @@ __all__ = [
     "validate_request",
     "normalize_request",
     "validate_response",
-    "assert_valid_response",
     "request_key",
     "request_label",
     "request_fingerprint",

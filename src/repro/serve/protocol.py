@@ -62,7 +62,6 @@ __all__ = [
     "validate_request",
     "normalize_request",
     "validate_response",
-    "assert_valid_response",
 ]
 
 #: Version tags; bump on breaking shape change.
@@ -319,10 +318,3 @@ def validate_response(obj: object) -> list[str]:
     if not _check_number(elapsed) or elapsed < 0:
         errors.append("elapsed must be a number >= 0")
     return errors
-
-
-def assert_valid_response(obj: object) -> None:
-    """Raise ``ValueError`` listing every schema violation in ``obj``."""
-    errors = validate_response(obj)
-    if errors:
-        raise ValueError("invalid response: " + "; ".join(errors))

@@ -6,7 +6,6 @@ from repro.experiments.instances import default_side
 from repro.serve import (
     REQUEST_SCHEMA_ID,
     RESPONSE_SCHEMA_ID,
-    assert_valid_response,
     control_request,
     normalize_request,
     solve_request,
@@ -169,7 +168,6 @@ class TestValidateResponse:
 
     def test_ok_solve_accepted(self):
         assert validate_response(self._ok()) == []
-        assert_valid_response(self._ok())
 
     def test_error_accepted_and_exclusive(self):
         err = {
@@ -212,7 +210,3 @@ class TestValidateResponse:
             "status": "ok",
         }
         assert validate_response(resp) == []
-
-    def test_assert_raises(self):
-        with pytest.raises(ValueError, match="invalid response"):
-            assert_valid_response({"schema": "x"})

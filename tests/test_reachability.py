@@ -66,17 +66,18 @@ KEEP = {
     "measure_ratio": "paper-ratio measurement: |CDS| / gamma_c for WAF and "
     "greedy (tests/analysis/test_ratios.py)",
     "has_two_hop_separation": "test oracle: Section III's 2-hop separation "
-    "of the first-fit MIS, centralized and distributed",
+    "of the first-fit MIS, centralized and distributed "
+    "(tests/mis/test_first_fit.py, tests/distributed/test_mis_protocol.py)",
     "min_pairwise_distance": "test oracle: spacing of the hexagonal-lattice "
-    "witnesses",
-    "point_in_polygon": "test oracle: convex-hull containment property",
+    "witnesses (tests/geometry/test_hexagonal.py)",
+    "point_in_polygon": "test oracle: convex-hull containment property "
+    "(tests/properties/test_property_geometry.py)",
     "is_nontrivial_star_decomposition": "test oracle: Lemma 4's star "
     "decomposition (tests and benchmarks/bench_star_decomposition.py)",
     "max_independent_subset_size": "test oracle: exact unit-disk packing "
-    "capacity five",
-    "cds_weight": "test oracle: weighted_greedy_cds's total_weight",
-    "assert_valid_response": "test reader: raises on a serve response that "
-    "fails the protocol schema",
+    "capacity five (tests/geometry/test_packing.py)",
+    "cds_weight": "test oracle: weighted_greedy_cds's total_weight "
+    "(tests/cds/test_weighted.py)",
     "arc_between": "geometry/arcs.py, the arc machinery of the theory map's "
     "arc-polygon row (tests/geometry/test_arcs.py)",
     "chord_length": "geometry/arcs.py, the arc machinery of the theory map's "
