@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cds import waf
 from repro.cds.array_gain import ArrayGainTracker
 from repro.cds.bitset_gain import BitsetGainTracker
 from repro.cds.lazy_gain import LazyGainTracker
@@ -69,6 +70,22 @@ class TestSelectionTable:
     def test_explicit_beats_auto(self):
         assert choose_kernel(10**6, "indexed") == "indexed"
         assert choose_kernel(1, "array") == "array"
+
+    def test_auto_bitset_false_pins_csr_at_every_size(self, udg30, monkeypatch):
+        # waf_cds resolves "auto" itself: the name it asks for is the CSR
+        # kernel at every size, while explicit names pass through.
+        requested = []
+
+        def spy(graph, kernel="auto"):
+            requested.append(kernel)
+            return build_kernel(graph, kernel)
+
+        monkeypatch.setattr(waf, "build_kernel", spy)
+        waf.waf_cds(udg30, kernel="auto")
+        waf.waf_cds(udg30, kernel="bitset")
+        assert requested[1] == "bitset"
+        for n in (1, BITSET_AUTO_N, ARRAY_AUTO_N, 10**6):
+            assert choose_kernel(n, requested[0]) == "indexed"
 
     def test_unknown_kernel_lists_choices(self):
         with pytest.raises(ValueError, match="indexed.*bitset.*array"):

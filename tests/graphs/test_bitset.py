@@ -112,9 +112,9 @@ class TestKernelSelection:
         assert choose_kernel(ARRAY_AUTO_N - 1, "auto") == "bitset"
         assert choose_kernel(ARRAY_AUTO_N, "auto") == "array"
 
-    def test_waf_auto_builds_no_bitset_view(self, monkeypatch):
-        # WAF reads only the CSR lists, so "auto" builds no masks even at
-        # the size where the greedy's "auto" picks the bitset kernel.
+    def test_auto_bitset_false_pins_csr(self, monkeypatch):
+        # WAF reads only the CSR lists, so its "auto" builds no masks even
+        # at the size where the greedy's "auto" picks the bitset kernel.
         def refuse(self, indexed):
             raise AssertionError("waf_cds built a BitsetGraph")
 
