@@ -77,6 +77,7 @@ Where each mode sits in the stack: ``docs/architecture.md``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -212,8 +213,8 @@ def _serve_main(argv: Sequence[str]) -> int:
     )
     _add_obs_flags(parser)
     args = parser.parse_args(argv)
-    if args.metrics_interval <= 0:
-        print("--metrics-interval must be > 0", file=sys.stderr)
+    if not 0 < args.metrics_interval < math.inf:
+        print("--metrics-interval must be finite and > 0", file=sys.stderr)
         return 2
 
     from .serve import ServeConfig, run_server
@@ -305,7 +306,7 @@ def _serve_main(argv: Sequence[str]) -> int:
         _OBS.reset()
         server.emit_obs()
     session.stop_hooks()
-    snapshot = server.stats.snapshot(server.cache)
+    snapshot = server.stats_payload()
     cache = snapshot["cache"]
     print(
         f"drained: {snapshot['requests']} request(s), "
@@ -716,8 +717,10 @@ def _validate_reliability_flags(args) -> str | None:
         return "--resume requires --checkpoint FILE"
     if args.retries < 0:
         return f"--retries must be >= 0 (got {args.retries})"
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
-        return f"--cell-timeout must be > 0 (got {args.cell_timeout})"
+    if args.cell_timeout is not None and not 0 < args.cell_timeout < math.inf:
+        return f"--cell-timeout must be finite and > 0 (got {args.cell_timeout})"
+    if not 0 <= args.backoff < math.inf:
+        return f"--backoff must be finite and >= 0 (got {args.backoff})"
     return None
 
 

@@ -3,8 +3,9 @@
 The solver registry (``repro.cli``) calls every algorithm as
 ``solver(graph) -> CDSResult`` on a Point-labeled UDG.  The distributed
 pipelines want compact, orderable ids (every protocol breaks ties by
-node id), so these adapters relabel to the same sorted-coordinate
-integer ids :func:`repro.experiments.instances.int_labeled` uses, run
+node id), so these adapters relabel to sorted-order integer ids
+(:func:`int_relabeled`, which
+:func:`repro.experiments.instances.int_labeled` also uses), run
 the message-passing pipeline on the batched engine, and relabel the
 result back — ``CDSResult.is_valid`` and the downstream analyses see
 the caller's own node labels.  The simulation's complexity accounting
@@ -23,6 +24,7 @@ from .cds_protocol import distributed_greedy_cds, distributed_waf_cds
 
 __all__ = [
     "DISTRIBUTED_SOLVERS",
+    "int_relabeled",
     "waf_dist_cds",
     "waf_dist_degree_cds",
     "greedy_dist_cds",
@@ -30,10 +32,13 @@ __all__ = [
 ]
 
 
-def _int_relabeled(graph: Graph) -> tuple[Graph, dict[int, Hashable]]:
+def int_relabeled(graph: Graph) -> tuple[Graph[int], dict[int, Hashable]]:
     """Relabel to sorted-order integer ids; return the graph and the
-    id → original-label map (the exact relabeling of ``int_labeled``,
-    inlined to keep this module below the experiments layer)."""
+    id → original-label map.
+
+    Node and edge order follow ``graph``'s, so the relabeled graph is
+    the same for the same input.
+    """
     ids = {v: i for i, v in enumerate(sorted(graph.nodes()))}
     relabeled: Graph[int] = Graph()
     for v in graph.nodes():
@@ -49,7 +54,7 @@ def _run_pipeline(
     algorithm: str,
     priority: "str | None",
 ) -> CDSResult:
-    relabeled, back = _int_relabeled(graph)
+    relabeled, back = int_relabeled(graph)
     result, metrics = pipeline(relabeled, priority=priority)
     meta = dict(result.meta)
     if "leader" in meta:

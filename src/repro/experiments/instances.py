@@ -73,12 +73,10 @@ def random_star(n: int, seed: int) -> list[Point]:
 def int_labeled(graph: Graph[Point]) -> Graph[int]:
     """Relabel a point graph with integer ids (sorted by coordinates).
 
-    The distributed protocols want orderable, compact ids.
+    The distributed protocols want orderable, compact ids; this is
+    :func:`repro.distributed.solvers.int_relabeled` without the map
+    back.
     """
-    ids = {p: i for i, p in enumerate(sorted(graph.nodes()))}
-    out: Graph[int] = Graph()
-    for p in graph.nodes():
-        out.add_node(ids[p])
-    for u, v in graph.edges():
-        out.add_edge(ids[u], ids[v])
-    return out
+    from ..distributed.solvers import int_relabeled
+
+    return int_relabeled(graph)[0]

@@ -357,8 +357,8 @@ class PeriodicSnapshotter(threading.Thread):
         interval: float = 1.0,
     ):
         super().__init__(daemon=True)
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval}")
+        if not 0 < interval < math.inf:
+            raise ValueError(f"interval must be finite and > 0, got {interval}")
         self.stream = stream
         self.render = render
         self.interval = interval

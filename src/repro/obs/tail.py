@@ -26,6 +26,7 @@ being written (a torn trailing line is ignored).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -205,8 +206,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="render one frame and exit (no screen clearing)",
     )
     args = parser.parse_args(argv)
-    if args.interval <= 0:
-        print("--interval must be > 0", file=sys.stderr)
+    if not 0 < args.interval < math.inf:
+        print("--interval must be finite and > 0", file=sys.stderr)
         return 2
     path = Path(args.file)
     while True:

@@ -40,6 +40,7 @@ Every engine runs an attempt through the one :func:`_attempt`.
 from __future__ import annotations
 
 import importlib
+import math
 import multiprocessing
 import os
 import signal
@@ -94,10 +95,12 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if self.backoff < 0:
-            raise ValueError(f"backoff must be >= 0, got {self.backoff}")
+        # Written so NaN fails too: a NaN backoff sleeps 0 between
+        # retries, a NaN timeout never fires, and inf overflows both.
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
+        if not 0 <= self.backoff < math.inf:
+            raise ValueError(f"backoff must be finite and >= 0, got {self.backoff}")
 
     def delay(self, key: str, attempt: int) -> float:
         """Seconds to wait before re-running ``key`` after ``attempt``."""

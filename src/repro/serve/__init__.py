@@ -41,7 +41,6 @@ from .protocol import (
 )
 from .server import (
     ServeConfig,
-    ServerStats,
     ServerThread,
     SolveServer,
     run_server,
@@ -64,7 +63,6 @@ __all__ = [
     "request_fingerprint",
     "ResultCache",
     "ServeConfig",
-    "ServerStats",
     "SolveServer",
     "ServerThread",
     "serve_cell",

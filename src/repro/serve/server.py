@@ -27,17 +27,18 @@ paying the per-invocation rebuild cost of the CLI.  The moving parts:
   that cell's slot, so a bad request gets its own structured error
   (exception type, message, item repr, batch index) while every
   batchmate is solved exactly once and answers normally.
-* **Metrics** (:class:`ServerStats`): always-on request/cache/batch
-  tallies and wall/queue/solve/batch-time
-  :class:`~repro.obs.metrics.Histogram` distributions.  The ``stats``
-  op folds a *live* copy (:meth:`SolveServer.metrics_registry`) so
-  mid-run percentiles are accurate, and the same fold feeds the
-  ``--metrics-port`` Prometheus exposition and the ``--metrics-out``
-  snapshot stream (:mod:`repro.obs.expose`); at drain the daemon folds
-  everything into the :data:`repro.obs.OBS` registry (``serve.*``
-  counters, timers and histograms plus the merged solver counters) so
-  ``--trace`` / ``--stats-out`` / ``--events-out`` work exactly as on
-  the other CLI modes.
+* **Metrics** (:attr:`SolveServer.metrics`): the daemon's own
+  always-on :class:`~repro.obs.core.Registry` — request/batch
+  counters, the ``serve.batch.solve`` timer, the wall/queue/solve
+  latency histograms (the wall one is exported a second time as the
+  ``serve.request`` timer) and every solved cell's solver counters.  The ``stats`` op renders it live
+  (:meth:`SolveServer.stats_payload`), the ``--metrics-port``
+  Prometheus exposition and the ``--metrics-out`` snapshot stream
+  (:mod:`repro.obs.expose`) read a merged copy
+  (:meth:`SolveServer.metrics_registry`), and at drain the daemon
+  folds it into the :data:`repro.obs.OBS` registry so ``--trace`` /
+  ``--stats-out`` / ``--events-out`` work exactly as on the other CLI
+  modes.
 * **Trace IDs**: every solve request gets a monotonically increasing
   integer ``trace``, carried through the batcher and the single-flight
   future and echoed in the response.  Each completed request emits a
@@ -54,8 +55,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Mapping
 
@@ -71,7 +73,6 @@ from .protocol import (
 
 __all__ = [
     "ServeConfig",
-    "ServerStats",
     "SolveServer",
     "ServerThread",
     "serve_cell",
@@ -205,135 +206,27 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
+        if not 0 <= self.batch_window < math.inf:
+            raise ValueError(
+                f"batch_window must be finite and >= 0, got {self.batch_window}"
+            )
         if self.batch_max < 1:
             raise ValueError("batch_max must be >= 1")
 
 
-@dataclass
-class ServerStats:
-    """Always-on serving metrics (independent of the obs enable flag)."""
+#: Counters every daemon reports from boot, at 0 until first recorded
+#: (the per-op ``serve.requests.<op>`` counters appear with their op).
+_BOOT_COUNTERS = (
+    "serve.requests", "serve.errors", "serve.cells.solved",
+    "serve.cells.failed", "serve.coalesced", "serve.batches",
+    "serve.batch.size", "serve.batch.max",
+)
 
-    requests: int = 0
-    ops: dict = field(default_factory=dict)        # op -> count
-    errors: int = 0
-    cells_solved: int = 0
-    cells_failed: int = 0
-    coalesced: int = 0
-    batches: int = 0
-    batch_cells: int = 0
-    batch_max: int = 0
-    # Live latency distributions (docs/observability.md §7): wall is
-    # solve-request arrival -> response, queue is enqueue -> batch
-    # start, solve is the batch solve duration charged to each of its
-    # cells, batch_solve is that duration once per batch.
-    wall: Histogram = field(
-        default_factory=lambda: Histogram("serve.latency.wall")
-    )
-    queue_wait: Histogram = field(
-        default_factory=lambda: Histogram("serve.latency.queue")
-    )
-    solve: Histogram = field(
-        default_factory=lambda: Histogram("serve.latency.solve")
-    )
-    batch_solve: Histogram = field(
-        default_factory=lambda: Histogram("serve.batch.solve")
-    )
-
-    def record_request(self, op: str) -> None:
-        self.requests += 1
-        self.ops[op] = self.ops.get(op, 0) + 1
-
-    def record_latency(self, seconds: float) -> None:
-        self.wall.observe(seconds)
-
-    def record_queue(self, seconds: float) -> None:
-        self.queue_wait.observe(seconds)
-
-    def record_batch(self, size: int, seconds: float, failed: int) -> None:
-        self.batches += 1
-        self.batch_cells += size
-        self.batch_max = max(self.batch_max, size)
-        self.cells_solved += size - failed
-        self.cells_failed += failed
-        self.batch_solve.observe(seconds)
-        # Each cell in the batch waited for the whole batch solve, so
-        # the batch duration is every member's solve time.
-        for _ in range(size):
-            self.solve.observe(seconds)
-
-    def snapshot(self, cache: ResultCache) -> dict:
-        """The JSON payload of the ``stats`` op."""
-        wall = self.wall.summary()
-        return {
-            "requests": self.requests,
-            "ops": dict(sorted(self.ops.items())),
-            "errors": self.errors,
-            "cells_solved": self.cells_solved,
-            "cells_failed": self.cells_failed,
-            "coalesced": self.coalesced,
-            "batches": self.batches,
-            "batch_cells": self.batch_cells,
-            "batch_max": self.batch_max,
-            "cache": cache.stats(),
-            "latency": {
-                key: wall[key] for key in ("count", "mean", "p50", "p99", "max")
-            },
-            "histograms": {
-                h.name: h.summary()
-                for h in (self.wall, self.queue_wait, self.solve)
-            },
-        }
-
-    def obs_state(self, cache: ResultCache) -> dict:
-        """Counters/timers/histograms in
-        :meth:`repro.obs.Registry.merge_state` shape.
-
-        Folded into ``OBS`` once, at drain — the async loop itself never
-        increments registry counters while serving, because the inline
-        (``jobs=1``) solve path captures the registry around each cell
-        and would wipe concurrent increments.  ``ServerStats`` is the
-        durable store; the registry gets the totals.  Live consumers
-        (the ``stats`` op, the exporter, the snapshot stream) fold the
-        same state into a *fresh* registry via
-        :meth:`SolveServer.metrics_registry` instead of touching
-        ``OBS`` mid-run.
-        """
-        counters = {
-            "serve.requests": self.requests,
-            "serve.errors": self.errors,
-            "serve.cells.solved": self.cells_solved,
-            "serve.cells.failed": self.cells_failed,
-            "serve.coalesced": self.coalesced,
-            "serve.batches": self.batches,
-            "serve.batch.size": self.batch_cells,
-            "serve.batch.max": self.batch_max,
-            "serve.cache.hits": cache.hits,
-            "serve.cache.misses": cache.misses,
-            "serve.cache.evictions": cache.evictions,
-        }
-        for op, count in self.ops.items():
-            counters[f"serve.requests.{op}"] = count
-        # The serve.request timer is the wall histogram under its
-        # span name: one accumulator, two renderings.
-        timers = {
-            name: h.state()
-            for name, h in (
-                ("serve.request", self.wall),
-                ("serve.batch.solve", self.batch_solve),
-            )
-            if h.count
-        }
-        state = {"counters": counters, "timers": timers}
-        histograms = {
-            h.name: h.state()
-            for h in (self.wall, self.queue_wait, self.solve)
-            if h.count
-        }
-        if histograms:
-            state["histograms"] = histograms
-        return state
+#: The latency histograms the ``stats`` op summarises, sampled or not:
+#: wall is solve-request arrival -> response, queue is enqueue -> batch
+#: start, solve is the batch solve duration charged to each of its cells.
+_LATENCIES = ("serve.latency.wall", "serve.latency.queue",
+              "serve.latency.solve")
 
 
 # -- the daemon -------------------------------------------------------
@@ -348,14 +241,18 @@ class SolveServer:
     def __init__(self, config: ServeConfig | None = None):
         self.config = config or ServeConfig()
         self.cache = ResultCache(self.config.cache_size)
-        self.stats = ServerStats()
+        # The daemon's own registry, never the shared OBS: an inline
+        # (jobs=1) cell captures and resets OBS around its solve, which
+        # would wipe anything the loop recorded there meanwhile.
+        self.metrics = Registry(enabled=True)
+        for name in _BOOT_COUNTERS:
+            self.metrics.counter(name)
         self.address: tuple[str, int] | str | None = None
         self._server: asyncio.AbstractServer | None = None
         self._queue: asyncio.Queue | None = None
         self._inflight: dict[str, asyncio.Future] = {}
         self._batcher_task: asyncio.Task | None = None
         self._shutdown = asyncio.Event()
-        self._merged_solver_counters: dict[str, float] = {}
         self._pool = None
         self._writers: set = set()
         self._next_trace = 0   # last issued request trace ID
@@ -443,29 +340,67 @@ class SolveServer:
         OBS.merge_state(self.metrics_state())
 
     def metrics_state(self) -> dict:
-        """A live fold of everything this daemon has measured so far:
-        the ``serve.*`` counters/timers/histograms plus the solver
-        counters merged across every solved cell — the exact state
+        """Everything this daemon has measured so far, in
+        :meth:`~repro.obs.core.Registry.merge_state` shape: its
+        :attr:`metrics` plus the cache's tallies — the exact state
         :meth:`emit_obs` folds into ``OBS`` at drain, built on demand
-        mid-run.  Plain attribute reads under the GIL, so safe to call
-        from the exporter thread or the ``stats`` op while serving.
+        mid-run.  Plain reads under the GIL, so safe to call from the
+        exporter thread while serving.
         """
-        state = self.stats.obs_state(self.cache)
-        if self._merged_solver_counters:
-            counters = state["counters"]
-            for name, value in dict(self._merged_solver_counters).items():
-                counters[name] = counters.get(name, 0) + value
+        state = self.metrics.export_state()
+        wall = state.get("histograms", {}).get("serve.latency.wall")
+        if wall is not None:
+            # The serve.request timer is the wall histogram under its
+            # span name: one accumulator, two renderings.
+            state["timers"]["serve.request"] = wall
+        state["counters"].update({
+            "serve.cache.hits": self.cache.hits,
+            "serve.cache.misses": self.cache.misses,
+            "serve.cache.evictions": self.cache.evictions,
+        })
         return state
 
     def metrics_registry(self) -> Registry:
         """A fresh :class:`~repro.obs.core.Registry` holding
         :meth:`metrics_state` — what the Prometheus exposition and the
         snapshot stream render.  A new registry per call: the live
-        stats keep mutating, and handing out merge copies keeps the
+        metrics keep mutating, and handing out merge copies keeps the
         shared ``OBS`` untouched until drain."""
         registry = Registry()
         registry.merge_state(self.metrics_state())
         return registry
+
+    def stats_payload(self) -> dict:
+        """The ``stats`` op's totals, rendered from :attr:`metrics` (the
+        CLI's drain line and run-record ``results`` read it too)."""
+        counters = self.metrics.counters()
+        histograms = self.metrics.histograms()
+        summaries = {
+            name: histograms.get(name, Histogram(name)).summary()
+            for name in _LATENCIES
+        }
+        wall = summaries["serve.latency.wall"]
+        per_op = "serve.requests."
+        return {
+            "requests": counters["serve.requests"],
+            "ops": {
+                name[len(per_op):]: value
+                for name, value in counters.items()
+                if name.startswith(per_op)
+            },
+            "errors": counters["serve.errors"],
+            "cells_solved": counters["serve.cells.solved"],
+            "cells_failed": counters["serve.cells.failed"],
+            "coalesced": counters["serve.coalesced"],
+            "batches": counters["serve.batches"],
+            "batch_cells": counters["serve.batch.size"],
+            "batch_max": counters["serve.batch.max"],
+            "cache": self.cache.stats(),
+            "latency": {
+                key: wall[key] for key in ("count", "mean", "p50", "p99", "max")
+            },
+            "histograms": summaries,
+        }
 
     # -- connection handling ------------------------------------------
 
@@ -501,7 +436,7 @@ class SolveServer:
         try:
             obj = json.loads(line)
         except ValueError as exc:
-            self.stats.errors += 1
+            self.metrics.incr("serve.errors")
             return self._error(None, "ProtocolError", f"invalid JSON: {exc}")
         request_id = obj.get("id") if isinstance(obj, Mapping) else None
         if not isinstance(request_id, str):
@@ -509,17 +444,17 @@ class SolveServer:
         try:
             request = normalize_request(obj)
         except ValueError as exc:
-            self.stats.errors += 1
+            self.metrics.incr("serve.errors")
             return self._error(request_id, "ProtocolError", str(exc))
-        self.stats.record_request(request["op"])
+        self.metrics.incr("serve.requests")
+        self.metrics.incr(f"serve.requests.{request['op']}")
         if request["op"] == "ping":
             return self._ok(request_id, op="ping")
         if request["op"] == "stats":
-            # A live fold (satellite of PR 6's drain-only merge): the
-            # histogram percentiles and counters come from the same
-            # state the drain-time RunRecord will freeze, so mid-run
-            # stats are accurate while requests are still in flight.
-            payload = self.stats.snapshot(self.cache)
+            # Read live from the registry the drain-time RunRecord will
+            # freeze, so mid-run stats are accurate while requests are
+            # still in flight.
+            payload = self.stats_payload()
             payload["inflight"] = len(self._inflight)
             payload["queued"] = self._queue.qsize() if self._queue else 0
             return self._ok(request_id, op="stats", stats=payload)
@@ -543,7 +478,7 @@ class SolveServer:
             hit = self.cache.get(fingerprint)
             if hit is not None:
                 elapsed = perf_counter() - t0
-                self.stats.record_latency(elapsed)
+                self.metrics.observe("serve.latency.wall", elapsed)
                 self._note(request_id, fingerprint, trace=trace, cached=True,
                            batch=0, elapsed=elapsed)
                 return self._ok(
@@ -564,11 +499,11 @@ class SolveServer:
             await self._queue.put((request, fingerprint if use_cache else None,
                                    future, trace, t0))
         else:
-            self.stats.coalesced += 1
+            self.metrics.incr("serve.coalesced")
             coalesced = True
         outcome, batch_size, batch_seq = await future
         elapsed = perf_counter() - t0
-        self.stats.record_latency(elapsed)
+        self.metrics.observe("serve.latency.wall", elapsed)
         if "ok" in outcome:
             self._note(request_id, fingerprint, trace=trace, cached=False,
                        batch=batch_size, elapsed=elapsed, batch_seq=batch_seq,
@@ -585,7 +520,7 @@ class SolveServer:
             if coalesced:
                 response["coalesced"] = True
             return response
-        self.stats.errors += 1
+        self.metrics.incr("serve.errors")
         return {
             "schema": RESPONSE_SCHEMA_ID,
             "id": request_id,
@@ -629,7 +564,7 @@ class SolveServer:
         # Queue time: enqueue -> batch start, per leader request (a
         # coalesced follower never enqueued, so it has no queue wait).
         for _, _, _, _, t_enqueue in batch:
-            self.stats.record_queue(max(0.0, t0 - t_enqueue))
+            self.metrics.observe("serve.latency.queue", max(0.0, t0 - t_enqueue))
         try:
             outcomes = await loop.run_in_executor(
                 None, solve_batch, requests, self._pool
@@ -642,14 +577,16 @@ class SolveServer:
             ]
         seconds = perf_counter() - t0
         failed = sum(1 for outcome in outcomes if "error" in outcome)
-        self.stats.record_batch(len(batch), seconds, failed)
+        self._record_batch(len(batch), seconds, failed)
         for (request, fingerprint, future, _, _), outcome in zip(batch, outcomes):
             if fingerprint is not None:
                 self._inflight.pop(fingerprint, None)
                 if "ok" in outcome:
                     self.cache.put(fingerprint, outcome["ok"])
             if "ok" in outcome:
-                self._merge_solver_counters(outcome["ok"].get("counters", {}))
+                self.metrics.merge_state(
+                    {"counters": outcome["ok"].get("counters", {})}
+                )
             if not future.done():
                 future.set_result((outcome, len(batch), batch_seq))
         # The batch-side half of the trace correlation: one note
@@ -665,10 +602,20 @@ class SolveServer:
             },
         )
 
-    def _merge_solver_counters(self, counters: Mapping) -> None:
-        merged = self._merged_solver_counters
-        for name, value in counters.items():
-            merged[name] = merged.get(name, 0) + value
+    def _record_batch(self, size: int, seconds: float, failed: int) -> None:
+        metrics = self.metrics
+        metrics.incr("serve.batches")
+        metrics.incr("serve.batch.size", size)
+        peak = metrics.counter("serve.batch.max")
+        peak.value = max(peak.value, size)
+        metrics.incr("serve.cells.solved", size - failed)
+        metrics.incr("serve.cells.failed", failed)
+        metrics.timer("serve.batch.solve").observe(seconds)
+        # Each cell in the batch waited for the whole batch solve, so
+        # the batch duration is every member's solve time.
+        solve = metrics.histogram("serve.latency.solve")
+        for _ in range(size):
+            solve.observe(seconds)
 
     # -- response shaping ---------------------------------------------
 
@@ -756,7 +703,7 @@ class ServerThread:
 
     ``start()`` returns once the socket is bound; ``stop()`` requests
     the graceful drain and joins the thread.  The live server object is
-    exposed as :attr:`server` (stats/cache inspection is safe — plain
+    exposed as :attr:`server` (metrics/cache inspection is safe — plain
     attribute reads under the GIL).
     """
 

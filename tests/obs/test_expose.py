@@ -177,8 +177,9 @@ class TestPeriodicSnapshotter:
 
     def test_bad_interval_rejected(self, tmp_path):
         stream = SnapshotStream(tmp_path / "s.jsonl")
-        with pytest.raises(ValueError, match="interval"):
-            PeriodicSnapshotter(stream, Registry, interval=0)
+        for bad in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="interval"):
+                PeriodicSnapshotter(stream, Registry, interval=bad)
 
 
 class TestMetricsExporter:
@@ -247,7 +248,8 @@ class TestTail:
 
         path = tmp_path / "x.jsonl"
         path.write_text("")
-        assert main([str(path), "--interval", "0", "--once"]) == 2
+        for bad in ("0", "nan", "inf"):
+            assert main([str(path), "--interval", bad, "--once"]) == 2
 
 
 class TestValidateCLISnapshots:

@@ -98,6 +98,14 @@ class TestSweepMode:
             (["--ns", "20", "--side", "0"], "side must be finite and > 0"),
             (["--ns", "20", "--side", "nan"], "side must be finite and > 0"),
             (["--ns", "20", "--side", "inf"], "side must be finite and > 0"),
+            (["--ns", "20", "--cell-timeout", "nan"],
+             "--cell-timeout must be finite and > 0"),
+            (["--ns", "20", "--cell-timeout", "inf"],
+             "--cell-timeout must be finite and > 0"),
+            (["--ns", "20", "--retries", "1", "--backoff", "nan"],
+             "--backoff must be finite and >= 0"),
+            (["--ns", "20", "--retries", "1", "--backoff", "inf"],
+             "--backoff must be finite and >= 0"),
         ]:
             assert main(["sweep", *args]) == 2, args
             err = capsys.readouterr().err
@@ -174,3 +182,8 @@ class TestExperimentsReliabilityFlags:
 
     def test_resume_requires_checkpoint(self, capsys):
         assert main([*self.CHEAP, "--resume"]) == 2
+
+    def test_bad_backoff_rejected_without_retries(self, capsys):
+        for bad in ("-1", "nan", "inf"):
+            assert main([*self.CHEAP, "--backoff", bad]) == 2
+            assert "--backoff must be finite" in capsys.readouterr().err

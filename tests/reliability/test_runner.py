@@ -117,6 +117,11 @@ class TestRetryPolicy:
             RetryPolicy(timeout=0)
         with pytest.raises(ValueError):
             RetryPolicy(backoff=-0.1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="timeout"):
+                RetryPolicy(timeout=bad)
+            with pytest.raises(ValueError, match="backoff"):
+                RetryPolicy(backoff=bad)
 
     def test_delay_schedule_is_deterministic_and_exponential(self):
         policy = RetryPolicy(retries=3, backoff=0.1, seed=5)

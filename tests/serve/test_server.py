@@ -57,7 +57,7 @@ class TestCacheCorrectness:
             SweepCell(n=24, side=default_side(24), seed=1), algorithm="greedy"
         )
         assert canonical(cold["result"]) == canonical(direct)
-        assert server.server.stats.cells_solved == 1
+        assert server.server.stats_payload()["cells_solved"] == 1
 
     def test_changed_spec_changes_fingerprint_and_resolves(self, client):
         first = client.solve(n=24, seed=1)
@@ -94,7 +94,7 @@ class TestCacheCorrectness:
         assert all(r["status"] == "ok" for r in responses)
         # single-flight: one solve serves everyone, whether a follower
         # coalesced onto the in-flight future or hit the cache after.
-        assert server.server.stats.cells_solved == 1
+        assert server.server.stats_payload()["cells_solved"] == 1
         renderings = {canonical(r["result"]) for r in responses}
         assert len(renderings) == 1
 
@@ -105,7 +105,7 @@ class TestCacheCorrectness:
                 c.solve(n=20, seed=2)  # evicts seed=1
                 a2 = c.solve(n=20, seed=1)  # re-solves, evicts seed=2
             assert a1["cached"] is False and a2["cached"] is False
-            assert small.server.stats.cells_solved == 3
+            assert small.server.stats_payload()["cells_solved"] == 3
             assert small.server.cache.evictions == 2
             assert canonical(a1["result"]) == canonical(a2["result"])
 
@@ -113,7 +113,7 @@ class TestCacheCorrectness:
         r1 = client.solve(n=20, seed=3, cache=False)
         r2 = client.solve(n=20, seed=3, cache=False)
         assert r1["cached"] is False and r2["cached"] is False
-        assert server.server.stats.cells_solved == 2
+        assert server.server.stats_payload()["cells_solved"] == 2
         assert canonical(r1["result"]) == canonical(r2["result"])
 
 
@@ -189,8 +189,8 @@ class TestErrorPaths:
             assert responses["bad"]["error"]["type"] == "ValueError"
             assert responses["good-a"]["status"] == "ok"
             assert responses["good-b"]["status"] == "ok"
-            stats = thread.server.stats
-            assert (stats.cells_solved, stats.cells_failed) == (2, 1)
+            stats = thread.server.stats_payload()
+            assert (stats["cells_solved"], stats["cells_failed"]) == (2, 1)
             with ServeClient(thread.address, timeout=30) as c:
                 snapshot = c.stats()["stats"]
             assert (snapshot["cells_solved"], snapshot["cells_failed"]) == (2, 1)
@@ -291,8 +291,8 @@ class TestBatchFailures:
             for t in threads:
                 t.join(60)
             monkeypatch.undo()
-            stats = thread.server.stats
-            assert (stats.cells_solved, stats.cells_failed) == (4, 1)
+            stats = thread.server.stats_payload()
+            assert (stats["cells_solved"], stats["cells_failed"]) == (4, 1)
         assert in_daemon == []
         # What the daemon normalized: the request as it crossed the wire.
         requests = {
@@ -329,25 +329,41 @@ class TestControlAndStats:
 
     def test_latency_count_covers_every_request(self):
         # stats.latency and the serve.request timer both render the
-        # wall histogram: no sample cap freezes either count.
-        from repro.serve.cache import ResultCache
-        from repro.serve.server import ServerStats
+        # wall latency: no sample cap freezes either count.
+        from repro.serve.server import SolveServer
 
-        stats = ServerStats()
+        server = SolveServer()
         for _ in range(100_005):
-            stats.record_latency(0.001)
-        stats.record_batch(3, 0.01, failed=0)
-        cache = ResultCache(4)
-        latency = stats.snapshot(cache)["latency"]
+            server.metrics.observe("serve.latency.wall", 0.001)
+        server._record_batch(3, 0.01, failed=0)
+        latency = server.stats_payload()["latency"]
         assert set(latency) == {"count", "mean", "p50", "p99", "max"}
         assert latency["count"] == 100_005
         assert latency["mean"] * latency["count"] == pytest.approx(100.005)
-        timers = stats.obs_state(cache)["timers"]
-        assert timers["serve.request"] == stats.wall.state()
+        state = server.metrics_state()
+        timers = state["timers"]
+        assert timers["serve.request"] == state["histograms"]["serve.latency.wall"]
         assert timers["serve.request"]["count"] == 100_005
         # one serve.batch.solve sample per batch, one solve sample per cell
         assert timers["serve.batch.solve"]["count"] == 1
-        assert stats.solve.count == 3
+        assert state["histograms"]["serve.latency.solve"]["count"] == 3
+
+    def test_fresh_daemon_reports_zero_counters_only(self):
+        from repro.serve.server import SolveServer
+
+        assert SolveServer().metrics_state() == {
+            "counters": {
+                name: 0
+                for name in (
+                    "serve.requests", "serve.errors", "serve.cells.solved",
+                    "serve.cells.failed", "serve.coalesced", "serve.batches",
+                    "serve.batch.size", "serve.batch.max",
+                    "serve.cache.hits", "serve.cache.misses",
+                    "serve.cache.evictions",
+                )
+            },
+            "timers": {},
+        }
 
     def test_shutdown_drains(self):
         thread = ServerThread(ServeConfig()).start()
@@ -438,8 +454,8 @@ class TestLiveTelemetry:
             with ServeClient(thread.address, timeout=30) as c:
                 c.solve(n=20, seed=1)
                 c.solve(n=20, seed=2)
-            queue = thread.server.stats.queue_wait
-            solve = thread.server.stats.solve
+            queue = thread.server.metrics.histogram("serve.latency.queue")
+            solve = thread.server.metrics.histogram("serve.latency.solve")
         assert queue.count == 2  # one sample per enqueued request
         assert solve.count == 2
         # queued at least as long as the batch window makes them wait
