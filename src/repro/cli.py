@@ -77,14 +77,14 @@ Where each mode sits in the stack: ``docs/architecture.md``.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Sequence
 
+from .durations import check_duration
 from .experiments.harness import all_experiments
 from .graphs.backend import KERNELS
 from .obs.events import EventLog, merge_events, write_events
-from .solvers import solver_registry, takes
+from .solvers import bind_solver, check_solve, solver_registry
 
 __all__ = ["main"]
 
@@ -213,13 +213,11 @@ def _serve_main(argv: Sequence[str]) -> int:
     )
     _add_obs_flags(parser)
     args = parser.parse_args(argv)
-    if not 0 < args.metrics_interval < math.inf:
-        print("--metrics-interval must be finite and > 0", file=sys.stderr)
-        return 2
 
     from .serve import ServeConfig, run_server
 
     try:
+        check_duration("--metrics-interval", args.metrics_interval)
         config = ServeConfig(
             host=args.host,
             port=args.port,
@@ -382,16 +380,7 @@ def _serve_client_main(argv: Sequence[str]) -> int:
         "--side", type=float, default=None, metavar="L",
         help="deployment square side (default: density-preserving)",
     )
-    parser.add_argument(
-        "--algorithm", default="greedy",
-        choices=sorted(solver_registry()),
-        help="construction algorithm (default: greedy)",
-    )
-    parser.add_argument(
-        "--kernel", default="auto", choices=KERNELS,
-        help="graph kernel for the kernelized solvers "
-        "(auto picks by instance size)",
-    )
+    _add_solver_flags(parser, m=False)
     parser.add_argument(
         "--no-cache", action="store_true",
         help="ask the daemon to bypass its result cache for this request",
@@ -717,10 +706,12 @@ def _validate_reliability_flags(args) -> str | None:
         return "--resume requires --checkpoint FILE"
     if args.retries < 0:
         return f"--retries must be >= 0 (got {args.retries})"
-    if args.cell_timeout is not None and not 0 < args.cell_timeout < math.inf:
-        return f"--cell-timeout must be finite and > 0 (got {args.cell_timeout})"
-    if not 0 <= args.backoff < math.inf:
-        return f"--backoff must be finite and >= 0 (got {args.backoff})"
+    try:
+        if args.cell_timeout is not None:
+            check_duration("--cell-timeout", args.cell_timeout)
+        check_duration("--backoff", args.backoff, zero_ok=True)
+    except ValueError as exc:
+        return str(exc)
     return None
 
 
@@ -794,27 +785,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
         metavar="L",
         help="deployment square side (default: density-preserving per n)",
     )
-    parser.add_argument(
-        "--algorithm",
-        default="greedy",
-        choices=sorted(solver_registry()),
-        help="construction algorithm (default: greedy)",
-    )
-    parser.add_argument(
-        "--kernel",
-        default="auto",
-        choices=KERNELS,
-        help="graph kernel for the kernelized solvers (results are "
-        "identical under every kernel)",
-    )
-    parser.add_argument(
-        "--m",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="coverage multiplicity for the fault-tolerant solvers "
-        "(mfold-greedy, mfold-2conn)",
-    )
+    _add_solver_flags(parser)
     parser.add_argument(
         "--jobs",
         type=_positive_int,
@@ -842,6 +813,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
         print(error, file=sys.stderr)
         return 2
     try:
+        check_solve(args.algorithm, args.kernel, args.m)
         ns = _parse_int_list(args.ns, "--ns")
         seeds = _parse_int_list(args.seeds, "--seeds")
         plan = _fault_plan(args)
@@ -849,7 +821,6 @@ def _sweep_main(argv: Sequence[str]) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    kernel = None if args.kernel == "auto" else args.kernel
 
     session = _ObsSession(args)
     session.start()
@@ -859,7 +830,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
                 cells,
                 algorithm=args.algorithm,
                 jobs=args.jobs,
-                kernel=kernel,
+                kernel=args.kernel,
                 m=args.m,
                 policy=_retry_policy(args),
                 faults=plan,
@@ -919,6 +890,43 @@ def _sweep_main(argv: Sequence[str]) -> int:
         },
     )
     return 0 if report.ok else 1
+
+
+def _add_solver_flags(parser: argparse.ArgumentParser, m: bool = True) -> None:
+    """``--algorithm``, ``--kernel`` and (with ``m``) ``--m``: what a
+    solve may name.  :func:`repro.solvers.check_solve` decides which
+    combinations are valid."""
+    parser.add_argument(
+        "--algorithm",
+        default="greedy",
+        choices=sorted(solver_registry()),
+        help="construction algorithm (default: greedy — the paper's Section IV)",
+    )
+    parser.add_argument(
+        "--kernel",
+        default="auto",
+        choices=KERNELS,
+        help=(
+            "graph kernel for the kernelized solvers' hot loops: 'auto' "
+            "(default) picks by algorithm and instance size, 'indexed' "
+            "forces the CSR lists, 'bitset' the neighborhood bitmasks for "
+            "greedy, 'array' the CSR lists with the lazy-heap greedy; "
+            "results are identical under every kernel"
+        ),
+    )
+    if m:
+        parser.add_argument(
+            "--m",
+            type=_positive_int,
+            default=None,
+            metavar="N",
+            help=(
+                "coverage multiplicity for the fault-tolerant solvers "
+                "(mfold-greedy, mfold-2conn): every node outside the "
+                "backbone gets N distinct dominators (default: the "
+                "solver's own default, 2)"
+            ),
+        )
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -1079,44 +1087,14 @@ def _emit_obs(args, session: _ObsSession, *, algorithm: str, instance: dict,
 
 
 def _solve_main(argv: Sequence[str]) -> int:
-    solvers = solver_registry()
     parser = argparse.ArgumentParser(
         prog="repro-cds solve",
         description="Construct a CDS backbone for a deployment CSV (x,y per row).",
     )
     parser.add_argument("deployment", help="CSV file with an 'x,y' header")
-    parser.add_argument(
-        "--algorithm",
-        default="greedy",
-        choices=sorted(solvers),
-        help="construction algorithm (default: greedy — the paper's Section IV)",
-    )
+    _add_solver_flags(parser)
     parser.add_argument(
         "--prune", action="store_true", help="minimalize the result afterwards"
-    )
-    parser.add_argument(
-        "--kernel",
-        default="auto",
-        choices=KERNELS,
-        help=(
-            "graph kernel for the solver's hot loops: 'auto' (default) "
-            "picks by algorithm and instance size, 'indexed' forces the "
-            "CSR lists, 'bitset' the neighborhood bitmasks for greedy, "
-            "'array' the CSR lists with the lazy-heap greedy; results "
-            "are identical under every kernel"
-        ),
-    )
-    parser.add_argument(
-        "--m",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help=(
-            "coverage multiplicity for the fault-tolerant solvers "
-            "(mfold-greedy, mfold-2conn): every node outside the "
-            "backbone gets N distinct dominators (default: the "
-            "solver's own default, 2)"
-        ),
     )
     parser.add_argument("--out", metavar="FILE", help="write the result as JSON")
     parser.add_argument(
@@ -1129,6 +1107,11 @@ def _solve_main(argv: Sequence[str]) -> int:
     )
     _add_obs_flags(parser)
     args = parser.parse_args(argv)
+    try:
+        solver, solver_kwargs = bind_solver(args.algorithm, args.kernel, args.m)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
     from .analysis.ratios import estimate_gamma_c
     from .cds.prune import prune_result
@@ -1169,27 +1152,6 @@ def _solve_main(argv: Sequence[str]) -> int:
         )
         return 2
 
-    solver = solvers[args.algorithm]
-    solver_kwargs = {}
-    if takes(solver, "kernel"):
-        solver_kwargs["kernel"] = args.kernel
-    elif args.kernel != "auto":
-        print(
-            f"--kernel is not supported by algorithm {args.algorithm!r} "
-            "(only the kernelized solvers: waf, greedy)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.m is not None:
-        if not takes(solver, "m"):
-            print(
-                f"--m is not supported by algorithm {args.algorithm!r} "
-                "(only the fault-tolerant solvers: mfold-greedy, "
-                "mfold-2conn)",
-                file=sys.stderr,
-            )
-            return 2
-        solver_kwargs["m"] = args.m
     with session.profiled(), OBS.time("solve.total"):
         try:
             result = solver(graph, **solver_kwargs)

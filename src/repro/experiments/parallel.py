@@ -50,6 +50,7 @@ __all__ = [
     "sweep_cells",
     "merge_cell_counters",
     "solve_cell",
+    "solve_summary",
     "solve_cells_resilient",
     "run_experiments_resilient",
 ]
@@ -122,39 +123,46 @@ def solve_cell(
     (``"greedy"``, ``"waf"``, a baseline name, ...).  ``kernel``
     optionally pins the graph kernel of the kernelized solvers
     (``"indexed"`` / ``"bitset"`` / ``"array"``; results are identical
-    under every kernel) and is echoed in the summary; ``None`` leaves
-    the solver's default and the summary shape exactly as before.
-    ``m`` likewise pins the coverage multiplicity of the fault-tolerant
-    solvers (``mfold-greedy`` / ``mfold-2conn``).
+    under every kernel) and is echoed in the summary; ``None`` or
+    ``"auto"`` leaves the solver's default and the summary without a
+    ``kernel`` key.  ``m`` likewise pins the coverage multiplicity of
+    the fault-tolerant solvers (``mfold-greedy`` / ``mfold-2conn``).
 
     Raises:
-        ValueError: when ``kernel`` (or ``m``) is given but
-            ``algorithm`` does not accept it.
+        ValueError: whatever :func:`repro.solvers.check_solve` refuses.
     """
     from ..graphs.generators import random_connected_udg
+
+    _, graph = random_connected_udg(cell.n, cell.side, seed=cell.seed)
+    head = {"n": cell.n, "side": cell.side, "seed": cell.seed}
+    return solve_summary(head, graph, algorithm, kernel=kernel, m=m)
+
+
+def solve_summary(head: dict, graph, algorithm: str,
+                  kernel: str | None = None, m: int | None = None) -> dict:
+    """Solve ``graph`` with its counters captured (:func:`solve_cell`
+    and the daemon's edge-list solves): ``head``'s fields, the result's
+    sizes and counters, then the ``kernel``/``m`` pins applied.
+
+    Raises:
+        ValueError: whatever :func:`repro.solvers.check_solve` refuses.
+    """
     from ..obs import OBS
     from ..solvers import bind_solver
 
     solver, kwargs = bind_solver(algorithm, kernel=kernel, m=m)
-    _, graph = random_connected_udg(cell.n, cell.side, seed=cell.seed)
     with OBS.capture() as reg:
         result = solver(graph, **kwargs)
         counters = reg.counters()
-    summary = {
-        "n": cell.n,
-        "side": cell.side,
-        "seed": cell.seed,
+    return {
+        **head,
         "algorithm": result.algorithm,
         "cds_size": result.size,
         "dominators": len(result.dominators),
         "connectors": len(result.connectors),
         "counters": counters,
+        **kwargs,
     }
-    if kernel is not None:
-        summary["kernel"] = kernel
-    if m is not None:
-        summary["m"] = m
-    return summary
 
 
 def merge_cell_counters(results: Iterable[dict]) -> dict:

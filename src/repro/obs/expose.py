@@ -37,6 +37,7 @@ import time
 from pathlib import Path
 from typing import Callable, Mapping
 
+from ..durations import check_duration
 from .core import Registry
 from .jsonl import jsonl_line, parse_jsonl
 from .metrics import validate_histogram_record
@@ -357,8 +358,7 @@ class PeriodicSnapshotter(threading.Thread):
         interval: float = 1.0,
     ):
         super().__init__(daemon=True)
-        if not 0 < interval < math.inf:
-            raise ValueError(f"interval must be finite and > 0, got {interval}")
+        check_duration("interval", interval)
         self.stream = stream
         self.render = render
         self.interval = interval

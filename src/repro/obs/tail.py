@@ -26,12 +26,12 @@ being written (a torn trailing line is ignored).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from pathlib import Path
 from typing import Sequence
 
+from ..durations import check_duration
 from .metrics import record_percentile
 
 __all__ = ["detect_format", "render_tail", "main"]
@@ -206,8 +206,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="render one frame and exit (no screen clearing)",
     )
     args = parser.parse_args(argv)
-    if not 0 < args.interval < math.inf:
-        print("--interval must be finite and > 0", file=sys.stderr)
+    try:
+        check_duration("--interval", args.interval)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     path = Path(args.file)
     while True:

@@ -41,6 +41,7 @@ import time
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 
+from ..durations import check_duration
 from ..obs.core import SpanHook
 
 __all__ = [
@@ -112,8 +113,7 @@ class FaultSpec:
             )
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"rate must be in [0, 1], got {self.rate!r}")
-        if self.delay < 0:
-            raise ValueError(f"delay must be >= 0, got {self.delay!r}")
+        check_duration("delay", self.delay, zero_ok=True)
 
 
 @dataclass(frozen=True)

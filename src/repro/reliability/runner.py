@@ -40,7 +40,6 @@ Every engine runs an attempt through the one :func:`_attempt`.
 from __future__ import annotations
 
 import importlib
-import math
 import multiprocessing
 import os
 import signal
@@ -51,6 +50,7 @@ from multiprocessing import connection as _mpc
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Sequence
 
+from ..durations import MAX_WAIT_SECONDS, check_duration
 from ..obs import OBS
 from .checkpoint import CheckpointWriter, grid_fingerprint, read_checkpoint
 from .failures import CellFailure
@@ -95,19 +95,22 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        # Written so NaN fails too: a NaN backoff sleeps 0 between
-        # retries, a NaN timeout never fires, and inf overflows both.
-        if self.timeout is not None and not 0 < self.timeout < math.inf:
-            raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
-        if not 0 <= self.backoff < math.inf:
-            raise ValueError(f"backoff must be finite and >= 0, got {self.backoff}")
+        if self.timeout is not None:
+            check_duration("timeout", self.timeout)
+        check_duration("backoff", self.backoff, zero_ok=True)
 
     def delay(self, key: str, attempt: int) -> float:
-        """Seconds to wait before re-running ``key`` after ``attempt``."""
+        """Seconds to wait before re-running ``key`` after ``attempt``,
+        at most :data:`~repro.durations.MAX_WAIT_SECONDS` however many
+        doublings came before."""
         if self.backoff <= 0:
             return 0.0
         jitter = 0.5 + det_unit(self.seed, key, attempt)
-        return self.backoff * (2 ** (attempt - 1)) * jitter
+        try:
+            delay = self.backoff * (2 ** (attempt - 1)) * jitter
+        except OverflowError:  # 2 ** (attempt - 1) is past any float
+            return MAX_WAIT_SECONDS
+        return min(delay, MAX_WAIT_SECONDS)
 
 
 @dataclass

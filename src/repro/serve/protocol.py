@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from ..graphs.backend import KERNELS
+from ..solvers import check_solve
 
 __all__ = [
     "REQUEST_SCHEMA_ID",
@@ -204,11 +204,16 @@ def validate_request(obj: object) -> list[str]:
         return errors
     _validate_instance(obj.get("instance"), errors)
     algorithm = obj.get("algorithm", "greedy")
-    if not isinstance(algorithm, str) or not algorithm:
-        errors.append("algorithm must be a non-empty string")
     kernel = obj.get("kernel", "auto")
-    if kernel not in KERNELS:
-        errors.append(f"kernel must be one of {KERNELS}, got {kernel!r}")
+    if not isinstance(algorithm, str) or not isinstance(kernel, str):
+        errors.append("algorithm and kernel must be strings")
+    else:
+        # The rule every entry point applies: refused here, a request
+        # is never fingerprinted, cached or batched.
+        try:
+            check_solve(algorithm, kernel)
+        except ValueError as exc:
+            errors.append(str(exc))
     if not isinstance(obj.get("cache", True), bool):
         errors.append("cache must be a boolean")
     return errors

@@ -55,12 +55,12 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import threading
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Mapping
 
+from ..durations import check_duration
 from ..obs import OBS
 from ..obs.core import Registry
 from ..obs.metrics import Histogram
@@ -100,35 +100,22 @@ def serve_cell(request: Mapping) -> dict:
     build an integer-labeled graph and produce the analogous summary.
 
     Raises:
-        ValueError: for an unknown algorithm, a kernel pin the
-            algorithm does not accept, or a disconnected edge instance
-            — all surfaced to the client as structured error responses.
+        ValueError: for a disconnected edge instance (the normalizer
+            already refused what no solver takes), surfaced to the
+            client as a structured error response.
     """
-    from ..experiments.parallel import SweepCell, solve_cell
-    from ..solvers import solver_registry
+    from ..experiments.parallel import SweepCell, solve_cell, solve_summary
+    from ..graphs.graph import Graph
+    from ..graphs.traversal import is_connected
 
     instance = request["instance"]
-    algorithm = request["algorithm"]
-    if algorithm not in solver_registry():
-        # Pre-check so both instance kinds report an unknown algorithm
-        # the same way (solve_cell would surface a bare KeyError).
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    kernel = None if request["kernel"] == "auto" else request["kernel"]
+    algorithm, kernel = request["algorithm"], request["kernel"]
     if instance["kind"] == "spec":
         cell = SweepCell(
             n=instance["n"], side=instance["side"], seed=instance["seed"]
         )
         return solve_cell(cell, algorithm=algorithm, kernel=kernel)
-    return _solve_edges(instance, algorithm, kernel)
-
-
-def _solve_edges(instance: Mapping, algorithm: str, kernel: str | None) -> dict:
-    from ..graphs.graph import Graph
-    from ..graphs.traversal import is_connected
-    from ..solvers import bind_solver
-
-    solver, kwargs = bind_solver(algorithm, kernel=kernel)
-    graph: Graph = Graph()
+    graph = Graph()
     for node in range(instance["nodes"]):
         graph.add_node(node)
     for u, v in instance["edges"]:
@@ -138,21 +125,8 @@ def _solve_edges(instance: Mapping, algorithm: str, kernel: str | None) -> dict:
             "edge instance is disconnected (a CDS requires a connected "
             "graph); submit one component per request"
         )
-    with OBS.capture() as reg:
-        result = solver(graph, **kwargs)
-        counters = reg.counters()
-    summary = {
-        "nodes": len(graph),
-        "edges": graph.edge_count(),
-        "algorithm": result.algorithm,
-        "cds_size": result.size,
-        "dominators": len(result.dominators),
-        "connectors": len(result.connectors),
-        "counters": counters,
-    }
-    if kernel is not None:
-        summary["kernel"] = kernel
-    return summary
+    head = {"nodes": len(graph), "edges": graph.edge_count()}
+    return solve_summary(head, graph, algorithm, kernel=kernel)
 
 
 def solve_batch(requests: list[dict], pool: WorkerSet | None = None) -> list[dict]:
@@ -206,10 +180,7 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if not 0 <= self.batch_window < math.inf:
-            raise ValueError(
-                f"batch_window must be finite and >= 0, got {self.batch_window}"
-            )
+        check_duration("batch_window", self.batch_window, zero_ok=True)
         if self.batch_max < 1:
             raise ValueError("batch_max must be >= 1")
 
@@ -663,10 +634,21 @@ class SolveServer:
 # -- entry points -----------------------------------------------------
 
 
-async def _serve_main(server: SolveServer, ready=None) -> None:
+async def _serve(server: SolveServer, on_ready=None) -> None:
+    """Start ``server``, call ``on_ready(server)`` once its socket is
+    bound, and serve until drained: the one daemon loop behind
+    :func:`run_server` and :class:`ServerThread`."""
     await server.start()
-    if ready is not None:
-        ready.set()
+    import signal
+
+    loop = asyncio.get_running_loop()
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(sig, server.request_shutdown)
+        except (NotImplementedError, RuntimeError, ValueError):
+            break  # not the main thread / unsupported platform
+    if on_ready is not None:
+        on_ready(server)
     await server.serve_until_shutdown()
 
 
@@ -675,26 +657,12 @@ def run_server(config: ServeConfig | None = None, *, on_ready=None) -> SolveServ
 
     ``on_ready(server)`` fires once the socket is bound (the CLI prints
     the address there).  SIGINT/SIGTERM trigger the same graceful drain
-    as the ``shutdown`` op (handlers install on the main thread only).  Returns the server so callers can read final stats and
-    call :meth:`SolveServer.emit_obs`.
+    as the ``shutdown`` op (handlers install on the main thread only).
+    Returns the server so callers can read final stats and call
+    :meth:`SolveServer.emit_obs`.
     """
     server = SolveServer(config)
-
-    async def main() -> None:
-        await server.start()
-        import signal
-
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, server.request_shutdown)
-            except (NotImplementedError, RuntimeError, ValueError):
-                break  # not the main thread / unsupported platform
-        if on_ready is not None:
-            on_ready(server)
-        await server.serve_until_shutdown()
-
-    asyncio.run(main())
+    asyncio.run(_serve(server, on_ready))
     return server
 
 
@@ -715,14 +683,11 @@ class ServerThread:
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-        try:
-            self._loop.run_until_complete(
-                _serve_main(self.server, _ThreadReady(self._ready))
-            )
-        finally:
-            self._loop.close()
+        asyncio.run(_serve(self.server, self._on_ready))
+
+    def _on_ready(self, server: SolveServer) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._ready.set()
 
     def start(self, timeout: float = 10.0) -> "ServerThread":
         self._thread.start()
@@ -744,15 +709,3 @@ class ServerThread:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-class _ThreadReady:
-    """Adapt a ``threading.Event`` to the asyncio ``ready.set()`` call."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: threading.Event):
-        self._event = event
-
-    def set(self) -> None:
-        self._event.set()

@@ -177,7 +177,7 @@ class TestPeriodicSnapshotter:
 
     def test_bad_interval_rejected(self, tmp_path):
         stream = SnapshotStream(tmp_path / "s.jsonl")
-        for bad in (0, float("nan"), float("inf")):
+        for bad in (0, float("nan"), float("inf"), 1e300):
             with pytest.raises(ValueError, match="interval"):
                 PeriodicSnapshotter(stream, Registry, interval=bad)
 
@@ -248,7 +248,7 @@ class TestTail:
 
         path = tmp_path / "x.jsonl"
         path.write_text("")
-        for bad in ("0", "nan", "inf"):
+        for bad in ("0", "nan", "inf", "1e300"):
             assert main([str(path), "--interval", bad, "--once"]) == 2
 
 

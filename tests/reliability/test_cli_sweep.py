@@ -106,10 +106,37 @@ class TestSweepMode:
              "--backoff must be finite and >= 0"),
             (["--ns", "20", "--retries", "1", "--backoff", "inf"],
              "--backoff must be finite and >= 0"),
+            (["--ns", "20", "--retries", "1", "--backoff", "1e300"],
+             "--backoff must be finite and >= 0"),
+            (["--ns", "20", "--cell-timeout", "1e300"],
+             "--cell-timeout must be finite and > 0"),
+            (["--ns", "20", "--inject-fault",
+              "site=greedy.phase2;action=delay;delay=nan"],
+             "delay must be finite and >= 0"),
         ]:
             assert main(["sweep", *args]) == 2, args
             err = capsys.readouterr().err
             assert message in err and len(err.strip().splitlines()) == 1, args
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--algorithm", "steiner", "--kernel", "bitset"],
+             "algorithm 'steiner' does not take a kernel"),
+            (["--algorithm", "greedy", "--m", "2"],
+             "algorithm 'greedy' does not take a coverage multiplicity m"),
+        ],
+    )
+    def test_solver_option_mismatch_runs_no_cell(
+        self, options, message, tmp_path, capsys
+    ):
+        ledger = tmp_path / "opt.jsonl"
+        assert sweep(*options, "--checkpoint", str(ledger)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "cell(s)" not in captured.out
+        assert not ledger.exists()
 
     def test_bad_fault_spec(self, capsys):
         assert sweep("--inject-fault", "action=raise") == 2

@@ -70,7 +70,11 @@ class TestParseFaultSpec:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "action=raise", "site=x;action=raise;bogus=1", "site=x;action=raise;rate=no"],
+        [
+            "", "action=raise", "site=x;action=raise;bogus=1", "site=x;action=raise;rate=no",
+            "site=x;action=delay;delay=nan", "site=x;action=delay;delay=inf",
+            "site=x;action=delay;delay=1e300", "site=x;action=delay;delay=-1",
+        ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from functools import partial
 
 import pytest
 
+from repro.durations import MAX_WAIT_SECONDS
 from repro.experiments.parallel import (
     cell_key,
     merge_cell_counters,
@@ -117,7 +118,7 @@ class TestRetryPolicy:
             RetryPolicy(timeout=0)
         with pytest.raises(ValueError):
             RetryPolicy(backoff=-0.1)
-        for bad in (float("nan"), float("inf")):
+        for bad in (float("nan"), float("inf"), 1e300):
             with pytest.raises(ValueError, match="timeout"):
                 RetryPolicy(timeout=bad)
             with pytest.raises(ValueError, match="backoff"):
@@ -130,6 +131,15 @@ class TestRetryPolicy:
         assert 0.05 <= d1 < 0.15  # base * jitter in [0.5, 1.5)
         assert 0.10 <= d2 < 0.30  # doubled
         assert policy.delay("other-cell", 1) != d1
+
+    def test_delay_is_bounded_by_the_wait_limit(self):
+        # Doubling per attempt outgrows any float: every delay stays a
+        # value time.sleep accepts.
+        policy = RetryPolicy(retries=5000, backoff=1e8)
+        assert policy.delay("cell", 1) < MAX_WAIT_SECONDS
+        assert policy.delay("cell", 10) == MAX_WAIT_SECONDS
+        assert policy.delay("cell", 1100) == MAX_WAIT_SECONDS  # past float max
+        assert policy.delay("cell", 5000) == MAX_WAIT_SECONDS  # int overflow
 
     def test_zero_backoff_means_no_delay(self):
         assert RetryPolicy(retries=2).delay("cell", 1) == 0.0

@@ -107,12 +107,12 @@ class TestServeCli:
         assert "drained: " in out and "1 cell(s) solved" in out
 
     def test_bad_config_rejected(self, capsys):
-        for bad in ("-1", "nan", "inf"):
+        for bad in ("-1", "nan", "inf", "1e300"):
             assert main(["serve", "--batch-window", bad]) == 2
             assert "batch_window" in capsys.readouterr().err
 
     def test_bad_metrics_interval_rejected(self, capsys):
-        for bad in ("0", "nan", "inf"):
+        for bad in ("0", "nan", "inf", "1e300"):
             assert main(["serve", "--metrics-interval", bad]) == 2
             assert "metrics-interval" in capsys.readouterr().err
 

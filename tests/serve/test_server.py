@@ -195,17 +195,27 @@ class TestErrorPaths:
                 snapshot = c.stats()["stats"]
             assert (snapshot["cells_solved"], snapshot["cells_failed"]) == (2, 1)
 
-    def test_unknown_algorithm_is_request_error(self, client):
+    def test_unknown_algorithm_is_request_error(self, server, client):
+        # Refused by the normalizer: never batched, never a failed cell.
+        before = server.server.stats_payload()
         response = client.solve(n=20, seed=1, algorithm="magic")
         assert response["status"] == "error"
-        assert response["error"]["type"] == "ValueError"
+        assert response["error"]["type"] == "ProtocolError"
+        assert response["id"] is not None
+        after = server.server.stats_payload()
+        for key in ("cells_failed", "batches"):
+            assert after[key] == before[key], key
 
-    def test_kernel_on_unkernelized_algorithm(self, client):
+    def test_kernel_on_unkernelized_algorithm(self, server, client):
+        before = server.server.stats_payload()
         response = client.solve(
             edges=[[0, 1], [1, 2]], algorithm="steiner", kernel="bitset"
         )
         assert response["status"] == "error"
         assert "kernel" in response["error"]["message"]
+        after = server.server.stats_payload()
+        for key in ("cells_failed", "batches"):
+            assert after[key] == before[key], key
 
     def test_invalid_json_keeps_connection_open(self, client):
         client._file.write(b"{not json\n")

@@ -132,7 +132,16 @@ class TestKernelFlag:
             ["solve", deployment, "--algorithm", "steiner", "--kernel", "bitset"]
         )
         assert code == 2
-        assert "not supported" in capsys.readouterr().err
+        assert "does not take a kernel" in capsys.readouterr().err
+
+    def test_solver_options_checked_before_the_deployment(self, tmp_path, capsys):
+        missing = str(tmp_path / "no-such.csv")
+        assert main(["solve", missing, "--algorithm", "waf", "--m", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "algorithm 'waf' does not take a coverage multiplicity m "
+            "(only mfold-2conn, mfold-greedy do)\n"
+        )
 
     def test_auto_kernel_fine_for_unkernelized_solver(self, deployment):
         assert main(["solve", deployment, "--algorithm", "steiner"]) == 0
