@@ -29,7 +29,6 @@ from .mfold import (
 )
 from .prune import prune_cds, prune_result
 from .maintenance import DynamicCDS, RepairStats
-from .weighted import cds_weight, weighted_greedy_cds
 from . import bounds
 from .bounds import (
     ALPHA_SLOPE,
@@ -67,8 +66,6 @@ __all__ = [
     "prune_result",
     "DynamicCDS",
     "RepairStats",
-    "cds_weight",
-    "weighted_greedy_cds",
     "bounds",
     "ALPHA_SLOPE",
     "GREEDY_RATIO",

@@ -110,14 +110,6 @@ class DynamicCDS:
             return len(self._backbone) == 0
         return is_connected_dominating_set(self._graph, self._backbone)
 
-    def churn_slack(self) -> int:
-        """How many nodes larger the maintained backbone is than a
-        fresh construction on the current topology."""
-        if len(self._graph) == 0:
-            return 0
-        fresh = self._algorithm(self._graph).size
-        return len(self._backbone) - fresh
-
     # -- updates ----------------------------------------------------------------
 
     def add_node(self, node: N, neighbors: Iterable[N]) -> RepairStats:

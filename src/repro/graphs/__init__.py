@@ -31,7 +31,6 @@ from .traversal import (
     connected_components,
     induced_is_connected,
     is_connected,
-    shortest_path_lengths,
 )
 from .udg import (
     quasi_unit_disk_graph,
@@ -83,7 +82,6 @@ __all__ = [
     "connected_components",
     "induced_is_connected",
     "is_connected",
-    "shortest_path_lengths",
     "quasi_unit_disk_graph",
     "unit_disk_graph",
     "unit_disk_graph_naive",

@@ -75,31 +75,30 @@ def is_maximal_independent_set(graph: Graph[N], candidate: Iterable[N]) -> bool:
 
 
 def has_two_hop_separation(graph: Graph[N], independent: Iterable[N]) -> bool:
-    """Whether every member of ``independent`` is within two hops of
-    another member (for sets of size >= 2).
+    """Whether the members of ``independent`` are connected by steps
+    of at most two hops (sets of size <= 1 pass trivially).
 
     This is the "2-hop separation property" of the MIS chosen in [10]
-    (and inherited by both of the paper's algorithms): the closest pair
-    between any MIS node's component-in-the-MIS and the rest is exactly
-    two hops, which is what guarantees a single connector can merge two
-    dominator components (Lemma 9).
+    (and inherited by both of the paper's algorithms): the graph over
+    the members that joins each pair within two hops is connected, so
+    every split of the members into two groups has a pair exactly two
+    hops apart, which is what guarantees a single connector can merge
+    two dominator components (Lemma 9).
     """
-    chosen = list(dict.fromkeys(independent))
+    chosen = set(independent)
     if len(chosen) <= 1:
         return True
-    chosen_set = set(chosen)
-    for v in chosen:
-        two_hop = False
+    start = next(iter(chosen))
+    reached = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
         for u in graph.neighbors(v):
-            for w in graph.neighbors(u):
-                if w != v and w in chosen_set:
-                    two_hop = True
-                    break
-            if two_hop:
-                break
-        if not two_hop:
-            return False
-    return True
+            for w in (u, *graph.neighbors(u)):
+                if w in chosen and w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+    return len(reached) == len(chosen)
 
 
 def m_deficient_nodes(

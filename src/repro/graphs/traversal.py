@@ -1,4 +1,4 @@
-"""Graph traversals: BFS orders, BFS trees, components, distances.
+"""Graph traversals: BFS orders, BFS trees, components.
 
 Phase 1 of both two-phased algorithms selects the MIS "in the first-fit
 manner in the breadth-first-search ordering" of a rooted spanning tree
@@ -25,7 +25,6 @@ __all__ = [
     "dfs_tree",
     "connected_components",
     "is_connected",
-    "shortest_path_lengths",
     "induced_is_connected",
 ]
 
@@ -145,8 +144,3 @@ def is_connected(graph: Graph[N]) -> bool:
 def induced_is_connected(graph: Graph[N], nodes: Iterable[N]) -> bool:
     """Whether ``G[nodes]`` is connected (empty set: False)."""
     return is_connected(graph.subgraph(nodes))
-
-
-def shortest_path_lengths(graph: Graph[N], source: N) -> dict[N, int]:
-    """Hop distances from ``source`` to every reachable node."""
-    return dict(bfs_tree(graph, source).depth)

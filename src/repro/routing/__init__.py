@@ -1,4 +1,4 @@
-"""Applications on top of the CDS: backbone routing."""
+"""Backbone routing over a CDS, for BCAST's traffic run."""
 
 from .backbone import BackboneRouter
 

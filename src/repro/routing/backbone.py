@@ -4,12 +4,11 @@ The original motivation for minimum CDS in ad hoc networks ([2] in the
 paper) is routing: keep routing state only on backbone nodes and route
 every packet *via* the backbone — source to an adjacent dominator,
 along the backbone, and one final hop to the target.  A smaller
-backbone means less routing state and fewer control messages, at the
-price of path *stretch* relative to true shortest paths.
+backbone means less routing state and fewer control messages.
 
-:class:`BackboneRouter` implements that scheme over any CDS and
-measures the stretch, which the churn example tracks as the backbone is
-maintained over time.
+:class:`BackboneRouter` implements that scheme over any CDS; BCAST's
+traffic run (:func:`repro.distributed.traffic.run_traffic`) routes every
+packet through it.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from typing import Hashable, Iterable, TypeVar
 
 from ..graphs.graph import Graph
 from ..graphs.properties import is_connected_dominating_set
-from ..graphs.traversal import shortest_path_lengths
 
 N = TypeVar("N", bound=Hashable)
 
@@ -92,24 +90,3 @@ class BackboneRouter:
                     return path[::-1]
                 queue.append(v)
         return None
-
-    def stretch(self, source: N, target: N) -> float:
-        """Backbone route length over true shortest-path length.
-
-        1.0 means no detour; the CDS literature's rule of thumb is a
-        small constant stretch for MIS-based backbones.
-        """
-        if source == target:
-            return 1.0
-        true = shortest_path_lengths(self._graph, source).get(target)
-        if true is None:
-            raise ValueError("endpoints are not connected")
-        routed = len(self.route(source, target)) - 1
-        return routed / true
-
-    def mean_stretch(self, pairs: Iterable[tuple[N, N]]) -> float:
-        """Average stretch over the given endpoint pairs."""
-        values = [self.stretch(s, t) for s, t in pairs]
-        if not values:
-            raise ValueError("no pairs given")
-        return sum(values) / len(values)

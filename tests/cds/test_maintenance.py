@@ -138,12 +138,6 @@ class TestRebuild:
         # A rebuild is exactly a fresh construction on the current graph.
         assert d.size == DynamicCDS(d.graph).size
 
-    def test_churn_slack_nonnegative_after_rebuild(self, small_udg):
-        _, g = small_udg
-        d = DynamicCDS(g)
-        d.rebuild()
-        assert d.churn_slack() == 0
-
     def test_auto_rebuild_bounds_slack(self, small_udg):
         _, g = small_udg
         d = DynamicCDS(g, rebuild_factor=1.5)

@@ -81,6 +81,13 @@ class TestTwoHopSeparation:
         g = Graph(edges=[(i, i + 1) for i in range(6)])  # path of 7
         assert not has_two_hop_separation(g, [0, 6])
 
+    def test_every_member_near_another_is_not_enough(self):
+        # On the path 0-...-7, each of 0, 2, 5, 7 has a member two hops
+        # away, but {0, 2} and {5, 7} are three hops apart.
+        g = Graph(edges=[(i, i + 1) for i in range(7)])  # path of 8
+        assert not has_two_hop_separation(g, [0, 2, 5, 7])
+        assert has_two_hop_separation(g, [0, 2, 4, 6])
+
     def test_small_sets_trivially_pass(self, path5):
         assert has_two_hop_separation(path5, [])
         assert has_two_hop_separation(path5, [2])

@@ -1,4 +1,4 @@
-"""Unit tests for BFS trees, components and distances."""
+"""Unit tests for BFS trees and components."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.graphs import (
     connected_components,
     induced_is_connected,
     is_connected,
-    shortest_path_lengths,
 )
 
 
@@ -81,13 +80,6 @@ class TestComponents:
         assert induced_is_connected(path5, [1, 2, 3])
         assert not induced_is_connected(path5, [0, 2])
         assert not induced_is_connected(path5, [])
-
-
-class TestDistances:
-    def test_shortest_path_lengths(self, cycle6):
-        d = shortest_path_lengths(cycle6, 0)
-        assert d == {0: 0, 1: 1, 5: 1, 2: 2, 4: 2, 3: 3}
-
 
 
 class TestDFSTree:

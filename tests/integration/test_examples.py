@@ -41,16 +41,6 @@ class TestExamples:
         assert proc.returncode == 0, proc.stderr
         assert "mean CDS size" in proc.stdout
 
-    def test_mobile_network_churn(self):
-        proc = run_example("mobile_network_churn.py", "25", "30", "1")
-        assert proc.returncode == 0, proc.stderr
-        assert "valid CDS through every event" in proc.stdout
-
-    def test_energy_rotation(self):
-        proc = run_example("energy_rotation.py", "24", "3")
-        assert proc.returncode == 0, proc.stderr
-        assert "lifetime" in proc.stdout
-
     @pytest.mark.slow
     def test_theory_verification(self):
         proc = run_example("theory_verification.py", timeout=1200)

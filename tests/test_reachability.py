@@ -1,9 +1,9 @@
-"""Every public definition in ``src/repro`` is reached by a user path.
+"""Every definition in ``src/repro`` is reached by a user path.
 
-The rule (docs/architecture.md, "What stays in src/"): a public
-top-level function, class or module-level constant, and a public
-method, property or class-level constant of a public class, stays if
-its name is reached from
+The rule (docs/architecture.md, "What stays in src/"): a top-level
+function or class, public or private, a public module-level constant,
+and a public method, property or class-level constant of a top-level
+class, stays if its name is reached from
 
 * code in ``src/`` itself (the CLI modes and the registered experiments
   live there);
@@ -26,10 +26,13 @@ sources are searched word by word, because perfbench patches
 attributes by their string names.
 
 The scan runs to a fixpoint.  It starts from the code outside every
-public definition, the word-searched sources and the kept definitions;
-each definition that a live name reaches adds its own references, until
+definition (module-level statements, private module constants and
+top-level dunders such as ``repro.obs.__getattr__``, which Python calls
+by protocol), the word-searched sources and the kept definitions; each
+definition that a live name reaches adds its own references, until
 nothing changes.  So a name that only unreached code mentions is
-unreached too, and a member is reached only once its class is.
+unreached too, even when the unreached code is a private helper, and a
+member is reached only once its class is.
 
 What the guard cannot see:
 
@@ -76,8 +79,6 @@ KEEP = {
     "decomposition (tests and benchmarks/bench_star_decomposition.py)",
     "max_independent_subset_size": "test oracle: exact unit-disk packing "
     "capacity five (tests/geometry/test_packing.py)",
-    "cds_weight": "test oracle: weighted_greedy_cds's total_weight "
-    "(tests/cds/test_weighted.py)",
     "arc_between": "geometry/arcs.py, the arc machinery of the theory map's "
     "arc-polygon row (tests/geometry/test_arcs.py)",
     "chord_length": "geometry/arcs.py, the arc machinery of the theory map's "
@@ -130,11 +131,15 @@ def constant_names(node: ast.stmt, fields: bool = False) -> list[str]:
     ]
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def module_definitions(
     module: str, tree: ast.Module
 ) -> tuple[list[Definition], Counter[str]]:
-    """The public definitions of one module and the references made
-    outside all of them."""
+    """The definitions of one module and the references made outside
+    all of them."""
     found: list[Definition] = []
     outside: Counter[str] = Counter()
 
@@ -143,7 +148,7 @@ def module_definitions(
         return found[-1]
 
     for node in tree.body:
-        if isinstance(node, DEFS) and not node.name.startswith("_"):
+        if isinstance(node, DEFS) and not is_dunder(node.name):
             if not isinstance(node, ast.ClassDef):
                 define(node.name, code_refs(node))
                 continue
@@ -171,7 +176,7 @@ def scan(
     src: Path, words: list[Path], theory_map: Path, keep: set[str]
 ) -> tuple[dict[str, str], set[str], set[str]]:
     """``({location: qualname}, unreached locations, kept locations)``
-    over the public definitions of the modules under ``src``.
+    over the definitions of the modules under ``src``.
 
     ``words`` are searched word by word.  ``theory_map``'s bare module
     paths keep whole modules and its ``module.py::name`` entries keep
@@ -278,13 +283,27 @@ def test_scan_counts_code_not_prose(tmp_path):
         "from .mod import doc_only, lazy_only\n"
         '__all__ = ["doc_only", "lazy_only"]\n'
         '_LAZY = {"lazy_only": "mod"}\n'
+        "def __getattr__(name):\n"
+        "    return protocol_callee()\n"
     )
     (src / "mod.py").write_text(
         '"""Calls doc_only() in prose only."""\n'
         "def used():\n"
-        "    return helper() + Worker().run()\n"
+        "    return helper() + Worker().run() + _live_helper()\n"
         "def helper():\n"
         "    return 1\n"
+        "def _live_helper():\n"
+        "    return live_callee()\n"
+        "def live_callee():\n"
+        "    return 2\n"
+        "def protocol_callee():\n"
+        "    pass\n"
+        "def dead_entry():\n"
+        "    return _dead_helper()\n"
+        "def _dead_helper():\n"
+        "    return helper_only()\n"
+        "def helper_only():\n"
+        "    pass\n"
         "def doc_only():\n"
         '    """doc_only stays in its docstring."""\n'
         "def comment_only():  # comment_only()\n"
@@ -332,12 +351,24 @@ def test_scan_counts_code_not_prose(tmp_path):
     assert loc["Mapped.member"] in kept and loc["Mapped.member"] in unreached
     # (e) a word in a perfbench file still counts.
     assert loc["patched"] not in unreached
+    # (f) a private helper is a definition: reached only from dead code,
+    # it is reported, and so is what only it names.
+    assert {"dead_entry", "_dead_helper", "helper_only"} <= named
+    # (g) a private helper that live code calls keeps its callee reached.
+    assert loc["_live_helper"] not in unreached
+    assert loc["live_callee"] not in unreached
+    # (h) a module-level dunder is no definition but a root.
+    assert "__getattr__" not in defs.values()
+    assert loc["protocol_callee"] not in unreached
     assert named == {
         "doc_only",
         "comment_only",
         "lazy_only",
         "dead",
         "dead_callee",
+        "dead_entry",
+        "_dead_helper",
+        "helper_only",
         "Worker.LIMIT",
         "Worker.orphan",
         "Worker.inner",
