@@ -18,8 +18,11 @@ from __future__ import annotations
 
 from typing import Callable, Hashable
 
+import numpy as np
+
 from ..cds.base import CDSResult
 from ..graphs.graph import Graph
+from ..graphs.indexed import IndexedGraph, _bulk_graph, _neighbor_rows
 from .cds_protocol import distributed_greedy_cds, distributed_waf_cds
 
 __all__ = [
@@ -36,16 +39,36 @@ def int_relabeled(graph: Graph) -> tuple[Graph[int], dict[int, Hashable]]:
     """Relabel to sorted-order integer ids; return the graph and the
     id → original-label map.
 
-    Node and edge order follow ``graph``'s, so the relabeled graph is
-    the same for the same input.
+    Node ``v`` becomes its rank in ``sorted(graph.nodes())``.  Node and
+    edge order (:meth:`Graph.edges`) follow ``graph``'s.  The adjacency
+    rows are the ones adding those edges in that order builds: each row
+    lists its earlier neighbors in node order, then its later neighbors
+    in ``graph``'s row order.  The protocols break ties in row order,
+    so the ``sim_*`` counts depend on this rule.
+
+    Built from ``graph``'s kernel view: the ranks from
+    :meth:`~repro.graphs.indexed.IndexedGraph.value_order`, the rows
+    from the view's ``(i, j > i)`` entries, the graph as a view alone
+    (no adjacency dicts, no per-edge ``add_edge``).
+
+    Raises:
+        TypeError: if the nodes are not mutually orderable, as
+            ``sorted`` raises it.
     """
-    ids = {v: i for i, v in enumerate(sorted(graph.nodes()))}
-    relabeled: Graph[int] = Graph()
-    for v in graph.nodes():
-        relabeled.add_node(ids[v])
-    for u, v in graph.edges():
-        relabeled.add_edge(ids[u], ids[v])
-    return relabeled, {i: v for v, i in ids.items()}
+    view = IndexedGraph.from_graph(graph)
+    nodes = view.nodes
+    n = len(nodes)
+    order = view.value_order()
+    if order is None:  # unorderable: sorted's own TypeError
+        order = sorted(range(n), key=nodes.__getitem__)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
+    indptr, indices = view.arrays()
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    later = indices > src
+    rows = _neighbor_rows(src[later], indices[later], n)
+    back = {r: nodes[i] for r, i in enumerate(order)}
+    return _bulk_graph(rank.tolist(), *rows), back
 
 
 def _run_pipeline(

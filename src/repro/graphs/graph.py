@@ -21,9 +21,14 @@ every mutator clears the memo, and copies and pickles never carry it.
 :func:`repro.graphs.udg.unit_disk_graph` builds only that view
 (:meth:`Graph._from_index`): ``_adj`` is ``None`` until a read needs
 the dicts, and :meth:`Graph._dicts` builds them from the view.  Until
-then ``len``, iteration, ``in``, ``nodes``, ``neighbors``, ``degree``
-and ``edge_count`` answer from the view, so the solve path never
-builds them; every mutator builds them before it clears the memo.
+then ``len``, iteration, ``in``, ``nodes``, ``edges``, ``neighbors``,
+``degree`` and ``edge_count`` answer from the view, and ``subgraph``
+restricts the view into a new one
+(:meth:`~repro.graphs.indexed.IndexedGraph.subgraph`), so the solve
+path never builds them; every mutator builds them before it clears
+the memo.  Graphs derived from a view or an edge list in bulk — the
+distributed solvers' integer relabel, induced subgraphs, the solve
+daemon's inline-edge instances — start out the same way.
 """
 
 from __future__ import annotations
@@ -145,9 +150,19 @@ class Graph(Generic[N]):
 
     def edges(self) -> list[tuple[N, N]]:
         """Each undirected edge once, as ``(u, v)`` in first-seen order."""
+        if self._adj is None:
+            # First seen at the earlier endpoint: the (i, j > i) entries.
+            view = self._index
+            nodes, indptr, indices = view.nodes, view.indptr, view.indices
+            return [
+                (nodes[i], nodes[j])
+                for i in range(len(nodes))
+                for j in indices[indptr[i] : indptr[i + 1]]
+                if j > i
+            ]
         seen: set[N] = set()
         result: list[tuple[N, N]] = []
-        for u, nbrs in self._dicts().items():
+        for u, nbrs in self._adj.items():
             for v in nbrs:
                 if v not in seen:
                     result.append((u, v))
@@ -201,7 +216,9 @@ class Graph(Generic[N]):
         Unknown nodes are ignored, matching the set-algebra style the
         CDS algorithms use (``G[I ∪ C]`` with ``C`` still growing).
         """
-        adj = self._dicts()
+        if self._adj is None:
+            return self._index.subgraph(nodes)
+        adj = self._adj
         keep = {n for n in nodes if n in adj}
         sub: Graph[N] = Graph()
         for n in adj:

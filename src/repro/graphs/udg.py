@@ -34,7 +34,7 @@ import numpy as np
 from ..geometry.point import EPS, Point
 from ..obs import OBS, trace
 from .graph import Graph
-from .indexed import IndexedGraph
+from .indexed import _bulk_graph, _neighbor_rows
 
 __all__ = [
     "unit_disk_graph",
@@ -121,7 +121,7 @@ def unit_disk_graph(
     graph is built as its memoized
     :class:`~repro.graphs.indexed.IndexedGraph` view alone, from the
     same rows; its adjacency dicts follow on first use
-    (:func:`_bulk_graph`).  An
+    (:func:`~repro.graphs.indexed._bulk_graph`).  An
     instrumented run records one ``udg.grid.build`` span and the
     ``udg.grid.*`` counters at every ``n``.
 
@@ -168,9 +168,9 @@ def _udg_rows(
     xs: np.ndarray, ys: np.ndarray, radius: float, tol: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """CSR rows of :func:`unit_disk_graph`'s graph over ``(xs[i],
-    ys[i])`` (see :func:`_neighbor_rows`), plus its ``pairs_tested``:
-    dense all-pairs rows below :data:`GRID_SMALL_N`, grid scan rows
-    from there up."""
+    ys[i])`` (see :func:`~repro.graphs.indexed._neighbor_rows`), plus
+    its ``pairs_tested``: dense all-pairs rows below
+    :data:`GRID_SMALL_N`, grid scan rows from there up."""
     n = xs.size
     if n < GRID_SMALL_N:
         adj = _pair_adjacency(xs, ys, radius, tol)
@@ -359,66 +359,6 @@ def _grid_edges(
         rights.append(perm[ri[hit]])
         lo, done = hi, end
     return np.concatenate(lefts), np.concatenate(rights), pairs_tested
-
-
-def _neighbor_rows(
-    left: np.ndarray, right: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR rows of the graph ``add_edge(left[k], right[k])`` for ``k`` in
-    order would build: ``(indptr, nbr)`` with node ``i``'s neighbor ids,
-    in adjacency insertion order, at ``nbr[indptr[i]:indptr[i + 1]]``.
-
-    Each edge appends to both endpoints' rows, so emitting ``(left,
-    right)`` and ``(right, left)`` interleaved per edge and stably
-    sorting by source keeps every row in emission order.
-    """
-    entries = 2 * left.size
-    src = np.empty(entries, dtype=np.int64)
-    dst = np.empty_like(src)
-    src[0::2] = left
-    src[1::2] = right
-    dst[0::2] = right
-    dst[1::2] = left
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    # The stable sort by source, as a plain sort of unique keys (about
-    # four times faster than a stable argsort here).
-    key = src * entries + np.arange(entries, dtype=np.int64)
-    key.sort()
-    return indptr, dst[key % entries]
-
-
-def _bulk_graph(
-    pts: list[Point],
-    indptr: np.ndarray,
-    nbr: np.ndarray,
-    coords: tuple[np.ndarray, np.ndarray],
-) -> Graph[Point]:
-    """The :class:`Graph` with CSR rows ``(indptr, nbr)`` over ``pts``
-    at ``coords``, built as its memoized kernel view alone
-    (:meth:`Graph._from_index`; the adjacency dicts follow on first
-    use).  The view keeps the rows, made read-only, as its
-    :meth:`~repro.graphs.indexed.IndexedGraph.arrays`, and the
-    coordinates for its value order.
-
-    An object-array gather keeps every neighbor id the one ``int``
-    object of ``list(range(n))`` that the view interns it to
-    (``nbr.tolist()`` would allocate a fresh ``int`` per adjacency
-    entry).
-    """
-    n = len(pts)
-    ids = list(range(n))
-    indices = np.fromiter(ids, dtype=object, count=n)[nbr].tolist()
-    indptr.flags.writeable = nbr.flags.writeable = False
-    index = IndexedGraph(
-        tuple(pts),
-        dict(zip(pts, ids)),
-        indptr.tolist(),
-        indices,
-        arrays=(indptr, nbr),
-        coords=coords,
-    )
-    return Graph._from_index(index)  # noqa: SLF001 - same-package bulk path
 
 
 def quasi_unit_disk_graph(

@@ -391,10 +391,17 @@ class _IsolatedEngine:
         idle = self.workers._idle
         while True:
             proc, conn = idle.pop() if idle else self._spawn()
+            # A worker that died while idle is replaced, and no cell is
+            # charged.  Its exit is checked before the send, which can
+            # still land in the pipe of a worker already dead; a death
+            # between the check and the send is not caught here.
+            if _mpc.wait([proc.sentinel], timeout=0):
+                _retire(proc, conn)
+                continue
             try:
                 conn.send_bytes(task)  # pickled first: only OSError here
                 break
-            except OSError:  # died while idle: replaced, no cell charged
+            except OSError:  # died while idle
                 _retire(proc, conn)
         timeout = self.policy.timeout
         deadline = None if timeout is None else time.monotonic() + timeout

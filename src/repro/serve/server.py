@@ -97,15 +97,17 @@ def serve_cell(request: Mapping) -> dict:
     :func:`~repro.experiments.parallel.solve_cell`, so a served cell's
     summary — sizes *and* operation counters — is byte-identical to the
     same cell solved by ``python -m repro sweep``.  Inline edge lists
-    build an integer-labeled graph and produce the analogous summary.
+    build an integer-labeled graph (:func:`_edge_graph`) and produce
+    the analogous summary.
 
     Raises:
         ValueError: for a disconnected edge instance (the normalizer
             already refused what no solver takes), surfaced to the
-            client as a structured error response.
+            client as a structured error response; also for an edge
+            list the normalizer would not have passed on
+            (:func:`_edge_graph`).
     """
     from ..experiments.parallel import SweepCell, solve_cell, solve_summary
-    from ..graphs.graph import Graph
     from ..graphs.traversal import is_connected
 
     instance = request["instance"]
@@ -115,11 +117,7 @@ def serve_cell(request: Mapping) -> dict:
             n=instance["n"], side=instance["side"], seed=instance["seed"]
         )
         return solve_cell(cell, algorithm=algorithm, kernel=kernel)
-    graph = Graph()
-    for node in range(instance["nodes"]):
-        graph.add_node(node)
-    for u, v in instance["edges"]:
-        graph.add_edge(u, v)
+    graph = _edge_graph(instance["nodes"], instance["edges"])
     if not is_connected(graph):
         raise ValueError(
             "edge instance is disconnected (a CDS requires a connected "
@@ -127,6 +125,38 @@ def serve_cell(request: Mapping) -> dict:
         )
     head = {"nodes": len(graph), "edges": graph.edge_count()}
     return solve_summary(head, graph, algorithm, kernel=kernel)
+
+
+def _edge_graph(nodes: int, edges: list):
+    """The graph over ``range(nodes)`` that adding ``edges`` in order
+    with ``Graph.add_edge`` builds, made in bulk from its CSR rows.
+
+    ``edges`` is in the normalizer's form: pairs ``u < v`` of ids below
+    ``nodes``, sorted, no repeats.
+
+    Raises:
+        ValueError: for a self-loop (``add_edge``'s error), and for any
+            other edge list not in that form.
+    """
+    import numpy as np
+
+    from ..graphs.indexed import _bulk_graph, _neighbor_rows
+
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    left, right = pairs[:, 0], pairs[:, 1]
+    loops = np.flatnonzero(left == right)
+    if loops.size:
+        raise ValueError(f"self-loop at {int(left[loops[0]])!r} is not allowed")
+    key = left * nodes + right
+    if pairs.size and not (
+        left.min() >= 0 and right.max() < nodes
+        and (left < right).all() and (key[1:] > key[:-1]).all()
+    ):
+        raise ValueError(
+            "edge list is not normalized: expected sorted, distinct pairs "
+            f"u < v of node ids below {nodes} (see normalize_request)"
+        )
+    return _bulk_graph(range(nodes), *_neighbor_rows(left, right, nodes))
 
 
 def solve_batch(requests: list[dict], pool: WorkerSet | None = None) -> list[dict]:

@@ -1,5 +1,6 @@
 """run_cells: fault isolation, retries, timeouts, resume — the contract."""
 
+import multiprocessing
 import os
 import pickle
 import signal
@@ -351,6 +352,27 @@ class TestWorkerLifecycle:
             report = run_cells(my_pid, [1, 2], pool=workers)
         assert report.ok and [o.attempts for o in report.outcomes] == [1, 1]
         assert first not in report.results
+
+    @pytest.mark.parametrize("context", ["fork", "forkserver"])
+    def test_dead_idle_worker_whose_send_lands_costs_no_attempt(self, context):
+        # The dead worker's pipe is swapped for one whose far end stays
+        # open, so the task sent to it lands instead of raising: only
+        # the worker's exit tells the dispatcher it is gone.  A cell
+        # sent there would wait out its timeout, charged as the cell's.
+        with closing(WorkerSet(1, context=context)) as workers:
+            (first,) = run_cells(my_pid, [0], pool=workers).results
+            (proc, conn), = workers._idle
+            os.kill(first, signal.SIGKILL)
+            proc.join(10.0)
+            conn.close()
+            near, far = multiprocessing.Pipe()
+            workers._idle[0] = (proc, near)
+            with closing(far):
+                report = run_cells(my_pid, [1, 2], pool=workers,
+                                   policy=RetryPolicy(timeout=5.0))
+        assert report.ok and [o.attempts for o in report.outcomes] == [1, 1]
+        assert first not in report.results
+        assert near.closed  # retired with its worker
 
 
 GRID = sweep_cells([20, 30], [0, 1, 2, 3], side=None)
